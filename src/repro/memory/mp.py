@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -118,6 +117,11 @@ class MultiprocessorMemory:
         self.sequencer = AddressPhaseSequencer(fabric.snoop, name=f"{name}.snoop")
         self.data_bus = _ChannelTimer(f"{name}.databus")
         self.stats = Counter(name)
+        # The config is frozen: convert its cycle latencies once, not on
+        # every access.
+        self.l1_hit_ns = config.l1_hit_ns
+        self.l2_hit_ns = config.l2_hit_ns
+        self.tlb_miss_ns = config.tlb_miss_ns
 
     # -- single access ---------------------------------------------------------
 
@@ -129,7 +133,7 @@ class MultiprocessorMemory:
 
         translation_ns = 0.0
         if not self.tlbs[cpu].access(addr):
-            translation_ns = self.config.tlb_miss_ns
+            translation_ns = self.tlb_miss_ns
             self.stats.incr("tlb_misses")
 
         l1_state = l1.state_of(addr)
@@ -143,11 +147,11 @@ class MultiprocessorMemory:
                 # Keep L2's view of dirtiness in sync for remote snoops.
                 self.l2s[cpu].access(addr, AccessType.WRITE)
             self.stats.incr("l1_hits")
-            return MpAccessOutcome(translation_ns + self.config.l1_hit_ns,
+            return MpAccessOutcome(translation_ns + self.l1_hit_ns,
                                    ServiceLevel.L1)
 
         # L1 miss: victim goes to L2, then the coherent L2-level access.
-        latency = translation_ns + self.config.l1_hit_ns
+        latency = translation_ns + self.l1_hit_ns
         l1_result = l1.access(addr, access)
         if l1_result.writeback is not None:
             self.l2s[cpu].access(l1_result.writeback, AccessType.WRITE)
@@ -158,13 +162,13 @@ class MultiprocessorMemory:
         if outcome.bus_op is None:
             # Clean L2 hit.
             self.stats.incr("l2_hits")
-            return MpAccessOutcome(latency + self.config.l2_hit_ns, ServiceLevel.L2)
+            return MpAccessOutcome(latency + self.l2_hit_ns, ServiceLevel.L2)
 
         # Any bus op serialises through the address-phase sequencer.
-        issue = now_ns + latency + self.config.l2_hit_ns
+        issue = now_ns + latency + self.l2_hit_ns
         grant, phase_done = self.sequencer.occupy(issue)
         queueing = grant - issue
-        latency += self.config.l2_hit_ns + (phase_done - issue)
+        latency += self.l2_hit_ns + (phase_done - issue)
 
         if outcome.bus_op == BusOp.UPGRADE:
             self.stats.incr("upgrades")
@@ -193,13 +197,13 @@ class MultiprocessorMemory:
         return MpAccessOutcome(latency, level, queueing_ns=queueing)
 
     def _upgrade_hit(self, cpu: int, now_ns: float, addr: int) -> MpAccessOutcome:
-        issue = now_ns + self.config.l1_hit_ns
+        issue = now_ns + self.l1_hit_ns
         grant, done = self.sequencer.occupy(issue)
         self.domain.access(cpu, addr, AccessType.WRITE)
         self._repair_l1_inclusion(addr)
         self.l1s[cpu].access(addr, AccessType.WRITE)
         self.stats.incr("upgrades")
-        return MpAccessOutcome(self.config.l1_hit_ns + (done - issue),
+        return MpAccessOutcome(self.l1_hit_ns + (done - issue),
                                ServiceLevel.L2, queueing_ns=grant - issue)
 
     def _repair_l1_inclusion(self, addr: int) -> None:
@@ -272,7 +276,12 @@ class TraceStep:
 
 
 StallModel = Callable[[float, float], float]
-"""Maps (memory_latency_ns, preceding_compute_ns) -> CPU stall ns."""
+"""Maps (memory_latency_ns, preceding_compute_ns) -> CPU stall ns.
+
+Stall models must be pure: the result depends on the two arguments only.
+The fast replay paths (``_replay_fast`` and :mod:`repro.memory.vec`)
+evaluate the stalls of their in-loop outcomes once per replay.
+"""
 
 
 @dataclass
@@ -339,25 +348,53 @@ def run_interleaved(memory: MultiprocessorMemory,
 #
 # Replaying an address trace through ``run_interleaved`` costs one TraceStep
 # dataclass, one AccessResult, one MpAccessOutcome, two MESIState
-# constructions and several Counter dict updates per reference — dominated
-# by accesses that are plain L1 hits.  ``replay_traces`` keeps those
-# accesses entirely inside one loop frame: set/tag shifts are precomputed,
-# the L1/L2/TLB dicts are touched directly (same dict-order LRU as
-# ``Cache.access``), and the per-access counters accumulate in locals that
-# flush into the real ``Counter`` objects once per replay.  Anything that
-# is not a private L1 hit (misses, SHARED-line upgrades, inclusion repair)
-# falls through to ``MultiprocessorMemory.access`` untouched, *before* any
-# state is mutated, so the replay is access-for-access identical to the
-# reference path — same hit/miss/evict/upgrade counters, same float
-# operation order, hence bit-identical timing.
+# constructions and several Counter dict updates per reference.
+# ``_replay_fast`` is one scalar loop for any CPU count: the merge heap of
+# ``run_interleaved`` is kept, but the common accesses run inside the loop
+# frame.  Set/tag shifts are precomputed, the L1/L2/TLB dicts are touched
+# directly (same dict-order LRU as ``Cache.access``), and per-access
+# counters accumulate in per-CPU slots that flush into the real
+# ``Counter`` objects once per replay.  Three cases stay in the loop:
+#
+# * an L1 read hit;
+# * an L1 write hit whose L2 line is EXCLUSIVE or MODIFIED;
+# * an L1 miss refilled by this CPU's own L2 line in E or M state: the L1
+#   victim goes to L2, the coherence domain records a plain hit, and the
+#   sibling L1s get the same inclusion repair as the reference path.
+#
+# Everything else -- L2 misses, accesses whose own L2 line is SHARED or
+# missing, a dirty L1 victim missing from L2 -- falls through to ``MultiprocessorMemory.access``
+# untouched, *before* any state is mutated.  The replay is therefore
+# access-for-access identical to the reference path: same counters, same
+# cache contents and LRU order, same float operation order, hence
+# bit-identical timing.  The in-loop stalls are computed once per replay
+# per CPU, which relies on stall models being pure (see ``StallModel``).
 #
 # With observability enabled the reference path runs instead, so the
 # per-access metric stream is preserved exactly.
 
-_CHUNK = 8192
-
 _SHARED_INT = int(MESIState.SHARED)
+_EXCLUSIVE_INT = int(MESIState.EXCLUSIVE)
 _MODIFIED_INT = int(MESIState.MODIFIED)
+
+# The per-CPU counter slots of ``_replay_fast``, by index:
+# (component, stats key) pairs flushed by ``_flush_replay_counters``.
+_SLOTS = (
+    ("tlb", "hits"),          # 0
+    ("tlb", "misses"),        # 1
+    ("tlb", "evictions"),     # 2
+    ("l1", "read_hit"),       # 3
+    ("l1", "write_hit"),      # 4
+    ("l1", "upgrade"),        # 5
+    ("l1", "read_miss"),      # 6
+    ("l1", "write_miss"),     # 7
+    ("l1", "writeback"),      # 8
+    ("l1", "clean_evict"),    # 9
+    ("l2", "read_hit"),       # 10
+    ("l2", "write_hit"),      # 11
+    ("l2", "upgrade"),        # 12
+    ("domain", "hit"),        # 13: one per in-loop L2 refill
+)
 
 
 def _trace_pairs(trace):
@@ -405,7 +442,8 @@ def replay_traces(memory: MultiprocessorMemory,
     :class:`TraceStep` objects (with uniform ``compute_ns``) and calling
     :func:`run_interleaved`; ``use_fast_path=False`` forces exactly that,
     and is the reference implementation the equivalence tests compare
-    against.
+    against.  Otherwise one scalar loop, ``_replay_fast``, replays any
+    number of traces; it requires the stall models to be pure.
 
     ``backend="numpy"`` routes single-trace replays through the
     vectorized engine in :mod:`repro.memory.vec`, falling back to the
@@ -427,235 +465,53 @@ def replay_traces(memory: MultiprocessorMemory,
         steps = [(TraceStep(compute_ns, addr, access)
                   for addr, access in _trace_pairs(t)) for t in traces]
         return run_interleaved(memory, steps, stall_models)
-    if len(traces) == 1:
-        trace = traces[0]
-        if backend == "numpy":
-            result, trace = _try_vec(memory, trace, compute_ns,
+    traces = list(traces)
+    if len(traces) == 1 and backend == "numpy":
+        result, traces[0] = _try_vec(memory, traces[0], compute_ns,
                                      stall_models[0])
-            if result is not None:
-                return [result]
-        return [_replay_fast_single(memory, _trace_pairs(trace), compute_ns,
-                                    stall_models[0])]
-    return _replay_fast_merged(memory, [_trace_pairs(t) for t in traces],
-                               compute_ns, stall_models)
+        if result is not None:
+            return [result]
+    return _replay_fast(memory, [_trace_pairs(t) for t in traces],
+                        compute_ns, stall_models)
 
 
-def _replay_fast_single(memory: MultiprocessorMemory,
-                        trace: Iterable[Tuple[int, AccessType]],
-                        compute_ns: float,
-                        stall: StallModel) -> CpuRunResult:
-    """Single-CPU replay: the merge heap degenerates to a tight loop."""
-    config = memory.config
-    l1_hit_ns = config.l1_hit_ns
-    l2_hit_ns = config.l2_hit_ns
-    tlb_miss_ns = config.tlb_miss_ns
+def _replay_fast(memory: MultiprocessorMemory,
+                 traces: Sequence[Iterable[Tuple[int, AccessType]]],
+                 compute_ns: float,
+                 stall_models: Sequence[StallModel],
+                 ) -> List[CpuRunResult]:
+    """The scalar fast path for any CPU count (see the comment above)."""
     write_t = AccessType.WRITE
     shared = _SHARED_INT
-    exclusive = int(MESIState.EXCLUSIVE)
-    modified = _MODIFIED_INT
-
-    l1 = memory.l1s[0]
-    l2 = memory.l2s[0]
-    tlb = memory.tlbs[0]
-    l1_sets = l1._sets
-    l2_sets = l2._sets
-    l1_shift = l1._set_shift
-    l1_mask = l1._set_mask
-    l1_ways = l1._ways
-    l2_shift = l2._set_shift
-    l2_mask = l2._set_mask
-    tlb_entries = tlb._entries
-    page_shift = tlb._page_shift
-    tlb_capacity = tlb.config.entries
-    other_l1s = memory.l1s[1:]
-    slow_access = memory.access
-
-    local = 0.0
-    steps = 0
-    compute_total = 0.0
-    stall_total = 0.0
-    queueing_total = 0.0
-    tlb_hits = tlb_misses = tlb_evictions = 0
-    read_hits = write_hits = upgrades = l2_write_hits = 0
-    read_misses = write_misses = l1_writebacks = clean_evicts = 0
-    l2_read_hits = l2_upgrades = domain_hits = mp_l2_hits = 0
-
-    islice = itertools.islice
-    it = iter(trace)
-    while True:
-        chunk = list(islice(it, _CHUNK))
-        if not chunk:
-            break
-        for addr, access in chunk:
-            issue = local + compute_ns
-            is_write = access is write_t
-            tag = addr >> l1_shift
-            line_set = l1_sets[tag & l1_mask]
-            state = line_set.get(tag)
-            l2_tag = addr >> l2_shift
-            l2_set = l2_sets[l2_tag & l2_mask]
-            l2_state = l2_set.get(l2_tag)
-
-            if state is not None and not (is_write and
-                                          (l2_state is None
-                                           or l2_state == shared)):
-                # --- private L1 hit -------------------------------------
-                page = addr >> page_shift
-                if page in tlb_entries:
-                    del tlb_entries[page]
-                    tlb_entries[page] = None
-                    tlb_hits += 1
-                    translation = 0.0
-                else:
-                    if len(tlb_entries) >= tlb_capacity:
-                        del tlb_entries[next(iter(tlb_entries))]
-                        tlb_evictions += 1
-                    tlb_entries[page] = None
-                    tlb_misses += 1
-                    translation = tlb_miss_ns
-                del line_set[tag]
-                if is_write:
-                    if state == shared:
-                        upgrades += 1
-                    line_set[tag] = modified
-                    write_hits += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = modified
-                    l2_write_hits += 1
-                else:
-                    line_set[tag] = state
-                    read_hits += 1
-                stall_ns = stall(translation + l1_hit_ns, compute_ns)
-                local = issue + stall_ns
-                steps += 1
-                compute_total += compute_ns
-                stall_total += stall_ns
-                continue
-
-            fast_miss = (state is None
-                         and (l2_state == exclusive or l2_state == modified))
-            victim_tag = -1
-            victim_state = 0
-            victim_l2_set = None
-            if fast_miss and len(line_set) >= l1_ways:
-                victim_tag = next(iter(line_set))
-                victim_state = line_set[victim_tag]
-                if victim_state == modified:
-                    v_l2_tag = (victim_tag << l1_shift) >> l2_shift
-                    victim_l2_set = l2_sets[v_l2_tag & l2_mask]
-                    if v_l2_tag not in victim_l2_set:
-                        # Inclusion breach on the victim: reference path.
-                        fast_miss = False
-
-            if fast_miss:
-                # --- L1 miss refilled by a private (E/M) L2 hit ---------
-                # Mirrors MultiprocessorMemory.access exactly: TLB, L1
-                # victim to L2, the coherence-domain plain hit (no bus
-                # op), and the inclusion repair against the other CPUs.
-                page = addr >> page_shift
-                if page in tlb_entries:
-                    del tlb_entries[page]
-                    tlb_entries[page] = None
-                    tlb_hits += 1
-                    translation = 0.0
-                else:
-                    if len(tlb_entries) >= tlb_capacity:
-                        del tlb_entries[next(iter(tlb_entries))]
-                        tlb_evictions += 1
-                    tlb_entries[page] = None
-                    tlb_misses += 1
-                    translation = tlb_miss_ns
-                if victim_tag >= 0:
-                    del line_set[victim_tag]
-                    if victim_state == modified:
-                        l1_writebacks += 1
-                        v_l2_tag = (victim_tag << l1_shift) >> l2_shift
-                        v_state = victim_l2_set[v_l2_tag]
-                        del victim_l2_set[v_l2_tag]
-                        victim_l2_set[v_l2_tag] = modified
-                        l2_write_hits += 1
-                        if v_state == shared:
-                            l2_upgrades += 1
-                        if victim_l2_set is l2_set:
-                            l2_state = l2_set.get(l2_tag)
-                    else:
-                        clean_evicts += 1
-                if is_write:
-                    line_set[tag] = modified
-                    write_misses += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = modified
-                    l2_write_hits += 1
-                else:
-                    line_set[tag] = exclusive
-                    read_misses += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = l2_state
-                    l2_read_hits += 1
-                domain_hits += 1
-                for other in other_l1s:
-                    other.snoop_invalidate(addr)
-                mp_l2_hits += 1
-                stall_ns = stall((translation + l1_hit_ns) + l2_hit_ns,
-                                 compute_ns)
-            else:
-                # Bus-op miss, SHARED upgrade, or repair case: reference
-                # path (nothing mutated yet, so it sees pristine state).
-                outcome = slow_access(0, issue, addr, access)
-                stall_ns = stall(outcome.latency_ns, compute_ns)
-                queueing_total += outcome.queueing_ns
-            local = issue + stall_ns
-            steps += 1
-            compute_total += compute_ns
-            stall_total += stall_ns
-
-    _flush_replay_counters(memory, 0, tlb_hits, tlb_misses, tlb_evictions,
-                           read_hits, write_hits, upgrades, l2_write_hits)
-    l1_stats = l1.stats
-    if read_misses:
-        l1_stats.incr("read_miss", read_misses)
-    if write_misses:
-        l1_stats.incr("write_miss", write_misses)
-    if l1_writebacks:
-        l1_stats.incr("writeback", l1_writebacks)
-    if clean_evicts:
-        l1_stats.incr("clean_evict", clean_evicts)
-    if l2_read_hits:
-        l2.stats.incr("read_hit", l2_read_hits)
-    if l2_upgrades:
-        l2.stats.incr("upgrade", l2_upgrades)
-    if domain_hits:
-        memory.domain.stats.incr("hit", domain_hits)
-    if mp_l2_hits:
-        memory.stats.incr("l2_hits", mp_l2_hits)
-    return CpuRunResult(finish_ns=local, steps=steps,
-                        compute_ns=compute_total, stall_ns=stall_total,
-                        queueing_ns=queueing_total)
-
-
-def _replay_fast_merged(memory: MultiprocessorMemory,
-                        traces: Sequence[Iterable[Tuple[int, AccessType]]],
-                        compute_ns: float,
-                        stall_models: Sequence[StallModel],
-                        ) -> List[CpuRunResult]:
-    """Multi-CPU replay: same inlined access, merge heap kept."""
-    config = memory.config
-    l1_hit_ns = config.l1_hit_ns
-    tlb_miss_ns = config.tlb_miss_ns
-    write_t = AccessType.WRITE
-    shared = _SHARED_INT
+    exclusive = _EXCLUSIVE_INT
     modified = _MODIFIED_INT
 
     l1_sets_by_cpu = [l1._sets for l1 in memory.l1s]
     l2_sets_by_cpu = [l2._sets for l2 in memory.l2s]
     tlb_by_cpu = [tlb._entries for tlb in memory.tlbs]
+    # L1 and L2 lines are the same size (HierarchyConfig enforces it), so
+    # one tag serves both levels; only the set masks differ.
     l1_shift = memory.l1s[0]._set_shift
     l1_mask = memory.l1s[0]._set_mask
-    l2_shift = memory.l2s[0]._set_shift
+    l1_ways = memory.l1s[0]._ways
     l2_mask = memory.l2s[0]._set_mask
     page_shift = memory.tlbs[0]._page_shift
-    tlb_capacity = config.tlb.entries
+    tlb_capacity = memory.config.tlb.entries
     slow_access = memory.access
+    repair_l1_inclusion = memory._repair_l1_inclusion
+    other_l1_sets = [[sets for other, sets in enumerate(l1_sets_by_cpu)
+                      if other != cpu] for cpu in range(memory.num_cpus)]
+
+    # In-loop stalls, indexed [TLB miss] + 2 * [L2 refill], with the
+    # reference path's argument grouping so the floats are identical.
+    l1_hit_ns = memory.l1_hit_ns
+    l2_hit_ns = memory.l2_hit_ns
+    tlb_miss_ns = memory.tlb_miss_ns
+    stalls = [(stall(0.0 + l1_hit_ns, compute_ns),
+               stall(tlb_miss_ns + l1_hit_ns, compute_ns),
+               stall((0.0 + l1_hit_ns) + l2_hit_ns, compute_ns),
+               stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns))
+              for stall in stall_models]
 
     n = len(traces)
     iterators = [iter(t) for t in traces]
@@ -664,32 +520,40 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
     compute_total = [0.0] * n
     stall_total = [0.0] * n
     queueing_total = [0.0] * n
-    counts = [[0] * 7 for _ in range(n)]  # see _flush_replay_counters
+    counts = [[0] * len(_SLOTS) for _ in range(n)]
 
-    heappush = heapq.heappush
     heappop = heapq.heappop
-    heap: List[Tuple[float, int, int, AccessType]] = []
+    heapreplace = heapq.heapreplace
+    # (issue_ns, cpu, (addr, access)); (issue_ns, cpu) is unique, so the
+    # merge order is the reference path's.
+    heap: List[Tuple[float, int, Tuple[int, AccessType]]] = []
     for cpu in range(n):
         ref = next(iterators[cpu], None)
         if ref is not None:
-            heappush(heap, (compute_ns, cpu, ref[0], ref[1]))
+            heapq.heappush(heap, (compute_ns, cpu, ref))
 
     while heap:
-        issue, cpu, addr, access = heappop(heap)
+        issue, cpu, (addr, access) = heap[0]
         tag = addr >> l1_shift
         line_set = l1_sets_by_cpu[cpu][tag & l1_mask]
         state = line_set.get(tag)
-        l2_set = l2_state = None
-        if state is not None and access is write_t:
-            l2_tag = addr >> l2_shift
-            l2_set = l2_sets_by_cpu[cpu][l2_tag & l2_mask]
-            l2_state = l2_set.get(l2_tag)
-        if state is None or (access is write_t and
-                             (l2_state is None or l2_state == shared)):
-            outcome = slow_access(cpu, issue, addr, access)
-            stall_ns = stall_models[cpu](outcome.latency_ns, compute_ns)
-            queueing_total[cpu] += outcome.queueing_ns
+        if state is not None and access is not write_t:
+            fast = True
         else:
+            l2_set = l2_sets_by_cpu[cpu][tag & l2_mask]
+            l2_state = l2_set.get(tag)
+            fast = l2_state == exclusive or l2_state == modified
+            victim_tag = None
+            if fast and state is None and len(line_set) >= l1_ways:
+                victim_tag = next(iter(line_set))
+                victim_state = line_set[victim_tag]
+                if victim_state == modified:
+                    victim_l2_set = l2_sets_by_cpu[cpu][victim_tag & l2_mask]
+                    # A dirty victim missing from L2 is an inclusion
+                    # breach: leave it to the reference path.
+                    fast = victim_tag in victim_l2_set
+
+        if fast:
             c = counts[cpu]
             tlb_entries = tlb_by_cpu[cpu]
             page = addr >> page_shift
@@ -697,40 +561,78 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
                 del tlb_entries[page]
                 tlb_entries[page] = None
                 c[0] += 1
-                translation = 0.0
+                stall_index = 0
             else:
                 if len(tlb_entries) >= tlb_capacity:
                     del tlb_entries[next(iter(tlb_entries))]
                     c[2] += 1
                 tlb_entries[page] = None
                 c[1] += 1
-                translation = tlb_miss_ns
-            del line_set[tag]
-            if access is write_t:
-                if state == shared:
-                    c[5] += 1
-                line_set[tag] = modified
-                c[4] += 1
-                del l2_set[l2_tag]
-                l2_set[l2_tag] = modified
-                c[6] += 1
+                stall_index = 1
+            if state is not None:
+                # --- L1 hit -----------------------------------------
+                del line_set[tag]
+                if access is write_t:
+                    if state == shared:
+                        c[5] += 1
+                    line_set[tag] = modified
+                    c[4] += 1
+                    # Keep L2's view of dirtiness in sync.
+                    del l2_set[tag]
+                    l2_set[tag] = modified
+                    c[11] += 1
+                else:
+                    line_set[tag] = state
+                    c[3] += 1
             else:
-                line_set[tag] = state
-                c[3] += 1
-            stall_ns = stall_models[cpu](translation + l1_hit_ns, compute_ns)
+                # --- L1 miss refilled by this CPU's E/M L2 line -------
+                if victim_tag is not None:
+                    del line_set[victim_tag]
+                    if victim_state == modified:
+                        c[8] += 1
+                        if victim_l2_set.pop(victim_tag) == shared:
+                            c[12] += 1
+                        victim_l2_set[victim_tag] = modified
+                        c[11] += 1
+                    else:
+                        c[9] += 1
+                del l2_set[tag]
+                if access is write_t:
+                    line_set[tag] = modified
+                    c[7] += 1
+                    l2_set[tag] = modified
+                    c[11] += 1
+                else:
+                    line_set[tag] = exclusive
+                    c[6] += 1
+                    l2_set[tag] = l2_state
+                    c[10] += 1
+                c[13] += 1
+                stall_index += 2
+                for sets in other_l1_sets[cpu]:
+                    if tag in sets[tag & l1_mask]:
+                        repair_l1_inclusion(addr)
+                        break
+            stall_ns = stalls[cpu][stall_index]
+        else:
+            # DRAM miss, SHARED upgrade or repair case: the reference
+            # path, which sees pristine state.
+            outcome = slow_access(cpu, issue, addr, access)
+            stall_ns = stall_models[cpu](outcome.latency_ns, compute_ns)
+            queueing_total[cpu] += outcome.queueing_ns
         now = issue + stall_ns
         local[cpu] = now
         steps[cpu] += 1
         compute_total[cpu] += compute_ns
         stall_total[cpu] += stall_ns
         ref = next(iterators[cpu], None)
-        if ref is not None:
-            heappush(heap, (now + compute_ns, cpu, ref[0], ref[1]))
+        if ref is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (now + compute_ns, cpu, ref))
 
     for cpu in range(n):
-        c = counts[cpu]
-        _flush_replay_counters(memory, cpu, c[0], c[1], c[2], c[3], c[4],
-                               c[5], c[6])
+        _flush_replay_counters(memory, cpu, counts[cpu])
     return [CpuRunResult(finish_ns=local[cpu], steps=steps[cpu],
                          compute_ns=compute_total[cpu],
                          stall_ns=stall_total[cpu],
@@ -739,27 +641,15 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
 
 
 def _flush_replay_counters(memory: MultiprocessorMemory, cpu: int,
-                           tlb_hits: int, tlb_misses: int,
-                           tlb_evictions: int, read_hits: int,
-                           write_hits: int, upgrades: int,
-                           l2_write_hits: int) -> None:
+                           counts: Sequence[int]) -> None:
     """Fold one CPU's locally-accumulated counters into the real stats."""
-    tlb_stats = memory.tlbs[cpu].stats
-    if tlb_hits:
-        tlb_stats.incr("hits", tlb_hits)
-    if tlb_misses:
-        tlb_stats.incr("misses", tlb_misses)
-        memory.stats.incr("tlb_misses", tlb_misses)
-    if tlb_evictions:
-        tlb_stats.incr("evictions", tlb_evictions)
-    l1_stats = memory.l1s[cpu].stats
-    if read_hits:
-        l1_stats.incr("read_hit", read_hits)
-    if write_hits:
-        l1_stats.incr("write_hit", write_hits)
-    if upgrades:
-        l1_stats.incr("upgrade", upgrades)
-    if l2_write_hits:
-        memory.l2s[cpu].stats.incr("write_hit", l2_write_hits)
-    if read_hits or write_hits:
-        memory.stats.incr("l1_hits", read_hits + write_hits)
+    stats = {"tlb": memory.tlbs[cpu].stats, "l1": memory.l1s[cpu].stats,
+             "l2": memory.l2s[cpu].stats, "domain": memory.domain.stats}
+    for (component, key), amount in zip(_SLOTS, counts):
+        if amount:
+            stats[component].incr(key, amount)
+    for key, amount in (("tlb_misses", counts[1]),
+                        ("l1_hits", counts[3] + counts[4]),
+                        ("l2_hits", counts[13])):
+        if amount:
+            memory.stats.incr(key, amount)

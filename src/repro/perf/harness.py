@@ -14,6 +14,8 @@ has to beat:
   (``replay_backend="numpy"``): identical work/check by the equivalence
   contract, so its wall-time ratio to ``fig7_matmult`` *is* the
   vectorization speedup.
+* ``fig8_smp`` — the same naive MatMult run on both CPUs of one node
+  at once: the multi-CPU merge of the scalar replay loop, fig8's engine.
 * ``replay_batch_vec`` — many independent sweep-point replays stacked
   into single padded lockstep passes via ``vec.replay_batch``: the
   batched multi-point mode behind ``run_sweep(replay_backend="numpy")``.
@@ -120,6 +122,17 @@ def _kernel_fig7_matmult_vec() -> Tuple[int, str, float]:
     return accesses, "accesses", result.mflops
 
 
+def _kernel_fig8_smp() -> Tuple[int, str, float]:
+    from repro.bench.matmult import run_matmult
+    from repro.core.specs import POWERMANNA
+
+    node = POWERMANNA.node(scale=16)
+    result = run_matmult(node, 48, version="naive", cpus=2,
+                         machine_key="powermanna")
+    accesses = sum(l1.access_count() for l1 in node.memory.l1s)
+    return accesses, "accesses", result.elapsed_ns
+
+
 def _kernel_replay_batch_vec() -> Tuple[int, str, float]:
     """Batched multi-point replay: several independent MatMult points
     (one isolated memory each, as under ``run_sweep``) through one
@@ -184,6 +197,7 @@ KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig6_hint": _kernel_fig6_hint,
     "fig7_matmult": _kernel_fig7_matmult,
     "fig7_matmult_vec": _kernel_fig7_matmult_vec,
+    "fig8_smp": _kernel_fig8_smp,
     "replay_batch_vec": _kernel_replay_batch_vec,
     "fig9_pingpong": _kernel_fig9_pingpong,
     "fig11_unidir": _kernel_fig11_unidir,

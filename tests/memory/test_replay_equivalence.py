@@ -19,6 +19,7 @@ import pytest
 from repro.memory.cache import AccessType, CacheGeometry
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import HierarchyConfig
+from repro.memory.mesi import CoherenceError
 from repro.memory.mp import (
     FabricConfig,
     FabricKind,
@@ -71,12 +72,31 @@ def random_trace(rng, length):
     return trace
 
 
-def counters(memory):
-    """Every counter the replay touches, per CPU."""
+def snapshot(memory):
+    """Everything a replay leaves behind in ``memory``.
+
+    Every counter (per cache and TLB, the node's and the coherence
+    domain's), every cache set's contents in LRU order, each TLB's
+    entries in LRU order, and the shared-resource timing state of the
+    address-phase sequencer, the DRAM banks and the data bus.
+    """
+    seq = memory.sequencer
+    bus = memory.data_bus
     return {
         "l1": [l1.stats.as_dict() for l1 in memory.l1s],
         "l2": [l2.stats.as_dict() for l2 in memory.l2s],
         "tlb": [tlb.stats.as_dict() for tlb in memory.tlbs],
+        "memory": memory.stats.as_dict(),
+        "domain": memory.domain.stats.as_dict(),
+        "l1_sets": [[list(s.items()) for s in l1._sets]
+                    for l1 in memory.l1s],
+        "l2_sets": [[list(s.items()) for s in l2._sets]
+                    for l2 in memory.l2s],
+        "tlb_entries": [list(tlb._entries) for tlb in memory.tlbs],
+        "sequencer": (seq._next_free, seq.total_wait_ns, seq.busy_ns,
+                      seq.stats.as_dict()),
+        "dram": (list(memory.dram._bank_free), memory.dram.stats.as_dict()),
+        "data_bus": (bus._next_free, bus.busy_ns, bus.grants),
     }
 
 
@@ -91,33 +111,33 @@ def run_both(cpus, seed, length=3000, compute_ns=5.0):
     ref_mem = make_memory(cpus)
     ref = replay_traces(ref_mem, [list(t) for t in traces],
                         compute_ns, stalls, use_fast_path=False)
-    return (fast, counters(fast_mem)), (ref, counters(ref_mem))
+    return (fast, snapshot(fast_mem)), (ref, snapshot(ref_mem))
 
 
 class TestReplayFastPathEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
     def test_single_cpu_identical(self, seed):
-        (fast, fast_counts), (ref, ref_counts) = run_both(1, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(1, seed)
         assert fast == ref  # exact float equality, field for field
-        assert fast_counts == ref_counts
+        assert fast_snap == ref_snap
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_two_cpus_identical(self, seed):
-        (fast, fast_counts), (ref, ref_counts) = run_both(2, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(2, seed)
         assert fast == ref
-        assert fast_counts == ref_counts
+        assert fast_snap == ref_snap
 
     @pytest.mark.parametrize("seed", [4, 13])
     def test_four_cpus_identical(self, seed):
-        (fast, fast_counts), (ref, ref_counts) = run_both(4, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(4, seed)
         assert fast == ref
-        assert fast_counts == ref_counts
+        assert fast_snap == ref_snap
 
     def test_access_counts_match_trace_length(self):
-        (fast, fast_counts), _ = run_both(2, seed=9, length=500)
+        (fast, fast_snap), _ = run_both(2, seed=9, length=500)
         for res in fast:
             assert res.steps == 500
-        for l1_counts in fast_counts["l1"]:
+        for l1_counts in fast_snap["l1"]:
             hits = (l1_counts.get("read_hit", 0)
                     + l1_counts.get("write_hit", 0))
             misses = (l1_counts.get("read_miss", 0)
@@ -127,13 +147,13 @@ class TestReplayFastPathEquivalence:
     def test_all_regimes_exercised(self):
         """The random traces must actually cover the interesting paths —
         otherwise the equivalence assertions above prove nothing."""
-        _, (_, ref_counts) = run_both(2, seed=0)
+        _, (_, ref_snap) = run_both(2, seed=0)
         l1_total = {}
-        for counts in ref_counts["l1"]:
+        for counts in ref_snap["l1"]:
             for key, value in counts.items():
                 l1_total[key] = l1_total.get(key, 0) + value
         tlb_total = {}
-        for counts in ref_counts["tlb"]:
+        for counts in ref_snap["tlb"]:
             for key, value in counts.items():
                 tlb_total[key] = tlb_total.get(key, 0) + value
         for key in ("read_hit", "write_hit", "read_miss", "write_miss",
@@ -142,6 +162,90 @@ class TestReplayFastPathEquivalence:
         assert tlb_total.get("misses", 0) > 0
         assert tlb_total.get("hits", 0) > 0
         assert tlb_total.get("evictions", 0) > 0
+        # L1 misses refilled in-loop from the CPU's own E/M L2 line.
+        l2_read_hits = sum(counts.get("read_hit", 0)
+                           for counts in ref_snap["l2"])
+        assert l2_read_hits > 0
+        assert ref_snap["domain"].get("hit", 0) > 0
+
+    def test_refills_run_in_loop(self):
+        """Private-L2 refills must not reach the reference access path:
+        only DRAM misses, SHARED upgrades and repair cases do."""
+        rng = random.Random(0)
+        traces = [random_trace(rng, 3000) for _ in range(2)]
+        memory = make_memory(2)
+        slow_calls = []
+        reference_access = memory.access
+
+        def counting_access(*args):
+            slow_calls.append(args)
+            return reference_access(*args)
+
+        memory.access = counting_access
+        replay_traces(memory, traces, 5.0,
+                      [lambda latency, compute: latency] * 2)
+        # A replay that sent every L1 miss to the reference path would
+        # make at least one call per miss.
+        assert memory.domain.stats["hit"] > 0
+        assert len(slow_calls) < sum(l1.miss_count() for l1 in memory.l1s)
+
+
+class TestFig8RegimeEquivalence:
+    """The real fig8 regime: both MatMult versions, dual-CPU, on
+    disjoint per-CPU matrices whose L2 lines are only ever E or M."""
+
+    @pytest.mark.parametrize("spec_name", ["POWERMANNA", "PC_CLUSTER_180"])
+    @pytest.mark.parametrize("version", ["naive", "transposed"])
+    def test_dual_cpu_matmult_identical(self, spec_name, version):
+        from repro.bench import matmult
+        from repro.core import specs
+        from repro.memory.cache import MESIState
+        from repro.memory.trace_gen import transpose_trace
+
+        spec = getattr(specs, spec_name)
+        n = 8
+        bases = [matmult._alloc_matrices(cpu, n) for cpu in range(2)]
+
+        def run(use_fast_path):
+            node = spec.node(scale=16)
+            results = []
+            if version == "transposed":
+                traces = [transpose_trace(b[1], b[2], n) for b in bases]
+                results.append(node.run_traces(
+                    traces, matmult._transpose_compute_ns(node),
+                    use_fast_path=use_fast_path))
+            traces = [matmult._product_trace(version, b, n, None)
+                      for b in bases]
+            results.append(node.run_traces(
+                traces, matmult._per_access_compute_ns(node, n, version),
+                use_fast_path=use_fast_path))
+            return results, node.memory
+
+        fast, fast_mem = run(True)
+        ref, ref_mem = run(False)
+        assert fast == ref
+        assert snapshot(fast_mem) == snapshot(ref_mem)
+        # The regime this pins: no L2 line is ever SHARED, so there are
+        # no upgrade or intervention bus ops.
+        assert not fast_mem.stats["upgrades"]
+        assert not fast_mem.stats["c2c_transfers"]
+        assert all(state != MESIState.SHARED
+                   for l2 in fast_mem.l2s for _, state in l2.resident_lines())
+
+
+class TestReferencePathMesiBreach:
+    @pytest.mark.xfail(strict=True, raises=CoherenceError, reason=(
+        "MultiprocessorMemory never back-invalidates L1 when L2 evicts: "
+        "_repair_l1_inclusion repairs only the accessed line, so a later "
+        "L1 write hit or dirty L1 victim refills L2 as MODIFIED with no "
+        "bus op while another L2 holds the line SHARED"))
+    @pytest.mark.parametrize("cpus,seed", [(2, 2), (4, 5), (4, 6), (4, 23)])
+    def test_reference_path_keeps_mesi(self, cpus, seed):
+        rng = random.Random(seed)
+        traces = [random_trace(rng, 3000) for _ in range(cpus)]
+        replay_traces(make_memory(cpus), traces, 5.0,
+                      [lambda latency, compute: latency] * cpus,
+                      use_fast_path=False)
 
 
 class TestFig9MetricsSnapshotDeterminism:

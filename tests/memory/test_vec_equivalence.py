@@ -23,30 +23,10 @@ from repro.memory.cache import AccessType
 from repro.memory.mp import REPLAY_BACKENDS, replay_traces
 from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
 
-from .test_replay_equivalence import counters, make_memory, random_trace
+from .test_replay_equivalence import make_memory, random_trace, snapshot
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
-
-
-def full_state(memory):
-    """Cache/TLB contents *and* recency order, per structure."""
-    return (
-        [[list(s.items()) for s in l1._sets] for l1 in memory.l1s],
-        [[list(s.items()) for s in l2._sets] for l2 in memory.l2s],
-        [list(tlb._entries) for tlb in memory.tlbs],
-    )
-
-
-def wide_counters(memory):
-    """The per-cache counters plus the shared-structure ones."""
-    return {
-        **counters(memory),
-        "domain": memory.domain.stats.as_dict(),
-        "mem": memory.stats.as_dict(),
-        "dram": memory.dram.stats.as_dict(),
-        "seq": memory.sequencer.stats.as_dict(),
-    }
 
 
 def run_pair(cpus, traces, compute_ns=5.0):
@@ -92,8 +72,7 @@ class TestVecBackendEquivalence:
         trace = regime_trace(rng, length, write_fraction)
         (vec, vec_mem), (ref, ref_mem) = run_pair(1, [trace])
         assert vec == ref  # exact float equality, field for field
-        assert wide_counters(vec_mem) == wide_counters(ref_mem)
-        assert full_state(vec_mem) == full_state(ref_mem)
+        assert snapshot(vec_mem) == snapshot(ref_mem)
 
     @pytest.mark.parametrize("cpus,seed", [(2, 0), (2, 3), (4, 4), (4, 13)])
     def test_multi_cpu_identical_via_fallback(self, cpus, seed):
@@ -101,8 +80,7 @@ class TestVecBackendEquivalence:
         traces = [random_trace(rng, 1500) for _ in range(cpus)]
         (vec, vec_mem), (ref, ref_mem) = run_pair(cpus, traces)
         assert vec == ref
-        assert wide_counters(vec_mem) == wide_counters(ref_mem)
-        assert full_state(vec_mem) == full_state(ref_mem)
+        assert snapshot(vec_mem) == snapshot(ref_mem)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_scalar_fast_path_too(self, seed):
@@ -116,8 +94,7 @@ class TestVecBackendEquivalence:
         fast = replay_traces(fast_mem, [list(trace)], 5.0, stalls,
                              backend="fast")
         assert vec == fast
-        assert wide_counters(vec_mem) == wide_counters(fast_mem)
-        assert full_state(vec_mem) == full_state(fast_mem)
+        assert snapshot(vec_mem) == snapshot(fast_mem)
 
     def test_warm_cache_second_epoch_identical(self):
         """Backend equivalence must hold from a *warm* (non-empty) state:
@@ -138,8 +115,7 @@ class TestVecBackendEquivalence:
         ref = replay_traces(ref_mem, [list(measured)], 5.0, stalls,
                             use_fast_path=False)
         assert vec == ref
-        assert wide_counters(vec_mem) == wide_counters(ref_mem)
-        assert full_state(vec_mem) == full_state(ref_mem)
+        assert snapshot(vec_mem) == snapshot(ref_mem)
 
     def test_array_traces_accepted_by_every_backend(self):
         rng = random.Random(3)
@@ -159,7 +135,7 @@ class TestVecBackendEquivalence:
                             use_fast_path=False)
         for backend in REPLAY_BACKENDS:
             assert results[backend] == ref
-            assert wide_counters(memories[backend]) == wide_counters(ref_mem)
+            assert snapshot(memories[backend]) == snapshot(ref_mem)
 
     def test_unknown_backend_rejected(self):
         mem = make_memory(1)
@@ -171,7 +147,7 @@ class TestVecBackendEquivalence:
     def test_empty_trace(self):
         (vec, vec_mem), (ref, ref_mem) = run_pair(1, [[]])
         assert vec == ref
-        assert wide_counters(vec_mem) == wide_counters(ref_mem)
+        assert snapshot(vec_mem) == snapshot(ref_mem)
 
 
 class TestVecPrimitives:
