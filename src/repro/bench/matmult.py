@@ -18,20 +18,16 @@ simulation tractable without touching the shape of the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.specs import MachineSpec
 from repro.cpu.kernels import matmult_inner_step, matmult_store_step, transpose_step
 from repro.memory.address import AddressMap
 from repro.memory.trace_gen import (
-    MemRef,
     matmult_naive_array,
-    matmult_naive_trace,
     matmult_transposed_array,
-    matmult_transposed_trace,
     odd_stride,
     transpose_array,
-    transpose_trace,
 )
 from repro.node.node import NodeModel
 from repro.obs import OBS
@@ -91,25 +87,26 @@ def _alloc_matrices(cpu_index: int, n: int,
 
 
 def _product_trace(version: str, bases: Tuple[int, int, int, int], n: int,
-                   row_range: Optional[range],
-                   backend: str = "fast") -> Iterator[MemRef]:
-    array_native = backend == "numpy"
+                   row_range: Optional[range]):
+    """One CPU's product trace as a stream of per-row arrays, so the whole
+    trace never exists at once."""
     base_a, base_b, base_bt, base_c = bases
+    rows = range(n) if row_range is None else row_range
     if version == "naive":
-        gen = matmult_naive_array if array_native else matmult_naive_trace
-        return gen(base_a, base_b, base_c, n, row_range=row_range)
+        return (matmult_naive_array(base_a, base_b, base_c, n,
+                                    row_range=rows[i:i + 1])
+                for i in range(len(rows)))
     if version == "transposed":
-        gen = (matmult_transposed_array if array_native
-               else matmult_transposed_trace)
-        return gen(base_a, base_bt, base_c, n, row_range=row_range)
+        return (matmult_transposed_array(base_a, base_bt, base_c, n,
+                                         row_range=rows[i:i + 1])
+                for i in range(len(rows)))
     raise ValueError(f"version must be one of {VERSIONS}, got {version!r}")
 
 
 def run_matmult(node: NodeModel, n: int, version: str = "naive",
                 cpus: int = 1,
                 sample_rows: Optional[Tuple[int, int]] = None,
-                machine_key: str = "",
-                replay_backend: str = "fast") -> MatMultResult:
+                machine_key: str = "") -> MatMultResult:
     """Run n x n MatMult on ``cpus`` CPUs of ``node`` (one multiply each).
 
     ``sample_rows=(warmup, window)`` enables row sampling: ``warmup`` rows
@@ -118,9 +115,9 @@ def run_matmult(node: NodeModel, n: int, version: str = "naive",
     to all n rows.  The transposition pass of the transposed version is
     always replayed in full (it is O(n^2)).
 
-    ``replay_backend="numpy"`` generates array-native traces and replays
-    them through the vectorized engine — identical results, counters and
-    timing per the equivalence contract, just faster.
+    Traces are emitted as structured arrays, the product a row at a time;
+    ``node.run_traces`` replays a one-CPU run vectorized and a multi-CPU
+    run through the scalar loop.
     """
     if n < 2:
         raise ValueError(f"matrix size must be >= 2, got {n}")
@@ -136,36 +133,26 @@ def run_matmult(node: NodeModel, n: int, version: str = "naive",
         transpose_ns = 0.0
         if version == "transposed":
             with OBS.label_scope(phase="transpose"):
-                t_gen = (transpose_array if replay_backend == "numpy"
-                         else transpose_trace)
-                traces = [t_gen(b[1], b[2], n) for b in bases]
+                traces = [transpose_array(b[1], b[2], n) for b in bases]
                 transpose_ns = node.run_traces(
-                    traces, _transpose_compute_ns(node),
-                    backend=replay_backend).elapsed_ns
+                    traces, _transpose_compute_ns(node)).elapsed_ns
 
         with OBS.label_scope(phase="product"):
             if sample_rows is None or sample_rows[0] + sample_rows[1] >= n:
-                traces = [_product_trace(version, b, n, None,
-                                         backend=replay_backend)
-                          for b in bases]
-                product_ns = node.run_traces(
-                    traces, compute_ns, backend=replay_backend).elapsed_ns
+                traces = [_product_trace(version, b, n, None) for b in bases]
+                product_ns = node.run_traces(traces, compute_ns).elapsed_ns
                 sampled = False
             else:
                 warmup, window = sample_rows
                 if warmup < 1 or window < 1:
                     raise ValueError("sample_rows counts must be >= 1")
-                warm = [_product_trace(version, b, n, range(warmup),
-                                       backend=replay_backend)
+                warm = [_product_trace(version, b, n, range(warmup))
                         for b in bases]
-                warm_ns = node.run_traces(
-                    warm, compute_ns, backend=replay_backend).elapsed_ns
+                warm_ns = node.run_traces(warm, compute_ns).elapsed_ns
                 measured = [_product_trace(version, b, n,
-                                           range(warmup, warmup + window),
-                                           backend=replay_backend)
+                                           range(warmup, warmup + window))
                             for b in bases]
-                window_ns = node.run_traces(
-                    measured, compute_ns, backend=replay_backend).elapsed_ns
+                window_ns = node.run_traces(measured, compute_ns).elapsed_ns
                 per_row_ns = window_ns / window
                 # Cold rows are charged at the warmup rate, the rest at
                 # steady state.
@@ -184,14 +171,12 @@ DEFAULT_SAMPLE = (2, 3)
 
 def matmult_point(spec: MachineSpec, n: int, version: str = "naive",
                   cpus: int = 1, scale: int = 16,
-                  sample_threshold: int = 48,
-                  replay_backend: str = "fast") -> MatMultResult:
+                  sample_threshold: int = 48) -> MatMultResult:
     """One Figure-7 cell: n x n MatMult on a fresh node of ``spec``."""
     node = spec.node(scale=scale)
     sample = DEFAULT_SAMPLE if n > sample_threshold else None
     return run_matmult(node, n, version=version, cpus=cpus,
-                       sample_rows=sample, machine_key=spec.key,
-                       replay_backend=replay_backend)
+                       sample_rows=sample, machine_key=spec.key)
 
 
 def matmult_sweep(spec: MachineSpec, sizes: Sequence[int],
@@ -210,8 +195,7 @@ def matmult_sweep(spec: MachineSpec, sizes: Sequence[int],
 def matmult_point_task(config: dict, seed: int) -> MatMultResult:
     """One (machine, size, version) cell as a sweep task (picklable)."""
     return matmult_point(config["spec"], config["n"],
-                         version=config["version"], scale=config["scale"],
-                         replay_backend=config.get("replay_backend", "fast"))
+                         version=config["version"], scale=config["scale"])
 
 
 def smp_point_task(config: dict, seed: int) -> float:

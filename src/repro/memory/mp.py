@@ -28,6 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.memory import vec
 from repro.memory.cache import AccessType, Cache, MESIState
 from repro.memory.dram import InterleavedDram
 from repro.memory.hierarchy import HierarchyConfig, ServiceLevel
@@ -397,90 +398,78 @@ _SLOTS = (
 )
 
 
-def _trace_pairs(trace):
-    """Adapt a trace to ``(int, AccessType)`` pairs.
+def replay_reference(memory: MultiprocessorMemory,
+                     traces: Sequence[Iterable[Tuple[int, AccessType]]],
+                     compute_ns: float,
+                     stall_models: Sequence[StallModel],
+                     ) -> List[CpuRunResult]:
+    """The reference replay: every access through :func:`run_interleaved`.
 
-    Structured ``(addr, is_write)`` arrays (see ``repro.memory.trace_gen``
-    array emitters) are accepted by every backend; plain iterables pass
-    through untouched.
+    Each ``(addr, AccessType)`` pair becomes a :class:`TraceStep` with
+    uniform ``compute_ns``.  This is the semantics both replay engines
+    must reproduce access for access.
     """
-    if hasattr(trace, "dtype"):
-        read = AccessType.READ
-        write = AccessType.WRITE
-        return ((addr, write if is_write else read)
-                for addr, is_write in zip(trace["addr"].tolist(),
-                                          trace["is_write"].tolist()))
-    return trace
-
-
-def _try_vec(memory, trace, compute_ns, stall):
-    """Attempt the numpy backend; on any unmet precondition return the
-    (already materialised) trace so the scalar path can still consume it."""
-    try:
-        from repro.memory import vec
-    except ImportError:
-        return None, trace
-    try:
-        arr = vec.coerce_trace(trace)
-    except (OverflowError, ValueError):
-        return None, trace
-    return vec.replay_traces_vec(memory, arr, compute_ns, stall), arr
-
-
-REPLAY_BACKENDS = ("fast", "numpy")
+    steps = [(TraceStep(compute_ns, addr, access)
+              for addr, access in vec.iter_pairs(t)) for t in traces]
+    return run_interleaved(memory, steps, stall_models)
 
 
 def replay_traces(memory: MultiprocessorMemory,
                   traces: Sequence[Iterable[Tuple[int, AccessType]]],
                   compute_ns: float,
                   stall_models: Sequence[StallModel],
-                  use_fast_path: bool = True,
-                  backend: str = "fast") -> List[CpuRunResult]:
+                  ) -> List[CpuRunResult]:
     """Replay raw ``(addr, AccessType)`` streams, one per CPU.
 
-    Semantically identical to wrapping each stream in
-    :class:`TraceStep` objects (with uniform ``compute_ns``) and calling
-    :func:`run_interleaved`; ``use_fast_path=False`` forces exactly that,
-    and is the reference implementation the equivalence tests compare
-    against.  Otherwise one scalar loop, ``_replay_fast``, replays any
-    number of traces; it requires the stall models to be pure.
+    Identical in results, counters, cache contents and timing to
+    :func:`replay_reference`; the input picks the engine:
 
-    ``backend="numpy"`` routes single-trace replays through the
-    vectorized engine in :mod:`repro.memory.vec`, falling back to the
-    scalar fast path whenever the engine's preconditions do not hold
-    (multiple traces, SHARED lines resident, warm sibling CPUs, numpy
-    unavailable).  Every backend accepts structured ``(addr, is_write)``
-    array traces as well as iterables, and ``OBS.enabled`` still forces
-    the reference path so per-access metric streams are preserved.
+    * one trace goes to the vectorized engine in :mod:`repro.memory.vec`,
+      one bounded segment at a time; a segment the engine cannot take (an
+      address outside ``[0, 2**63)``, SHARED lines resident, warm sibling
+      CPUs) goes to the scalar loop ``_replay_fast``, which continues the
+      clock;
+    * any replay of more than one trace takes the scalar loop.
+
+    Both engines require pure stall models.  A trace is an iterable of
+    pairs, a structured ``(addr, is_write)`` array, or an iterable of such
+    arrays (one long trace in pieces).  ``OBS.enabled`` forces the
+    reference path so per-access metric streams are preserved.
     """
-    if backend not in REPLAY_BACKENDS:
-        raise ValueError(f"unknown replay backend {backend!r}; "
-                         f"have {list(REPLAY_BACKENDS)}")
     if len(traces) != len(stall_models):
         raise ValueError("need one stall model per trace")
     if len(traces) > memory.num_cpus:
         raise ValueError(
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
-    if not use_fast_path or OBS.enabled:
-        steps = [(TraceStep(compute_ns, addr, access)
-                  for addr, access in _trace_pairs(t)) for t in traces]
-        return run_interleaved(memory, steps, stall_models)
-    traces = list(traces)
-    if len(traces) == 1 and backend == "numpy":
-        result, traces[0] = _try_vec(memory, traces[0], compute_ns,
-                                     stall_models[0])
-        if result is not None:
-            return [result]
-    return _replay_fast(memory, [_trace_pairs(t) for t in traces],
-                        compute_ns, stall_models)
+    if OBS.enabled:
+        return replay_reference(memory, traces, compute_ns, stall_models)
+    if len(traces) != 1:
+        return _replay_fast(memory, traces, compute_ns, stall_models)
+    state = CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)
+    usable = vec.supported(memory)
+    for piece in vec.segments(traces[0]):
+        if usable and not isinstance(piece, list):
+            vec.replay_segment(memory, piece, compute_ns, stall_models[0],
+                               state)
+        else:
+            state, = _replay_fast(memory, [piece], compute_ns, stall_models,
+                                  start=[state])
+            # Its lines may now hold addresses the engine cannot.
+            usable = vec.supported(memory)
+    return [state]
 
 
 def _replay_fast(memory: MultiprocessorMemory,
                  traces: Sequence[Iterable[Tuple[int, AccessType]]],
                  compute_ns: float,
                  stall_models: Sequence[StallModel],
+                 start: Optional[Sequence[CpuRunResult]] = None,
                  ) -> List[CpuRunResult]:
-    """The scalar fast path for any CPU count (see the comment above)."""
+    """The scalar fast path for any CPU count (see the comment above).
+
+    ``start`` continues each CPU's clock and totals from an earlier part
+    of the same replay instead of from zero.
+    """
     write_t = AccessType.WRITE
     shared = _SHARED_INT
     exclusive = _EXCLUSIVE_INT
@@ -514,12 +503,13 @@ def _replay_fast(memory: MultiprocessorMemory,
               for stall in stall_models]
 
     n = len(traces)
-    iterators = [iter(t) for t in traces]
-    local = [0.0] * n
-    steps = [0] * n
-    compute_total = [0.0] * n
-    stall_total = [0.0] * n
-    queueing_total = [0.0] * n
+    iterators = [vec.iter_pairs(t) for t in traces]
+    start = start or [CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)] * n
+    local = [r.finish_ns for r in start]
+    steps = [r.steps for r in start]
+    compute_total = [r.compute_ns for r in start]
+    stall_total = [r.stall_ns for r in start]
+    queueing_total = [r.queueing_ns for r in start]
     counts = [[0] * len(_SLOTS) for _ in range(n)]
 
     heappop = heapq.heappop
@@ -530,7 +520,7 @@ def _replay_fast(memory: MultiprocessorMemory,
     for cpu in range(n):
         ref = next(iterators[cpu], None)
         if ref is not None:
-            heapq.heappush(heap, (compute_ns, cpu, ref))
+            heapq.heappush(heap, (local[cpu] + compute_ns, cpu, ref))
 
     while heap:
         issue, cpu, (addr, access) = heap[0]

@@ -1,7 +1,7 @@
-"""Numpy-vectorized trace replay: whole-trace array kernels.
+"""Numpy-vectorized trace replay: array kernels over trace segments.
 
-``replay_traces(..., backend="numpy")`` routes single-CPU replays through
-this module.  The contract is the PR 3 one, unchanged: the replay must be
+``replay_traces`` sends every single-trace replay to this module first.
+The contract is the one the scalar loop keeps: the replay must be
 *access-for-access identical* to the reference ``run_interleaved`` path —
 same hit/miss/evict/upgrade/TLB counters, same float operation order,
 hence bit-identical timing.  The representation changes, the semantics
@@ -10,23 +10,27 @@ do not.
 How a dict-LRU simulation becomes array code
 --------------------------------------------
 
-The scalar paths juggle one dict entry per reference.  Here a trace is a
-contiguous ``(addr, is_write)`` structured array and each structure gets
-its own whole-trace oracle:
+The scalar paths juggle one dict entry per reference.  Here a trace is
+cut into contiguous ``(addr, is_write)`` structured arrays of at most
+``_SEGMENT`` accesses (:func:`segments`), each replayed from the state
+the previous one committed, and each structure gets its own oracle over
+a segment:
 
 * **L1 (chunked lockstep LRU).**  Per-set access streams are split into
   fixed-length chunks and simulated as parallel numpy *lanes*: the state
   is a ``lanes x ways`` tag/dirty/age matrix advanced one vectorized step
   per chunk position (hit detect via an equality matrix, LRU victim via
-  ``argmin`` over ages).  Chunk 0 of every set is seeded from the true
-  cache state, so it is exact from the start.  Later chunks start empty
-  and rely on the LRU *convergence* property: once a chunk has touched
-  ``ways`` distinct tags (position ``v``), set content and recency order
-  are independent of the initial state.  A short scalar warmup replays
-  ``[0, v]`` from the true state to fix up the pre-convergence outcomes,
-  and the only post-``v`` divergence — dirty bits inherited across the
-  chunk boundary — is repaired sparsely (flip the affected victim's
-  writeback flag, or carry the bit into the final state).
+  ``argmin`` over ages); the accesses of one step are stored contiguous,
+  with no padding for lanes already done.  Chunk 0 of every set is
+  seeded from the true cache state, so it is exact from the start.
+  Later chunks start empty and rely on the LRU *convergence* property:
+  once a chunk has touched ``ways`` distinct tags (position ``v``), set
+  content and recency order are independent of the initial state.  A
+  short scalar warmup replays ``[0, v]`` from the true state to fix up
+  the pre-convergence outcomes, and the only post-``v`` divergence —
+  dirty bits inherited across the chunk boundary — is repaired sparsely
+  (flip the affected victim's writeback flag, or carry the bit into the
+  final state).
 * **TLB (previous-occurrence filter).**  An access whose page recurred
   within the last ``capacity`` accesses is a guaranteed LRU hit, so one
   argsort of the page column proves almost the whole trace; only the
@@ -48,23 +52,19 @@ its own whole-trace oracle:
   DRAM banks — run scalar, calling the real sequencer/DRAM/data-bus
   objects between cumsum segments.
 
-The engine falls back (returns ``None``) whenever its preconditions do
-not hold: more than one active trace, SHARED lines resident anywhere in
-the active CPU's caches, or non-empty caches on the other CPUs.  Callers
-then take the scalar fast path, which is always available.  Stall models
-must be pure functions of ``(latency_ns, compute_ns)`` — every model in
-:mod:`repro.cpu.pipeline` is.
-
-``replay_batch`` stacks many independent replays (one isolated
-``MultiprocessorMemory`` each, e.g. many sweep points) into *one* padded
-lane matrix per lockstep pass, so the per-step numpy dispatch overhead is
-amortised across all of them — the batched mode behind the
-``replay_backend`` sweep option.
+The engine needs a node that is :func:`supported` — no SHARED line in
+the active CPU's caches, nothing in the other CPUs' — and addresses in
+``[0, 2**63)``.  ``replay_traces`` sends other nodes, and every
+multi-trace replay, to the scalar loop; :func:`segments` hands it the
+pieces with other addresses.  Stall models must be pure functions of
+``(latency_ns, compute_ns)`` — every model in :mod:`repro.cpu.pipeline`
+is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+import itertools
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -79,8 +79,17 @@ _SHARED = int(MESIState.SHARED)
 
 #: L1 lane length.  Shorter chunks mean fewer lockstep steps (more lanes
 #: in flight per step, amortising numpy dispatch) but more warmup
-#: fixups; 256 balances the two on the fig7 geometry.
-_L1_CHUNK = 256
+#: fixups; 128 balances the two for ``_SEGMENT``-long pieces on the fig7
+#: geometry.
+_L1_CHUNK = 128
+
+#: Longest trace piece one engine pass takes.  The passes hold about 110
+#: bytes of arrays per access, so a longer trace is replayed piece by
+#: piece, each seeded from the state the previous one committed: the
+#: working set stays bounded whatever the trace length.  Larger pieces
+#: amortise more numpy dispatch; at 12288 a figure run's peak RSS stays
+#: within 10% of the scalar loop's.
+_SEGMENT = 12288
 
 # ---------------------------------------------------------------------------
 # Trace coercion
@@ -114,41 +123,124 @@ def iter_refs(arr: np.ndarray) -> Iterator[Tuple[int, AccessType]]:
         yield addr, (write if is_write else read)
 
 
+def _source(trace):
+    """``(blocks, None)`` for a structured array or an iterable of them
+    (one long trace in pieces), ``(None, pairs)`` for an iterable of
+    ``(addr, AccessType)`` pairs."""
+    if isinstance(trace, np.ndarray):
+        return iter((trace,)), None
+    pairs = iter(trace)
+    first = next(pairs, None)
+    if first is None:
+        return iter(()), None
+    rest = itertools.chain((first,), pairs)
+    if isinstance(first, np.ndarray):
+        return rest, None
+    return None, rest
+
+
+def iter_pairs(trace) -> Iterator[Tuple[int, AccessType]]:
+    """Any trace as ``(addr, AccessType)`` pairs, for the scalar loops."""
+    blocks, pairs = _source(trace)
+    if blocks is None:
+        return pairs
+    return itertools.chain.from_iterable(map(iter_refs, blocks))
+
+
+def segments(trace) -> Iterator:
+    """Cut any trace into consecutive pieces of at most ``_SEGMENT``
+    accesses: REF_DTYPE arrays, or, where an address falls outside
+    ``[0, 2**63)`` and so outside the engine, the piece's list of pairs.
+    """
+    blocks, pairs = _source(trace)
+    return _pair_pieces(pairs) if blocks is None else _array_pieces(blocks)
+
+
+def _pair_pieces(pairs) -> Iterator:
+    write = AccessType.WRITE
+    while True:
+        piece = list(itertools.islice(pairs, _SEGMENT))
+        if not piece:
+            return
+        try:
+            arr = np.fromiter(((addr, access == write)
+                               for addr, access in piece),
+                              dtype=REF_DTYPE, count=len(piece))
+        except (OverflowError, ValueError):  # an address above int64
+            yield piece
+        else:
+            yield arr if int(arr["addr"].min()) >= 0 else piece
+
+
+def _array_pieces(blocks) -> Iterator:
+    """Slice long arrays and merge short ones (a stream of matrix rows)
+    into full segments."""
+    pending: List[np.ndarray] = []
+    size = 0
+    for block in blocks:
+        pending.append(coerce_trace(block))
+        size += len(block)
+        if size < _SEGMENT:
+            continue
+        merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        cut = size - size % _SEGMENT
+        for start in range(0, cut, _SEGMENT):
+            yield _checked(merged[start:start + _SEGMENT])
+        pending = [merged[cut:]]
+        size -= cut
+    if size:
+        yield _checked(np.concatenate(pending))
+
+
+def _checked(arr: np.ndarray):
+    """``arr``, or its pairs when a negative address keeps it from the
+    engine (``-1`` marks empty ways)."""
+    return arr if int(arr["addr"].min()) >= 0 else list(iter_refs(arr))
+
+
 # ---------------------------------------------------------------------------
 # The lockstep LRU engine
 # ---------------------------------------------------------------------------
 
 
-def _lockstep(lane_tags: np.ndarray, lane_write: np.ndarray,
+def _lockstep(tags: np.ndarray, writes: np.ndarray, lane_start: np.ndarray,
               lane_len: np.ndarray, ways: int,
               init_tags: np.ndarray, init_dirty: np.ndarray):
     """Advance many independent LRU sets one access per step, in lockstep.
 
-    ``lane_tags``/``lane_write`` are ``(lanes, width)`` matrices padded
-    with ``-1``/False past each lane's length; ``init_tags`` is
-    ``(lanes, ways)`` in LRU->MRU order, ``-1`` marking empty ways.
+    Lane ``j`` is the slice ``[lane_start[j], lane_start[j] + lane_len[j])``
+    of the ``tags``/``writes`` streams; ``init_tags`` is ``(lanes, ways)``
+    in LRU->MRU order, ``-1`` marking empty ways.
 
-    Returns per-position ``(hit, victim_tag, victim_dirty)`` matrices and
-    the final ``(tags, dirty, age)`` state, all in input lane order.
+    Returns per-access ``(hit, victim_tag, victim_dirty)`` arrays in stream
+    order and the final ``(tags, dirty, age)`` state in input lane order.
     Empty ways are seeded with the lowest ages so misses fill them before
     evicting, exactly like ``Cache.access``.
     """
-    nl = lane_tags.shape[0]
+    nl = len(lane_len)
+    total = len(tags)
     if nl == 0:
-        empty = np.empty((0, 0))
-        return empty, empty, empty, init_tags, init_dirty, init_tags
+        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=bool), init_tags, init_dirty, init_tags)
     order = np.argsort(-lane_len, kind="stable")
     inv = np.empty(nl, dtype=np.int64)
     inv[order] = np.arange(nl)
-    # Transposed (step, lane) layout: each step reads/writes one
-    # contiguous row instead of a strided column.
-    tags_t = np.ascontiguousarray(lane_tags[order].T)
-    writes_t = np.ascontiguousarray(lane_write[order].T)
     lens = lane_len[order]
     lmax = int(lens[0])
+    # Step-major ragged layout: the lanes active at step t are a prefix
+    # of the length-sorted order, stored as one contiguous row of
+    # ``active[t]`` cells, so no cell is padding.
+    active = np.searchsorted(-lens, -np.arange(lmax), side="left")
+    row_off = np.zeros(lmax + 1, dtype=np.int64)
+    np.cumsum(active, out=row_off[1:])
+    cell = np.repeat(np.arange(lmax, dtype=np.int64), active)
+    cell += lane_start[order][np.arange(total, dtype=np.int64)
+                              - np.repeat(row_off[:-1], active)]
+    tags_sm = tags[cell]
+    writes_sm = writes[cell]
 
     slot = np.arange(ways, dtype=np.int64)
-    st_tags = lane_tags.dtype.type(0) + init_tags[order]  # fresh C copy
+    st_tags = tags.dtype.type(0) + init_tags[order]  # fresh C copy
     st_dirty = init_dirty[order] | False
     st_age = np.ascontiguousarray(
         np.where(st_tags >= 0, slot + ways, slot - ways))
@@ -156,38 +248,41 @@ def _lockstep(lane_tags: np.ndarray, lane_write: np.ndarray,
     flat_dirty = st_dirty.reshape(-1)
     flat_age = st_age.reshape(-1)
 
-    out_hit_t = np.zeros((lmax, nl), dtype=bool)
-    out_vt_t = np.full((lmax, nl), -1, dtype=np.int64)
-    out_vd_t = np.zeros((lmax, nl), dtype=bool)
-    active = np.searchsorted(-lens, -np.arange(lmax), side="left")
+    out_hit = np.empty(total, dtype=bool)
+    out_vt = np.empty(total, dtype=np.int64)
+    out_vd = np.empty(total, dtype=bool)
     row_base = np.arange(nl, dtype=np.int64) * ways
     base_age = 2 * ways
     # A matching way outranks every age (ages are >= -ways), so one
     # masked argmin picks the hit way *or* the LRU victim, and the score
     # value at the pick says which it was.  Victim tag/dirty are stored
-    # raw and masked by the hit matrix after the loop, off the hot path.
+    # raw and masked by the hit array after the loop, off the hot path.
     sentinel = np.int64(-2 * ways - 1)
-    for t in range(lmax):
-        a = int(active[t])
-        cur = tags_t[t, :a]
+    for t, lo, hi in zip(range(lmax), row_off[:-1].tolist(),
+                         row_off[1:].tolist()):
+        a = hi - lo
+        cur = tags_sm[lo:hi]
         eq = st_tags[:a] == cur[:, None]
         score = np.where(eq, sentinel, st_age[:a])
         way = score.argmin(axis=1)
         idx = row_base[:a] + way
         hit = score.reshape(-1)[idx] == sentinel
         vd = flat_dirty[idx]
-        out_hit_t[t, :a] = hit
-        out_vt_t[t, :a] = flat_tags[idx]
-        out_vd_t[t, :a] = vd
+        out_hit[lo:hi] = hit
+        out_vt[lo:hi] = flat_tags[idx]
+        out_vd[lo:hi] = vd
         flat_tags[idx] = cur
-        flat_dirty[idx] = (vd & hit) | writes_t[t, :a]
+        flat_dirty[idx] = (vd & hit) | writes_sm[lo:hi]
         flat_age[idx] = base_age + t
-    hit_m = out_hit_t.T[inv]
-    vt_m = out_vt_t.T[inv]
-    vd_m = out_vd_t.T[inv]
-    vt_m[hit_m] = -1
-    vd_m &= ~hit_m
-    return hit_m, vt_m, vd_m, st_tags[inv], st_dirty[inv], st_age[inv]
+    out_vt[out_hit] = -1
+    out_vd &= ~out_hit
+    hit_s = np.empty(total, dtype=bool)
+    vt_s = np.empty(total, dtype=np.int64)
+    vd_s = np.empty(total, dtype=bool)
+    hit_s[cell] = out_hit
+    vt_s[cell] = out_vt
+    vd_s[cell] = out_vd
+    return hit_s, vt_s, vd_s, st_tags[inv], st_dirty[inv], st_age[inv]
 
 
 def _state_dicts(fin_tags, fin_dirty, fin_age) -> List[Dict[int, bool]]:
@@ -208,19 +303,18 @@ class _LanePlan:
     """One cache structure's lane decomposition plus lockstep results."""
 
     __slots__ = ("ways", "order", "lane_set", "lane_start", "lane_len",
-                 "lane_first", "width", "idx_flat", "tags", "writes",
-                 "init_tags", "init_dirty", "hit", "vtag", "vdirty", "final")
+                 "lane_first", "tags", "writes", "hit", "vtag", "vdirty",
+                 "final")
 
 
 def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
                 chunk) -> _LanePlan:
     """Sort a tag stream by set index, cut per-set runs into lanes of at
-    most ``chunk`` accesses (``None`` = one lane per set), build padded
-    lane matrices, and seed each set's first lane from the true state.
+    most ``chunk`` accesses (``None`` = one lane per set), seed each set's
+    first lane from the true state, and run the lanes in lockstep.
 
-    Lanes are contiguous slices of the sorted stream, so ``idx_flat``
-    maps sorted positions to flattened ``(lane, pos)`` cells both for the
-    scatter here and the outcome gather later.
+    Lanes are contiguous slices of the sorted stream, which the lockstep
+    outcomes come back in as well.
     """
     plan = _LanePlan()
     plan.ways = ways
@@ -229,85 +323,34 @@ def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
     order = np.argsort(sidx.astype(np.int32, copy=False), kind="stable")
     plan.order = order
     counts = np.bincount(sidx, minlength=n_sets)
-    set_starts = np.concatenate(([0], np.cumsum(counts)))
-    lane_set: List[int] = []
-    lane_start: List[int] = []
-    lane_len: List[int] = []
-    lane_first: List[bool] = []
-    for s in np.nonzero(counts)[0]:
-        count = int(counts[s])
-        start = int(set_starts[s])
-        step = count if chunk is None else chunk
-        for off in range(0, count, step):
-            lane_set.append(int(s))
-            lane_start.append(start + off)
-            lane_len.append(min(step, count - off))
-            lane_first.append(off == 0)
+    used = np.flatnonzero(counts)
+    step = counts[used] if chunk is None else np.full(len(used), chunk)
+    per_set = -(-counts[used] // step)  # lanes per set, rounded up
+    lane_set = np.repeat(used, per_set)
+    lane_step = np.repeat(step, per_set)
+    off = lane_step * (np.arange(len(lane_set))
+                       - np.repeat(np.cumsum(per_set) - per_set, per_set))
     nl = len(lane_set)
-    plan.lane_set = lane_set
-    plan.lane_first = lane_first
-    starts = np.asarray(lane_start, dtype=np.int64)
-    lens = np.asarray(lane_len, dtype=np.int64)
-    plan.lane_start = starts
-    plan.lane_len = lens
-    width = int(lens.max()) if nl else 0
-    plan.width = width
-    n = len(sidx)
-    elem_lane = np.repeat(np.arange(nl, dtype=np.int64), lens)
-    elem_pos = np.arange(n, dtype=np.int64) - np.repeat(starts, lens)
-    plan.idx_flat = elem_lane * width + elem_pos
-    plan.tags = np.full((nl, width), -1, dtype=np.int64)
-    plan.writes = np.zeros((nl, width), dtype=bool)
-    plan.tags.reshape(-1)[plan.idx_flat] = values[order]
-    plan.writes.reshape(-1)[plan.idx_flat] = writes[order]
+    plan.lane_set = lane_set.tolist()
+    plan.lane_first = (off == 0).tolist()
+    plan.lane_start = (np.cumsum(counts) - counts)[lane_set] + off
+    plan.lane_len = np.minimum(lane_step, counts[lane_set] - off)
+    plan.tags = values[order]
+    plan.writes = writes[order]
     init_tags = np.full((nl, ways), -1, dtype=np.int64)
     init_dirty = np.zeros((nl, ways), dtype=bool)
-    for j in range(nl):
-        if not lane_first[j]:
-            continue
-        line_set = cache_sets[lane_set[j]]
+    for j in np.flatnonzero(off == 0).tolist():
+        line_set = cache_sets[int(lane_set[j])]
         if line_set:
             keys = list(line_set.keys())
             init_tags[j, :len(keys)] = keys
             init_dirty[j, :len(keys)] = [int(v) == _MODIFIED
                                          for v in line_set.values()]
-    plan.init_tags = init_tags
-    plan.init_dirty = init_dirty
+    plan.hit, plan.vtag, plan.vdirty, *final = _lockstep(
+        plan.tags, plan.writes, plan.lane_start, plan.lane_len, ways,
+        init_tags, init_dirty)
+    plan.final = tuple(final)
     return plan
-
-
-def _pooled_lockstep(plans: Sequence[_LanePlan]) -> None:
-    """Run one lockstep pass over many plans' lanes, pooled by way count,
-    and land results back on each plan (sliced to its own width)."""
-    groups: Dict[int, List[_LanePlan]] = {}
-    for plan in plans:
-        groups.setdefault(plan.ways, []).append(plan)
-    for ways, members in groups.items():
-        width = max(p.width for p in members)
-
-        def pad(mat, fill):
-            if mat.shape[1] == width:
-                return mat
-            out = np.full((mat.shape[0], width), fill, dtype=mat.dtype)
-            out[:, :mat.shape[1]] = mat
-            return out
-
-        tags = np.concatenate([pad(p.tags, -1) for p in members])
-        writes = np.concatenate([pad(p.writes, False) for p in members])
-        lens = np.concatenate([p.lane_len for p in members])
-        init_t = np.concatenate([p.init_tags for p in members])
-        init_d = np.concatenate([p.init_dirty for p in members])
-        hit, vt, vd, ft, fd, fa = _lockstep(tags, writes, lens, ways,
-                                            init_t, init_d)
-        row = 0
-        for plan in members:
-            nl = plan.tags.shape[0]
-            sl = slice(row, row + nl)
-            plan.hit = np.ascontiguousarray(hit[sl, :plan.width])
-            plan.vtag = np.ascontiguousarray(vt[sl, :plan.width])
-            plan.vdirty = np.ascontiguousarray(vd[sl, :plan.width])
-            plan.final = (ft[sl], fd[sl], fa[sl])
-            row += nl
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +359,11 @@ def _pooled_lockstep(plans: Sequence[_LanePlan]) -> None:
 
 
 class _Job:
-    """One replay being vectorized (its own memory/trace/stall model)."""
+    """One segment of a replay through the engine passes; ``state`` is
+    the replay's ``CpuRunResult``, continued in place."""
 
     __slots__ = (
-        "index", "memory", "arr", "compute_ns", "stall", "n",
+        "memory", "compute_ns", "stall", "state", "n",
         "addr", "is_write",
         "l1_plan", "l1_hit", "l1_vtag", "l1_vdirty", "l1_final",
         "tlb_miss", "tlb_evictions", "tlb_final",
@@ -327,26 +371,30 @@ class _Job:
         "l2_plan", "op_hit", "op_vtag", "op_vdirty", "l2_final",
     )
 
-    def __init__(self, index, memory, arr, compute_ns, stall):
-        self.index = index
+    def __init__(self, memory, segment: np.ndarray, compute_ns: float,
+                 stall, state):
         self.memory = memory
-        self.arr = arr
         self.compute_ns = compute_ns
         self.stall = stall
-        self.n = len(arr)
-        self.addr = np.ascontiguousarray(arr["addr"], dtype=np.int64)
-        self.is_write = np.ascontiguousarray(arr["is_write"], dtype=bool)
+        self.state = state
+        self.n = len(segment)
+        self.addr = np.ascontiguousarray(segment["addr"], dtype=np.int64)
+        self.is_write = np.ascontiguousarray(segment["is_write"],
+                                             dtype=bool)
 
 
-def _supported(memory) -> bool:
-    """Vec preconditions over the *state* of the node (CPU 0 active)."""
+def supported(memory) -> bool:
+    """Vec preconditions over the *state* of the node (CPU 0 active):
+    nothing in any other CPU's caches, and in its own no SHARED line and
+    no line of an address outside ``[0, 2**63)``."""
     for l1, l2 in zip(memory.l1s[1:], memory.l2s[1:]):
         if l1.occupancy() or l2.occupancy():
             return False
+    limit = 2 ** 63 >> memory.l1s[0]._set_shift
     for cache in (memory.l1s[0], memory.l2s[0]):
         for line_set in cache._sets:
-            for state in line_set.values():
-                if int(state) == _SHARED:
+            for tag, state in line_set.items():
+                if int(state) == _SHARED or not 0 <= tag < limit:
                     return False
     return True
 
@@ -378,23 +426,25 @@ def _fixup_l1(job: _Job) -> None:
     states = _state_dicts(fin_tags, fin_dirty, fin_age)
     # Convergence point per lane, found vectorially: in a from-empty
     # engine lane every pre-convergence miss is a new distinct tag, so
-    # ``v`` is exactly the position of the ``ways``-th engine miss.
-    # Padding counts as misses, but ``v >= length`` is treated as
-    # non-converged anyway.
-    miss_rank = np.cumsum(~hit, axis=1)
-    v_arr = (miss_rank < ways).sum(axis=1).tolist()
+    # ``v`` is exactly the position of the ``ways``-th engine miss; a
+    # lane with fewer misses gets ``v >= length``, i.e. non-converged.
+    miss_pos = np.flatnonzero(~hit)
+    kth = np.searchsorted(miss_pos, plan.lane_start) + (ways - 1)
+    kth_pos = np.append(miss_pos, len(hit))[np.minimum(kth, len(miss_pos))]
+    v_arr = (kth_pos - plan.lane_start).tolist()
     final_states: Dict[int, Dict[int, bool]] = {}
     state: Dict[int, bool] = {}
     for j, s in enumerate(plan.lane_set):
         length = int(plan.lane_len[j])
+        lo = int(plan.lane_start[j])
         if plan.lane_first[j]:
             state = states[j]
             final_states[s] = state
             continue
         v = v_arr[j] if v_arr[j] < length else None
         upto_v = length if v is None else v + 1
-        tags_l = plan.tags[j, :upto_v].tolist()
-        writes_l = plan.writes[j, :upto_v].tolist()
+        tags_l = plan.tags[lo:lo + upto_v].tolist()
+        writes_l = plan.writes[lo:lo + upto_v].tolist()
         written = set()
         o_hit: List[bool] = []
         o_vt: List[int] = []
@@ -418,10 +468,10 @@ def _fixup_l1(job: _Job) -> None:
                 o_vd.append(victim_dirty)
             if w:
                 written.add(tg)
-        upto = len(o_hit)
-        hit[j, :upto] = o_hit
-        vtag[j, :upto] = o_vt
-        vdirty[j, :upto] = o_vd
+        upto = lo + len(o_hit)
+        hit[lo:upto] = o_hit
+        vtag[lo:upto] = o_vt
+        vdirty[lo:upto] = o_vd
         if v is None:
             # Fewer than `ways` distinct tags: the whole lane was just
             # replayed scalar and `state` (aliased by final_states[s])
@@ -433,9 +483,9 @@ def _fixup_l1(job: _Job) -> None:
             if (tg in written) == true_dirty:
                 continue
             if row_vt is None:
-                row_tags = plan.tags[j, :length]
-                row_writes = plan.writes[j, :length]
-                row_vt = vtag[j, :length]
+                row_tags = plan.tags[lo:lo + length]
+                row_writes = plan.writes[lo:lo + length]
+                row_vt = vtag[lo:lo + length]
             occ = np.nonzero((row_tags == tg) & row_writes)[0]
             occ = occ[occ > v]
             evs = np.nonzero(row_vt == tg)[0]
@@ -443,7 +493,7 @@ def _fixup_l1(job: _Job) -> None:
             first_write = int(occ[0]) if occ.size else length
             first_evict = int(evs[0]) if evs.size else length
             if first_evict < first_write:
-                vdirty[j, first_evict] = true_dirty
+                vdirty[lo + first_evict] = true_dirty
             elif first_write == length and first_evict == length:
                 carried[tg] = true_dirty
         state = states[j]
@@ -451,14 +501,14 @@ def _fixup_l1(job: _Job) -> None:
         final_states[s] = state
 
     n = job.n
-    flat = plan.idx_flat
     job.l1_hit = np.empty(n, dtype=bool)
     job.l1_vtag = np.empty(n, dtype=np.int64)
     job.l1_vdirty = np.empty(n, dtype=bool)
-    job.l1_hit[plan.order] = hit.reshape(-1)[flat]
-    job.l1_vtag[plan.order] = vtag.reshape(-1)[flat]
-    job.l1_vdirty[plan.order] = vdirty.reshape(-1)[flat]
+    job.l1_hit[plan.order] = hit
+    job.l1_vtag[plan.order] = vtag
+    job.l1_vdirty[plan.order] = vdirty
     job.l1_final = final_states
+    job.l1_plan = None
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +582,7 @@ def _run_tlb(job: _Job) -> None:
     bounds: Dict[int, Tuple[int, int]] = {}
     for b, e in zip(starts.tolist(), ends.tolist()):
         bounds[int(sorted_pages[b])] = (b, e)
-    order_list = order.tolist()
+    order_list = memoryview(order)  # indexable without an int per entry
     init_rank = {page: rank - capacity
                  for rank, page in enumerate(resident)}
 
@@ -647,13 +697,13 @@ def _gather_l2(job: _Job) -> None:
     fin_tags, fin_dirty, fin_age = plan.final
     states = _state_dicts(fin_tags, fin_dirty, fin_age)
     job.l2_final = {s: states[j] for j, s in enumerate(plan.lane_set)}
-    flat = plan.idx_flat
     job.op_hit = np.empty(total, dtype=bool)
     job.op_vtag = np.empty(total, dtype=np.int64)
     job.op_vdirty = np.empty(total, dtype=bool)
-    job.op_hit[plan.order] = plan.hit.reshape(-1)[flat]
-    job.op_vtag[plan.order] = plan.vtag.reshape(-1)[flat]
-    job.op_vdirty[plan.order] = plan.vdirty.reshape(-1)[flat]
+    job.op_hit[plan.order] = plan.hit
+    job.op_vtag[plan.order] = plan.vtag
+    job.op_vdirty[plan.order] = plan.vdirty
+    job.l2_plan = None
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +711,9 @@ def _gather_l2(job: _Job) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _finish(job: _Job):
-    from repro.memory.mp import CpuRunResult
-
+def _finish(job: _Job) -> None:
+    """Time the segment, continuing its replay's clock and totals."""
+    state = job.state
     memory = job.memory
     config = memory.config
     n = job.n
@@ -675,18 +725,14 @@ def _finish(job: _Job):
     line = config.l1.line_bytes
     l2_shift = memory.l2s[0]._set_shift
 
-    refill = job.op_refill
-    refill_src = job.op_src[refill]
-    refill_hit = np.zeros(n, dtype=bool)
-    refill_hit[refill_src] = job.op_hit[refill]
-    refill_wb = np.zeros(n, dtype=bool)
-    refill_wb[refill_src] = ~job.op_hit[refill] & (
-        job.op_vtag[refill] >= 0) & job.op_vdirty[refill]
-    refill_wb_addr = np.zeros(n, dtype=np.int64)
-    refill_wb_addr[refill_src] = job.op_vtag[refill] << l2_shift
-
-    l1_hit, tlb_miss = job.l1_hit, job.tlb_miss
-    slow = ~l1_hit & ~refill_hit
+    # Slow accesses are the refills that miss L2: they serialize through
+    # the sequencer and DRAM, in trace order (``op_src`` ascends).
+    dram = job.op_refill & ~job.op_hit
+    slow_pos = job.op_src[dram].tolist()
+    victim = job.op_vtag[dram]
+    wb_addr = np.where((victim >= 0) & job.op_vdirty[dram],
+                       victim << l2_shift, -1).tolist()
+    tlb_miss = job.tlb_miss
 
     # The four fast stall constants, argument grouping per the reference.
     stall_consts = np.array([
@@ -695,29 +741,32 @@ def _finish(job: _Job):
         stall(tlb_miss_ns + l1_hit_ns, compute_ns),
         stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
     ])
-    key = tlb_miss.astype(np.int64) * 2 + ~l1_hit
+    key = tlb_miss.astype(np.int8) * 2 + ~job.l1_hit
     stall_arr = stall_consts[key]
-
-    interleaved = np.empty(2 * n)
-    interleaved[0::2] = compute_ns
-    interleaved[1::2] = stall_arr
 
     sequencer = memory.sequencer
     memory_fetch = memory._memory_fetch
     addr_col = job.addr
-    local = 0.0
-    queueing_total = 0.0
-    seg_start = 0
+    local = state.finish_ns
+    queueing_total = state.queueing_ns
+    # ``buf`` interleaves the clock recurrence: a start value, then per
+    # access its compute time and stall.  Segments between slow accesses
+    # use disjoint slices, so each cumsum runs in place.
     buf = np.empty(2 * n + 1)
-    for si in np.nonzero(slow)[0]:
-        si = int(si)
+    buf[1::2] = compute_ns
+
+    def advance(local: float, lo: int, hi: int) -> float:
+        """Run the clock over the fast accesses ``[lo, hi)``."""
+        seg = buf[2 * lo:2 * hi + 1]
+        seg[0] = local
+        seg[2::2] = stall_arr[lo:hi]
+        np.cumsum(seg, out=seg)
+        return float(seg[-1])
+
+    seg_start = 0
+    for si, victim_addr in zip(slow_pos, wb_addr):
         if si > seg_start:
-            m = 2 * (si - seg_start) + 1
-            seg = buf[:m]
-            seg[0] = local
-            seg[1:] = interleaved[2 * seg_start:2 * si]
-            np.cumsum(seg, out=seg)
-            local = float(seg[-1])
+            local = advance(local, seg_start, si)
         issue = local + compute_ns
         translation = tlb_miss_ns if tlb_miss[si] else 0.0
         latency = translation + l1_hit_ns
@@ -728,30 +777,31 @@ def _finish(job: _Job):
         start, done = memory_fetch(phase_done, int(addr_col[si]), line)
         queueing += start - phase_done
         latency += done - phase_done
-        if refill_wb[si]:
-            memory_fetch(phase_done, int(refill_wb_addr[si]), line)
+        if victim_addr >= 0:
+            memory_fetch(phase_done, victim_addr, line)
         stall_ns = stall(latency, compute_ns)
         stall_arr[si] = stall_ns
-        interleaved[2 * si + 1] = stall_ns
         local = issue + stall_ns
         queueing_total += queueing
         seg_start = si + 1
     if seg_start < n:
-        m = 2 * (n - seg_start) + 1
-        seg = buf[:m]
-        seg[0] = local
-        seg[1:] = interleaved[2 * seg_start:]
-        np.cumsum(seg, out=seg)
-        local = float(seg[-1])
+        local = advance(local, seg_start, n)
 
-    _commit(job, refill, refill_wb)
-    compute_total = float(np.cumsum(np.full(n, compute_ns))[-1])
-    stall_total = float(np.cumsum(stall_arr)[-1])
-    return CpuRunResult(finish_ns=local, steps=n, compute_ns=compute_total,
-                        stall_ns=stall_total, queueing_ns=queueing_total)
+    _commit(job, dram, len(wb_addr) - wb_addr.count(-1))
+    state.finish_ns = local
+    state.steps += n
+    state.queueing_ns = queueing_total
+    # Sequential sums continuing the previous segment's, like the
+    # reference's per-access ``+=``.
+    buf[0] = state.compute_ns
+    buf[1:n + 1] = compute_ns
+    state.compute_ns = float(np.cumsum(buf[:n + 1])[-1])
+    buf[0] = state.stall_ns
+    buf[1:n + 1] = stall_arr
+    state.stall_ns = float(np.cumsum(buf[:n + 1])[-1])
 
 
-def _commit(job: _Job, refill: np.ndarray, refill_wb: np.ndarray) -> None:
+def _commit(job: _Job, dram: np.ndarray, dram_writebacks: int) -> None:
     """Fold the oracle outcomes into the real caches and counters, with
     the same per-key attribution as the scalar routes."""
     memory = job.memory
@@ -787,14 +837,14 @@ def _commit(job: _Job, refill: np.ndarray, refill_wb: np.ndarray) -> None:
     incr(tlb.stats, "misses", tlb_misses)
     incr(tlb.stats, "evictions", job.tlb_evictions)
 
-    refill_hits = count(refill & op_hit)
+    refill_hits = count(job.op_refill & op_hit)
     incr(memory.domain.stats, "hit", refill_hits)
-    incr(memory.domain.stats, "miss", count(refill & ~op_hit))
+    incr(memory.domain.stats, "miss", count(dram))
     incr(memory.stats, "l1_hits", count(l1_hit))
     incr(memory.stats, "tlb_misses", tlb_misses)
     incr(memory.stats, "l2_hits", refill_hits)
-    incr(memory.stats, "memory_accesses", count(refill & ~op_hit))
-    incr(memory.stats, "writebacks", count(refill_wb))
+    incr(memory.stats, "memory_accesses", count(dram))
+    incr(memory.stats, "writebacks", dram_writebacks)
 
     for cache, finals in ((l1, job.l1_final), (l2, job.l2_final)):
         for s, state in finals.items():
@@ -812,51 +862,15 @@ def _commit(job: _Job, refill: np.ndarray, refill_wb: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def replay_batch(specs: Sequence[Tuple]) -> List:
-    """Vectorize many independent replays through shared lockstep passes.
-
-    ``specs`` is a sequence of ``(memory, trace, compute_ns, stall_model)``
-    tuples, each with its *own* ``MultiprocessorMemory`` (sweep points are
-    isolated; batching shares host work, never simulated state).  Returns
-    one entry per spec: a ``CpuRunResult``, or ``None`` when that spec's
-    preconditions fail and the caller must use the scalar path instead —
-    the trace is left unconsumed in that case only if it was an array.
-    """
-    from repro.memory.mp import CpuRunResult
-
-    results: List = [None] * len(specs)
-    jobs: List[_Job] = []
-    for index, (memory, trace, compute_ns, stall) in enumerate(specs):
-        try:
-            arr = coerce_trace(trace)
-        except (OverflowError, ValueError):
-            continue
-        if len(arr) and int(arr["addr"].min()) < 0:
-            continue
-        if not _supported(memory):
-            continue
-        if len(arr) == 0:
-            results[index] = CpuRunResult(finish_ns=0.0, steps=0,
-                                          compute_ns=0.0, stall_ns=0.0,
-                                          queueing_ns=0.0)
-            continue
-        jobs.append(_Job(index, memory, arr, compute_ns, stall))
-    if not jobs:
-        return results
-    for job in jobs:
-        _plan_l1(job)
-    _pooled_lockstep([job.l1_plan for job in jobs])
-    for job in jobs:
-        _fixup_l1(job)
-        _run_tlb(job)
-        _plan_l2(job)
-    _pooled_lockstep([job.l2_plan for job in jobs])
-    for job in jobs:
-        _gather_l2(job)
-        results[job.index] = _finish(job)
-    return results
-
-
-def replay_traces_vec(memory, trace, compute_ns: float, stall_model):
-    """Single-replay wrapper over :func:`replay_batch` (may return None)."""
-    return replay_batch([(memory, trace, compute_ns, stall_model)])[0]
+def replay_segment(memory, segment: np.ndarray, compute_ns: float,
+                   stall_model, state) -> None:
+    """Replay one array piece of :func:`segments` on CPU 0 of a node
+    that is :func:`supported`, continuing ``state`` (the replay's
+    ``CpuRunResult`` so far) in place."""
+    job = _Job(memory, segment, compute_ns, stall_model, state)
+    _plan_l1(job)
+    _fixup_l1(job)
+    _run_tlb(job)
+    _plan_l2(job)
+    _gather_l2(job)
+    _finish(job)

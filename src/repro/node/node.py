@@ -53,10 +53,7 @@ class NodeModel:
     # -- trace execution ----------------------------------------------------
 
     def run_traces(self, traces: Sequence[Iterable[MemRef]],
-                   compute_ns_per_access: float,
-                   use_fast_path: bool = True,
-                   backend: str = "fast",
-                   ) -> TraceRunResult:
+                   compute_ns_per_access: float) -> TraceRunResult:
         """Replay one ``(addr, AccessType)`` stream per active CPU.
 
         ``compute_ns_per_access`` is the kernel's average compute time
@@ -67,19 +64,15 @@ class NodeModel:
         so a warming replay followed by a measured replay behaves like two
         timed sections of one program.
 
-        The replay normally takes the batched fast path of
-        :func:`repro.memory.mp.replay_traces` (identical semantics,
-        counters and timing); ``use_fast_path=False`` forces the
-        reference per-access path, and ``backend="numpy"`` routes
-        single-CPU replays through the vectorized engine (same
-        equivalence contract; traces may be ``repro.memory.vec``
-        structured arrays from the ``trace_gen`` array emitters).
+        :func:`repro.memory.mp.replay_traces` picks the engine from the
+        input: a single trace runs vectorized, several traces run through
+        the scalar loop, both identical to the reference path.  Traces may
+        be iterables or the structured arrays of the ``trace_gen`` array
+        emitters.
         """
         self.memory.reset_timing()
         results = replay_traces(self.memory, traces, compute_ns_per_access,
-                                [self._stall] * len(traces),
-                                use_fast_path=use_fast_path,
-                                backend=backend)
+                                [self._stall] * len(traces))
         per_cpu = [r.finish_ns for r in results]
         return TraceRunResult(elapsed_ns=max(per_cpu), per_cpu_ns=per_cpu,
                               steps=sum(r.steps for r in results))

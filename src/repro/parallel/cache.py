@@ -123,25 +123,18 @@ def canonical(value: Any) -> Any:
 
 def fingerprint(sweep_id: str, key: Any, config: Dict[str, Any], seed: int,
                 digest: str, capture: bool = False,
-                sample_interval_ns: Optional[float] = None,
-                replay_backend: Optional[str] = None) -> str:
+                sample_interval_ns: Optional[float] = None) -> str:
     """The content address of one sweep point's result.
 
     ``sample_interval_ns`` joins the blob only when sampling is on, so
     every pre-timeline fingerprint is unchanged — but a sampling run can
     never replay a cache entry that carries no timeline payload (or one
-    sampled at a different interval).  ``replay_backend`` likewise joins
-    only when non-default ("numpy"), keeping every pre-backend cache
-    entry valid for default-backend sweeps; the equivalence contract
-    makes backend-tagged results value-identical anyway, so a backend
-    switch only ever costs a recompute, never correctness.
+    sampled at a different interval).
     """
     parts = [sweep_id, canonical(key), canonical(config), seed,
              bool(capture), digest, _package_version()]
     if sample_interval_ns:
         parts.append(("timeline", float(sample_interval_ns)))
-    if replay_backend and replay_backend != "fast":
-        parts.append(("backend", str(replay_backend)))
     blob = repr(tuple(parts))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -153,7 +153,6 @@ def run_sweep(sweep_id: str,
               seed_base: int = 0,
               capture: Optional[bool] = None,
               supervise: Optional[SuperviseConfig] = None,
-              replay_backend: Optional[str] = None
               ) -> List[PointOutcome]:
     """Run every point of a sweep, possibly in parallel, deterministically.
 
@@ -176,12 +175,6 @@ def run_sweep(sweep_id: str,
         supervise: run under the supervised executor — journaled,
             crash/hang-tolerant, resumable.  ``None`` keeps the legacy
             optimistic pool.
-        replay_backend: trace-replay backend injected into every point's
-            config (``config["replay_backend"]``) for point tasks that
-            replay traces; "numpy" selects the vectorized engine, which
-            stacks a worker's traces into padded array passes.  The
-            fingerprint gains a backend key only when non-default, so
-            pre-backend cache entries stay valid.
 
     Returns:
         One :class:`PointOutcome` per input point, in input order.
@@ -202,11 +195,6 @@ def run_sweep(sweep_id: str,
     # encoded series merge back like metrics and spans do.
     sample_interval = (OBS.timeline.sample_interval_ns
                        if capture and OBS.timeline.enabled else None)
-    if replay_backend is not None:
-        from repro.memory.mp import REPLAY_BACKENDS
-        if replay_backend not in REPLAY_BACKENDS:
-            raise ValueError(f"unknown replay backend {replay_backend!r}; "
-                             f"have {list(REPLAY_BACKENDS)}")
     stats: Optional[SupervisionStats] = None
     journaling = False
     if supervise is not None:
@@ -225,8 +213,7 @@ def run_sweep(sweep_id: str,
         if need_fp:
             prints[index] = fingerprint(sweep_id, key, config, seed, digest,
                                         capture=capture,
-                                        sample_interval_ns=sample_interval,
-                                        replay_backend=replay_backend)
+                                        sample_interval_ns=sample_interval)
         if cache is not None:
             hit, stored = cache.get(prints[index])
             if hit:
@@ -234,12 +221,7 @@ def run_sweep(sweep_id: str,
                                 stored["spans"], stored.get("timeline"),
                                 True, seed)
                 continue
-        run_config = config
-        if (replay_backend and replay_backend != "fast"
-                and isinstance(config, dict)):
-            run_config = dict(config)
-            run_config["replay_backend"] = replay_backend
-        pending.append((index, {"fn": fn, "config": run_config, "seed": seed,
+        pending.append((index, {"fn": fn, "config": config, "seed": seed,
                                 "capture": capture,
                                 "span_limit": span_limit,
                                 "sample_interval_ns": sample_interval}))

@@ -9,16 +9,13 @@ has to beat:
 
 * ``fig6_hint`` — HINT refinement + checkpoint scan replays (DOUBLE).
 * ``fig7_matmult`` — full naive MatMult address-trace replay (N=48,
-  caches scaled 1/16): the cache/TLB hot loop.
-* ``fig7_matmult_vec`` — the same replay through the numpy backend
-  (``replay_backend="numpy"``): identical work/check by the equivalence
-  contract, so its wall-time ratio to ``fig7_matmult`` *is* the
-  vectorization speedup.
+  caches scaled 1/16): one trace, so the vectorized engine replays it.
+* ``fig7_matmult_scalar`` — the same trace through the scalar loop
+  ``_replay_fast`` directly: identical work/check by the equivalence
+  contract, so its wall-time ratio to ``fig7_matmult`` is what the
+  dispatch's choice of vec for one trace buys.
 * ``fig8_smp`` — the same naive MatMult run on both CPUs of one node
   at once: the multi-CPU merge of the scalar replay loop, fig8's engine.
-* ``replay_batch_vec`` — many independent sweep-point replays stacked
-  into single padded lockstep passes via ``vec.replay_batch``: the
-  batched multi-point mode behind ``run_sweep(replay_backend="numpy")``.
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
   (driver -> NI -> link -> crossbar -> drain): the event-kernel hot loop.
 * ``fig11_unidir`` — back-to-back streaming bandwidth (DES under load).
@@ -111,15 +108,26 @@ def _kernel_fig7_matmult() -> Tuple[int, str, float]:
     return accesses, "accesses", result.mflops
 
 
-def _kernel_fig7_matmult_vec() -> Tuple[int, str, float]:
-    from repro.bench.matmult import run_matmult
+def _kernel_fig7_matmult_scalar() -> Tuple[int, str, float]:
+    """``fig7_matmult``'s replay, step for step, minus the dispatch:
+    ``run_matmult`` would hand this single trace to vec."""
+    from repro.bench.matmult import (
+        _alloc_matrices,
+        _per_access_compute_ns,
+        _product_trace,
+    )
     from repro.core.specs import POWERMANNA
+    from repro.memory.mp import _replay_fast
 
+    n = 48
     node = POWERMANNA.node(scale=16)
-    result = run_matmult(node, 48, version="naive",
-                         machine_key="powermanna", replay_backend="numpy")
+    node.reset()
+    trace = _product_trace("naive", _alloc_matrices(0, n), n, None)
+    compute_ns = _per_access_compute_ns(node, n, "naive")
+    node.memory.reset_timing()
+    result, = _replay_fast(node.memory, [trace], compute_ns, [node._stall])
     accesses = sum(l1.access_count() for l1 in node.memory.l1s)
-    return accesses, "accesses", result.mflops
+    return accesses, "accesses", 2.0 * n * n * n / result.finish_ns * 1e3
 
 
 def _kernel_fig8_smp() -> Tuple[int, str, float]:
@@ -131,31 +139,6 @@ def _kernel_fig8_smp() -> Tuple[int, str, float]:
                          machine_key="powermanna")
     accesses = sum(l1.access_count() for l1 in node.memory.l1s)
     return accesses, "accesses", result.elapsed_ns
-
-
-def _kernel_replay_batch_vec() -> Tuple[int, str, float]:
-    """Batched multi-point replay: several independent MatMult points
-    (one isolated memory each, as under ``run_sweep``) through one
-    ``vec.replay_batch`` call, so the padded lockstep passes are shared
-    across all of them."""
-    from repro.bench.matmult import _alloc_matrices, _per_access_compute_ns
-    from repro.core.specs import POWERMANNA
-    from repro.memory import vec
-    from repro.memory.trace_gen import matmult_naive_array
-
-    specs = []
-    for n in (16, 20, 24, 28, 32, 36):
-        node = POWERMANNA.node(scale=16)
-        node.reset()
-        base_a, base_b, _, base_c = _alloc_matrices(0, n)
-        trace = matmult_naive_array(base_a, base_b, base_c, n)
-        compute = _per_access_compute_ns(node, n, "naive")
-        specs.append((node.memory, trace, compute, node._stall))
-    results = vec.replay_batch(specs)
-    if any(r is None for r in results):
-        raise AssertionError("replay_batch fell back on a supported spec")
-    work = sum(len(spec[1]) for spec in specs)
-    return work, "accesses", sum(r.finish_ns for r in results)
 
 
 def _kernel_fig9_pingpong() -> Tuple[int, str, float]:
@@ -196,9 +179,8 @@ def _kernel_topo_hypercube_1k() -> Tuple[int, str, float]:
 KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig6_hint": _kernel_fig6_hint,
     "fig7_matmult": _kernel_fig7_matmult,
-    "fig7_matmult_vec": _kernel_fig7_matmult_vec,
+    "fig7_matmult_scalar": _kernel_fig7_matmult_scalar,
     "fig8_smp": _kernel_fig8_smp,
-    "replay_batch_vec": _kernel_replay_batch_vec,
     "fig9_pingpong": _kernel_fig9_pingpong,
     "fig11_unidir": _kernel_fig11_unidir,
     "topo_hypercube_1k": _kernel_topo_hypercube_1k,
@@ -214,7 +196,6 @@ def _warm_imports() -> None:
     """
     import repro.bench.hint  # noqa: F401
     import repro.bench.matmult  # noqa: F401
-    import repro.memory.vec  # noqa: F401
     import repro.core.specs  # noqa: F401
     import repro.msg.api  # noqa: F401
     import repro.network.topo  # noqa: F401

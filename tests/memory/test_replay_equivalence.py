@@ -1,11 +1,15 @@
-"""Fast-path vs. reference equivalence for the batch trace replay.
+"""Engine vs. reference equivalence for the batch trace replay.
 
-``replay_traces(use_fast_path=True)`` must be *access-for-access*
-identical to the reference ``run_interleaved`` path: same hit/miss/
+Every replay engine must be *access-for-access* identical to
+``replay_reference`` (the ``run_interleaved`` path): same hit/miss/
 evict/upgrade/TLB counters, same float operation order (hence
 bit-identical timing).  These property tests pin that over randomized
 traces designed to hit every replay regime — L1 hits, SHARED-line write
-upgrades, capacity misses, TLB thrashing — on one- and multi-CPU nodes.
+upgrades, capacity misses, TLB thrashing — on one- and multi-CPU nodes,
+for the default ``replay_traces`` dispatch (vec for a fresh single-CPU
+replay, the scalar loop otherwise) and for the scalar loop
+``_replay_fast`` called directly, so the loop keeps its single-CPU
+coverage.
 
 A second group pins the DES side the same way: the seeded fig9 run must
 produce an identical metrics snapshot run-to-run, so the pooled-event /
@@ -16,7 +20,7 @@ import random
 
 import pytest
 
-from repro.memory.cache import AccessType, CacheGeometry
+from repro.memory.cache import AccessType, CacheGeometry, MESIState
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.mesi import CoherenceError
@@ -24,6 +28,8 @@ from repro.memory.mp import (
     FabricConfig,
     FabricKind,
     MultiprocessorMemory,
+    _replay_fast,
+    replay_reference,
     replay_traces,
 )
 from repro.memory.snoop import SnoopConfig
@@ -100,41 +106,51 @@ def snapshot(memory):
     }
 
 
-def run_both(cpus, seed, length=3000, compute_ns=5.0):
+def replay_pair(replay, traces, compute_ns=5.0):
+    """Replay ``traces`` through ``replay`` and through the reference,
+    each on a fresh node; returns ``(results, memory)`` for both."""
+    cpus = len(traces)
+    stalls = [lambda latency, compute: latency] * cpus
+    got_mem = make_memory(cpus)
+    got = replay(got_mem, [list(t) for t in traces], compute_ns, stalls)
+    ref_mem = make_memory(cpus)
+    ref = replay_reference(ref_mem, [list(t) for t in traces], compute_ns,
+                           stalls)
+    return (got, got_mem), (ref, ref_mem)
+
+
+def run_both(replay, cpus, seed, length=3000, compute_ns=5.0):
     rng = random.Random(seed)
     traces = [random_trace(rng, length) for _ in range(cpus)]
-    stalls = [lambda latency, compute: latency] * cpus
-
-    fast_mem = make_memory(cpus)
-    fast = replay_traces(fast_mem, [list(t) for t in traces],
-                         compute_ns, stalls, use_fast_path=True)
-    ref_mem = make_memory(cpus)
-    ref = replay_traces(ref_mem, [list(t) for t in traces],
-                        compute_ns, stalls, use_fast_path=False)
-    return (fast, snapshot(fast_mem)), (ref, snapshot(ref_mem))
+    (got, got_mem), (ref, ref_mem) = replay_pair(replay, traces, compute_ns)
+    return (got, snapshot(got_mem)), (ref, snapshot(ref_mem))
 
 
 class TestReplayFastPathEquivalence:
+    """The default ``replay_traces`` dispatch against the reference."""
+
+    replay = staticmethod(replay_traces)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
     def test_single_cpu_identical(self, seed):
-        (fast, fast_snap), (ref, ref_snap) = run_both(1, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(self.replay, 1, seed)
         assert fast == ref  # exact float equality, field for field
         assert fast_snap == ref_snap
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_two_cpus_identical(self, seed):
-        (fast, fast_snap), (ref, ref_snap) = run_both(2, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(self.replay, 2, seed)
         assert fast == ref
         assert fast_snap == ref_snap
 
     @pytest.mark.parametrize("seed", [4, 13])
     def test_four_cpus_identical(self, seed):
-        (fast, fast_snap), (ref, ref_snap) = run_both(4, seed)
+        (fast, fast_snap), (ref, ref_snap) = run_both(self.replay, 4, seed)
         assert fast == ref
         assert fast_snap == ref_snap
 
     def test_access_counts_match_trace_length(self):
-        (fast, fast_snap), _ = run_both(2, seed=9, length=500)
+        (fast, fast_snap), _ = run_both(self.replay, 2, seed=9, length=500)
         for res in fast:
             assert res.steps == 500
         for l1_counts in fast_snap["l1"]:
@@ -147,7 +163,7 @@ class TestReplayFastPathEquivalence:
     def test_all_regimes_exercised(self):
         """The random traces must actually cover the interesting paths —
         otherwise the equivalence assertions above prove nothing."""
-        _, (_, ref_snap) = run_both(2, seed=0)
+        _, (_, ref_snap) = run_both(self.replay, 2, seed=0)
         l1_total = {}
         for counts in ref_snap["l1"]:
             for key, value in counts.items():
@@ -182,12 +198,76 @@ class TestReplayFastPathEquivalence:
             return reference_access(*args)
 
         memory.access = counting_access
-        replay_traces(memory, traces, 5.0,
-                      [lambda latency, compute: latency] * 2)
+        self.replay(memory, traces, 5.0,
+                    [lambda latency, compute: latency] * 2)
         # A replay that sent every L1 miss to the reference path would
         # make at least one call per miss.
         assert memory.domain.stats["hit"] > 0
         assert len(slow_calls) < sum(l1.miss_count() for l1 in memory.l1s)
+
+
+class TestScalarLoopEquivalence(TestReplayFastPathEquivalence):
+    """The same contract for ``_replay_fast`` called directly: the
+    dispatch hands it single-CPU replays only when vec declines."""
+
+    replay = staticmethod(_replay_fast)
+
+
+class TestReplayDispatch:
+    """The trace count and the node state pick the engine."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Which engine replays each piece of a trace, in order."""
+        from repro.memory import mp
+
+        log = []
+        for owner, name, label in ((mp.vec, "replay_segment", "vec"),
+                                   (mp, "_replay_fast", "scalar")):
+            def spy(*args, engine=getattr(owner, name), label=label,
+                    **kwargs):
+                log.append(label)
+                return engine(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        return log
+
+    @staticmethod
+    def replay(memory, traces):
+        return replay_traces(memory, traces, 5.0,
+                             [lambda latency, compute: latency] * len(traces))
+
+    def test_fresh_single_cpu_replay_served_by_vec(self, served):
+        trace = random_trace(random.Random(1), 500)
+        memory = make_memory(2)
+        self.replay(memory, [trace])
+        self.replay(memory, [trace])  # warm CPU 0 alone: still vec
+        assert served == ["vec", "vec"]
+
+    def test_multi_cpu_replay_served_by_scalar_loop(self, served):
+        rng = random.Random(2)
+        self.replay(make_memory(2), [random_trace(rng, 500) for _ in "ab"])
+        assert served == ["scalar"]
+
+    @pytest.mark.parametrize("case", ["shared_line", "warm_sibling"])
+    def test_node_state_falls_back(self, served, case):
+        memory = make_memory(2)
+        line = [(0x40, AccessType.READ)]
+        if case == "shared_line":
+            self.replay(memory, [line, line])
+            memory.l1s[1].invalidate_all()
+            memory.l2s[1].invalidate_all()
+            assert memory.l2s[0].state_of(0x40) == MESIState.SHARED
+        else:
+            self.replay(memory, [[], line])
+        self.replay(memory, [[(0x80, AccessType.READ)]])
+        assert served == ["scalar", "scalar"]
+
+    def test_address_outside_int64_falls_back(self, served):
+        trace = iter([(0x40, AccessType.READ), (1 << 70, AccessType.READ),
+                      (0x80, AccessType.WRITE)])
+        result, = self.replay(make_memory(1), [trace])
+        assert served == ["scalar"]
+        assert result.steps == 3  # the half-coerced iterator is replayed whole
 
 
 class TestFig8RegimeEquivalence:
@@ -199,30 +279,32 @@ class TestFig8RegimeEquivalence:
     def test_dual_cpu_matmult_identical(self, spec_name, version):
         from repro.bench import matmult
         from repro.core import specs
-        from repro.memory.cache import MESIState
         from repro.memory.trace_gen import transpose_trace
 
         spec = getattr(specs, spec_name)
         n = 8
         bases = [matmult._alloc_matrices(cpu, n) for cpu in range(2)]
 
-        def run(use_fast_path):
+        def run(replay):
             node = spec.node(scale=16)
+            stalls = [node._stall] * 2
             results = []
             if version == "transposed":
                 traces = [transpose_trace(b[1], b[2], n) for b in bases]
-                results.append(node.run_traces(
-                    traces, matmult._transpose_compute_ns(node),
-                    use_fast_path=use_fast_path))
+                node.memory.reset_timing()
+                results.append(replay(
+                    node.memory, traces,
+                    matmult._transpose_compute_ns(node), stalls))
             traces = [matmult._product_trace(version, b, n, None)
                       for b in bases]
-            results.append(node.run_traces(
-                traces, matmult._per_access_compute_ns(node, n, version),
-                use_fast_path=use_fast_path))
+            node.memory.reset_timing()
+            results.append(replay(
+                node.memory, traces,
+                matmult._per_access_compute_ns(node, n, version), stalls))
             return results, node.memory
 
-        fast, fast_mem = run(True)
-        ref, ref_mem = run(False)
+        fast, fast_mem = run(replay_traces)
+        ref, ref_mem = run(replay_reference)
         assert fast == ref
         assert snapshot(fast_mem) == snapshot(ref_mem)
         # The regime this pins: no L2 line is ever SHARED, so there are
@@ -243,9 +325,8 @@ class TestReferencePathMesiBreach:
     def test_reference_path_keeps_mesi(self, cpus, seed):
         rng = random.Random(seed)
         traces = [random_trace(rng, 3000) for _ in range(cpus)]
-        replay_traces(make_memory(cpus), traces, 5.0,
-                      [lambda latency, compute: latency] * cpus,
-                      use_fast_path=False)
+        replay_reference(make_memory(cpus), traces, 5.0,
+                         [lambda latency, compute: latency] * cpus)
 
 
 class TestFig9MetricsSnapshotDeterminism:

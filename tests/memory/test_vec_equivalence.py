@@ -1,15 +1,15 @@
-"""Vectorized-backend vs. reference equivalence for trace replay.
+"""Vectorized-engine vs. reference equivalence for trace replay.
 
-``replay_traces(..., backend="numpy")`` carries the same contract as the
-scalar fast path: *access-for-access* identical to the reference
-``run_interleaved`` route — same hit/miss/evict/upgrade/TLB counters,
-same float operation order, hence bit-identical timing, and the same
-final cache/TLB contents and recency order.  The hypothesis suite here
-pins that over randomized traces spanning every replay regime (L1-hit
-runs, write fractions from read-only to write-heavy, TLB churn and
-L2-thrashing spans), mirroring ``test_replay_equivalence.py``; the
-multi-CPU cases additionally pin that the backend's fallback (vec only
-handles single-trace replays) stays identical too.
+``replay_traces`` hands every fresh single-CPU replay to the vectorized
+engine, which carries the scalar loop's contract: *access-for-access*
+identical to ``replay_reference`` — same hit/miss/evict/upgrade/TLB
+counters, same float operation order, hence bit-identical timing, and
+the same final cache/TLB contents and recency order.  The hypothesis
+suite here pins that over randomized traces spanning every replay regime
+(L1-hit runs, write fractions from read-only to write-heavy, TLB churn
+and L2-thrashing spans) for the default dispatch and for the scalar loop
+``_replay_fast`` called directly; the multi-CPU cases pin the dispatch's
+scalar route too.
 """
 
 import random
@@ -19,25 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memory import vec
 from repro.memory.cache import AccessType
-from repro.memory.mp import REPLAY_BACKENDS, replay_traces
+from repro.memory.mp import _replay_fast, replay_reference, replay_traces
 from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
 
-from .test_replay_equivalence import make_memory, random_trace, snapshot
+from .test_replay_equivalence import (
+    make_memory,
+    random_trace,
+    replay_pair,
+    snapshot,
+)
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
 
-
-def run_pair(cpus, traces, compute_ns=5.0):
-    stalls = [lambda latency, compute: latency] * cpus
-    vec_mem = make_memory(cpus)
-    vec = replay_traces(vec_mem, [list(t) for t in traces], compute_ns,
-                        stalls, backend="numpy")
-    ref_mem = make_memory(cpus)
-    ref = replay_traces(ref_mem, [list(t) for t in traces], compute_ns,
-                        stalls, use_fast_path=False)
-    return (vec, vec_mem), (ref, ref_mem)
+#: The engines under the contract: the default dispatch and the scalar
+#: loop it falls back to.
+ENGINES = (replay_traces, _replay_fast)
 
 
 def regime_trace(rng, length, write_fraction):
@@ -61,61 +60,68 @@ def regime_trace(rng, length, write_fraction):
     return trace
 
 
+def assert_regime_identical(replay, seed, write_fraction, length):
+    rng = random.Random(seed)
+    trace = regime_trace(rng, length, write_fraction)
+    (got, got_mem), (ref, ref_mem) = replay_pair(replay, [trace])
+    assert got == ref  # exact float equality, field for field
+    assert snapshot(got_mem) == snapshot(ref_mem)
+
+
+regimes = given(seed=st.integers(min_value=0, max_value=10_000),
+                write_fraction=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+                length=st.integers(min_value=1, max_value=1200))
+
+
 class TestVecBackendEquivalence:
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           write_fraction=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
-           length=st.integers(min_value=1, max_value=1200))
+    @regimes
     @settings(max_examples=25, deadline=None)
     def test_single_cpu_bitwise_identical(self, seed, write_fraction,
                                           length):
-        rng = random.Random(seed)
-        trace = regime_trace(rng, length, write_fraction)
-        (vec, vec_mem), (ref, ref_mem) = run_pair(1, [trace])
-        assert vec == ref  # exact float equality, field for field
-        assert snapshot(vec_mem) == snapshot(ref_mem)
+        assert_regime_identical(replay_traces, seed, write_fraction, length)
+
+    @regimes
+    @settings(max_examples=25, deadline=None)
+    def test_scalar_loop_single_cpu_bitwise_identical(self, seed,
+                                                      write_fraction,
+                                                      length):
+        assert_regime_identical(_replay_fast, seed, write_fraction, length)
 
     @pytest.mark.parametrize("cpus,seed", [(2, 0), (2, 3), (4, 4), (4, 13)])
     def test_multi_cpu_identical_via_fallback(self, cpus, seed):
         rng = random.Random(seed)
         traces = [random_trace(rng, 1500) for _ in range(cpus)]
-        (vec, vec_mem), (ref, ref_mem) = run_pair(cpus, traces)
-        assert vec == ref
-        assert snapshot(vec_mem) == snapshot(ref_mem)
+        (got, got_mem), (ref, ref_mem) = replay_pair(replay_traces, traces)
+        assert got == ref
+        assert snapshot(got_mem) == snapshot(ref_mem)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_scalar_fast_path_too(self, seed):
         rng = random.Random(seed)
         trace = random_trace(rng, 2000)
-        stalls = [lambda latency, compute: latency]
-        vec_mem = make_memory(1)
-        vec = replay_traces(vec_mem, [list(trace)], 5.0, stalls,
-                            backend="numpy")
-        fast_mem = make_memory(1)
-        fast = replay_traces(fast_mem, [list(trace)], 5.0, stalls,
-                             backend="fast")
-        assert vec == fast
-        assert snapshot(vec_mem) == snapshot(fast_mem)
+        (got, got_mem), _ = replay_pair(replay_traces, [trace])
+        (fast, fast_mem), _ = replay_pair(_replay_fast, [trace])
+        assert got == fast
+        assert snapshot(got_mem) == snapshot(fast_mem)
 
     def test_warm_cache_second_epoch_identical(self):
-        """Backend equivalence must hold from a *warm* (non-empty) state:
-        the lane seeding and TLB initial-recency paths only matter then."""
+        """Equivalence must hold from a *warm* (non-empty) state: vec's
+        lane seeding and TLB initial-recency paths only matter then."""
         rng = random.Random(21)
         warm = random_trace(rng, 1500)
         measured = random_trace(rng, 1500)
         stalls = [lambda latency, compute: latency]
-        vec_mem = make_memory(1)
-        replay_traces(vec_mem, [list(warm)], 5.0, stalls, backend="numpy")
-        vec_mem.reset_timing()
-        vec = replay_traces(vec_mem, [list(measured)], 5.0, stalls,
-                            backend="numpy")
-        ref_mem = make_memory(1)
-        replay_traces(ref_mem, [list(warm)], 5.0, stalls,
-                      use_fast_path=False)
-        ref_mem.reset_timing()
-        ref = replay_traces(ref_mem, [list(measured)], 5.0, stalls,
-                            use_fast_path=False)
-        assert vec == ref
-        assert snapshot(vec_mem) == snapshot(ref_mem)
+
+        def two_epochs(replay):
+            memory = make_memory(1)
+            replay(memory, [list(warm)], 5.0, stalls)
+            memory.reset_timing()
+            return (replay(memory, [list(measured)], 5.0, stalls),
+                    snapshot(memory))
+
+        ref = two_epochs(replay_reference)
+        for replay in ENGINES:
+            assert two_epochs(replay) == ref
 
     def test_array_traces_accepted_by_every_backend(self):
         rng = random.Random(3)
@@ -123,31 +129,42 @@ class TestVecBackendEquivalence:
         arr = coerce_trace(list(trace))
         assert arr.dtype == REF_DTYPE
         stalls = [lambda latency, compute: latency]
-        results = {}
-        memories = {}
-        for backend in REPLAY_BACKENDS:
-            mem = make_memory(1)
-            results[backend] = replay_traces(mem, [arr], 5.0, stalls,
-                                             backend=backend)
-            memories[backend] = mem
         ref_mem = make_memory(1)
-        ref = replay_traces(ref_mem, [list(trace)], 5.0, stalls,
-                            use_fast_path=False)
-        for backend in REPLAY_BACKENDS:
-            assert results[backend] == ref
-            assert snapshot(memories[backend]) == snapshot(ref_mem)
-
-    def test_unknown_backend_rejected(self):
-        mem = make_memory(1)
-        with pytest.raises(ValueError, match="unknown replay backend"):
-            replay_traces(mem, [[(0, _READ)]], 5.0,
-                          [lambda latency, compute: latency],
-                          backend="cuda")
+        ref = replay_reference(ref_mem, [arr], 5.0, stalls)
+        for replay in ENGINES:
+            mem = make_memory(1)
+            assert replay(mem, [arr], 5.0, stalls) == ref
+            assert snapshot(mem) == snapshot(ref_mem)
 
     def test_empty_trace(self):
-        (vec, vec_mem), (ref, ref_mem) = run_pair(1, [[]])
-        assert vec == ref
-        assert snapshot(vec_mem) == snapshot(ref_mem)
+        for replay in ENGINES:
+            (got, got_mem), (ref, ref_mem) = replay_pair(replay, [[]])
+            assert got == ref
+            assert snapshot(got_mem) == snapshot(ref_mem)
+
+
+class TestSegmentedReplay:
+    """A trace longer than a segment replays piece by piece, each piece
+    from the state the last one committed; no seam may show, whether the
+    trace is pairs or a stream of short array blocks, and where a piece
+    holds an address that sends it to the scalar loop."""
+
+    @pytest.mark.parametrize("form", ["pairs", "blocks"])
+    def test_matches_reference(self, monkeypatch, form):
+        monkeypatch.setattr(vec, "_SEGMENT", 97)
+        pairs = random_trace(random.Random(8), 1000)
+        pairs[600] = (-64, _WRITE)
+        trace = iter(pairs)
+        if form == "pairs":
+            pairs[300] = (1 << 70, _READ)  # beyond even an array
+        else:
+            arr = coerce_trace(pairs)
+            trace = (arr[i:i + 40] for i in range(0, len(arr), 40))
+        stalls = [lambda latency, compute: latency]
+        memory, ref_mem = make_memory(1), make_memory(1)
+        assert (replay_traces(memory, [trace], 5.0, stalls)
+                == replay_reference(ref_mem, [pairs], 5.0, stalls))
+        assert snapshot(memory) == snapshot(ref_mem)
 
 
 class TestVecPrimitives:

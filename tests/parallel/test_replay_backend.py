@@ -1,22 +1,13 @@
-"""The ``replay_backend`` sweep option: injection, fingerprints, identity.
+"""Replay engines under ``run_sweep``: values and jobs-level identity.
 
-``run_sweep(replay_backend="numpy")`` must (a) hand the backend to every
-point task through its config, (b) leave every default-backend
-fingerprint untouched — pre-backend cache entries stay valid — and
-(c) produce byte-identical pickled results at any jobs level, because
-the vectorized engine is bit-equivalent to the scalar paths.
+A MatMult sweep replays one trace per point, which ``replay_traces``
+hands to the vectorized engine.  Its results must equal the scalar
+loop's and be byte-identical pickled at any jobs level.
 """
 
 import pickle
 
-import pytest
-
-from repro.parallel.cache import fingerprint
 from repro.parallel.sweep import run_sweep
-
-
-def echo_backend_task(config, seed):
-    return config.get("replay_backend", "fast")
 
 
 def matmult_cell_task(config, seed):
@@ -24,54 +15,23 @@ def matmult_cell_task(config, seed):
     return matmult_point_task(config, seed)
 
 
-class TestFingerprint:
-    def test_default_backend_leaves_fingerprint_unchanged(self):
-        base = fingerprint("s", "k", {"n": 4}, 1, "digest")
-        assert fingerprint("s", "k", {"n": 4}, 1, "digest",
-                           replay_backend=None) == base
-        assert fingerprint("s", "k", {"n": 4}, 1, "digest",
-                           replay_backend="fast") == base
-
-    def test_numpy_backend_changes_fingerprint(self):
-        base = fingerprint("s", "k", {"n": 4}, 1, "digest")
-        tagged = fingerprint("s", "k", {"n": 4}, 1, "digest",
-                             replay_backend="numpy")
-        assert tagged != base
-
-
 class TestRunSweepOption:
-    def test_backend_injected_into_point_configs(self):
-        outcomes = run_sweep("bk", [(0, {}), (1, {})], echo_backend_task,
-                             replay_backend="numpy")
-        assert [o.value for o in outcomes] == ["numpy", "numpy"]
-
-    def test_default_backend_not_injected(self):
-        outcomes = run_sweep("bk", [(0, {})], echo_backend_task)
-        assert outcomes[0].value == "fast"
-        outcomes = run_sweep("bk", [(0, {})], echo_backend_task,
-                             replay_backend="fast")
-        assert outcomes[0].value == "fast"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown replay backend"):
-            run_sweep("bk", [(0, {})], echo_backend_task,
-                      replay_backend="cuda")
-
-    def test_backends_agree_and_jobs_levels_byte_identical(self):
+    def test_backends_agree_and_jobs_levels_byte_identical(self,
+                                                           monkeypatch):
         from repro.core.specs import POWERMANNA
+        from repro.memory import mp
 
         points = [((n,), {"spec": POWERMANNA, "n": n, "version": "naive",
                           "scale": 16}) for n in (8, 12)]
-        scalar = run_sweep("mm", points, matmult_cell_task)
-        serial = run_sweep("mm", points, matmult_cell_task,
-                           replay_backend="numpy")
-        fanned = run_sweep("mm", points, matmult_cell_task, jobs=4,
-                           replay_backend="numpy")
-        # bit-equivalent engine: numpy backend reproduces scalar values
-        assert [o.value for o in serial] == [o.value for o in scalar]
+        serial = run_sweep("mm", points, matmult_cell_task)
+        fanned = run_sweep("mm", points, matmult_cell_task, jobs=4)
         # jobs fan-out must not perturb any point's result, byte for byte
         # (per-value pickles: a whole-list dump would also encode object
         # sharing between points, which process boundaries legitimately
         # change)
         assert ([pickle.dumps(o.value) for o in serial]
                 == [pickle.dumps(o.value) for o in fanned])
+        # vec ruled out for every node leaves the scalar loop: same values
+        monkeypatch.setattr(mp.vec, "supported", lambda memory: False)
+        scalar = run_sweep("mm", points, matmult_cell_task)
+        assert [o.value for o in scalar] == [o.value for o in serial]
