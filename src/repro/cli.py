@@ -186,6 +186,39 @@ def _check_health(args, session) -> int:
     return 0 if report.ok else 1
 
 
+def _observed(args, run, show) -> int:
+    """``show(run())``, under an observation session when asked for one.
+
+    The session opens only when --trace, --metrics-out or sampling asks
+    for it; its artifacts are written after ``show`` and the --health
+    verdict is returned.  An interrupt flushes what was observed so far,
+    marked partial, and propagates, so ``main`` stays the one place that
+    reports it (with any --resume hint) and exits 130.
+    """
+    trace_path = getattr(args, "trace", None)
+    metrics_path = getattr(args, "metrics_out", None)
+    timeline_path = getattr(args, "timeline_out", None)
+    interval = _sampling_interval(args)
+    if not (trace_path or metrics_path or interval):
+        show(run())
+        return 0
+    session = None
+    try:
+        with observe(sample_interval_ns=interval) as session:
+            result = run()
+    except KeyboardInterrupt:
+        if session is not None:
+            print("interrupted: flushing partial artifacts",
+                  file=sys.stderr)
+            _write_session_artifacts(session, trace_path, metrics_path,
+                                     timeline_path, partial=True)
+        raise
+    show(result)
+    _write_session_artifacts(session, trace_path, metrics_path,
+                             timeline_path)
+    return _check_health(args, session)
+
+
 def cmd_list(_args) -> None:
     rows = [
         ["table1", "configuration of the test systems"],
@@ -215,19 +248,12 @@ def cmd_table1(_args) -> None:
 def _node_figure(args, body) -> Optional[int]:
     """Run a trace-driven node figure, optionally under a sampling session.
 
-    The node kernels never build a Simulator, so their timelines stay
-    empty — the flags exist so every figure shares one observability
-    surface (and so a HealthSpec with metric rules still gates them).
+    ``body`` prints its own tables.  The node kernels never build a
+    Simulator, so their timelines stay empty — the flags exist so every
+    figure shares one observability surface (and so a HealthSpec with
+    metric rules still gates them).
     """
-    interval = _sampling_interval(args)
-    if not interval:
-        body()
-        return 0
-    with observe(sample_interval_ns=interval) as session:
-        body()
-    _write_session_artifacts(session, None, None,
-                             getattr(args, "timeline_out", None))
-    return _check_health(args, session)
+    return _observed(args, body, lambda _: None)
 
 
 def cmd_fig6(args) -> Optional[int]:
@@ -343,33 +369,23 @@ def _topology_spec(args):
 
 def _comm_figure(metric: str, title: str, args) -> Optional[int]:
     sizes = tuple(args.sizes) if args.sizes else DEFAULT_COMM_SIZES
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics_out", None)
-    timeline_path = getattr(args, "timeline_out", None)
-    interval = _sampling_interval(args)
     plan = _fault_plan_from_args(args)
     topology = _topology_spec(args)
     options = _sweep_options(args)
-    # The title deliberately stays topology-free: `fig9` and
-    # `fig9 --topology cluster` must be byte-identical (the CI smoke
-    # check pins the spec path to the legacy path this way).
-    rc = 0
-    if trace_path or metrics_path or interval:
-        with observe(sample_interval_ns=interval) as session:
-            sweep = comm_sweep(metric, sizes=sizes, fault_plan=plan,
-                               topology=topology, **options)
+
+    def run():
+        return comm_sweep(metric, sizes=sizes, fault_plan=plan,
+                          topology=topology, **options)
+
+    def show(sweep) -> None:
+        # The title deliberately stays topology-free: `fig9` and
+        # `fig9 --topology cluster` must be byte-identical (the CI smoke
+        # check pins the spec path to the legacy path this way).
         series = {system: [metric_value(p, metric) for p in points]
                   for system, points in sweep.items()}
         _emit(format_series(series, list(sizes), "bytes", title=title))
-        _write_session_artifacts(session, trace_path, metrics_path,
-                                 timeline_path)
-        rc = _check_health(args, session)
-    else:
-        sweep = comm_sweep(metric, sizes=sizes, fault_plan=plan,
-                           topology=topology, **options)
-        series = {system: [metric_value(p, metric) for p in points]
-                  for system, points in sweep.items()}
-        _emit(format_series(series, list(sizes), "bytes", title=title))
+
+    rc = _observed(args, run, show)
     _report_cache(options["cache"])
     _report_supervision(options.get("supervise"))
     return rc
@@ -422,36 +438,20 @@ def cmd_chaos(args) -> Optional[int]:
                          ack_error_rate=getattr(args, "ack_error_rate",
                                                 None))
 
-    interval = _sampling_interval(args)
-    rc = 0
-    if args.trace or args.metrics_out or interval:
-        session = None
-        try:
-            with observe(sample_interval_ns=interval) as session:
-                report = run()
-        except KeyboardInterrupt:
-            # Flush whatever the session observed before the interrupt,
-            # marked partial, instead of dying with a bare traceback.
-            print("interrupted: flushing partial artifacts",
-                  file=sys.stderr)
-            if session is not None:
-                _write_session_artifacts(
-                    session, args.trace, args.metrics_out,
-                    getattr(args, "timeline_out", None), partial=True)
-            return 130
+    def show(report) -> None:
         _emit(format_report(report))
-        _write_session_artifacts(session, args.trace, args.metrics_out,
-                                 getattr(args, "timeline_out", None))
-        rc = _check_health(args, session)
-    else:
-        report = run()
-        _emit(format_report(report))
+        _write_report_out(args, report)
+
+    return _observed(args, run, show)
+
+
+def _write_report_out(args, report) -> None:
+    """The --report-out JSON of a chaos run or campaign."""
     if args.report_out:
         from repro.atomicio import atomic_write_text
 
         atomic_write_text(args.report_out, report.to_json() + "\n")
         print(f"wrote {args.report_out}")
-    return rc
 
 
 def _chaos_campaign(plan, args) -> Optional[int]:
@@ -473,23 +473,11 @@ def _chaos_campaign(plan, args) -> Optional[int]:
                                                    None),
                             **options)
 
-    interval = _sampling_interval(args)
-    rc = 0
-    if args.trace or args.metrics_out or interval:
-        with observe(sample_interval_ns=interval) as session:
-            report = run()
+    def show(report) -> None:
         _emit(format_campaign(report))
-        _write_session_artifacts(session, args.trace, args.metrics_out,
-                                 getattr(args, "timeline_out", None))
-        rc = _check_health(args, session)
-    else:
-        report = run()
-        _emit(format_campaign(report))
-    if args.report_out:
-        from repro.atomicio import atomic_write_text
+        _write_report_out(args, report)
 
-        atomic_write_text(args.report_out, report.to_json() + "\n")
-        print(f"wrote {args.report_out}")
+    rc = _observed(args, run, show)
     _report_cache(options["cache"])
     _report_supervision(options.get("supervise"))
     return rc

@@ -25,7 +25,6 @@ from repro.obs import OBS
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,10 @@ class Crossbar:
     """A single crossbar chip: input FIFOs, per-output arbiters, wormholes."""
 
     def __init__(self, sim: Simulator, config: CrossbarConfig = CrossbarConfig(),
-                 name: str = "xbar", tracer: Tracer = NULL_TRACER):
+                 name: str = "xbar"):
         self.sim = sim
         self.config = config
         self.name = name
-        self.tracer = tracer
         self.inputs: List[ByteFifo] = [
             ByteFifo(sim, config.input_fifo_bytes, name=f"{name}.in{i}")
             for i in range(config.ports)
@@ -191,8 +189,7 @@ class Crossbar:
             if out_port in failed:
                 # Dead output: swallow the whole wormhole so traffic queued
                 # behind it on this input still progresses.
-                resync = yield from self._blackhole(port, out_port,
-                                                    flit.message_id)
+                resync = yield from self._blackhole(port)
                 continue
             arbiter = self._output_arbiters[out_port]
             sclass = flit.sclass
@@ -219,8 +216,6 @@ class Crossbar:
             # byte is consumed here and never forwarded.
             yield pooled_timeout(route_setup_ns)
             stats_incr("connections")
-            self.tracer.record(sim.now, self.name, "route",
-                               (port, out_port, flit.message_id))
             fwd_span = 0
             if OBS.enabled:
                 OBS.tracer.end(arb_span, self.sim.now,
@@ -232,7 +227,6 @@ class Crossbar:
                     in_port=port, out_port=out_port)
             link = self.output_links[out_port]
             link_send = link.tx.put_pooled
-            message_id = flit.message_id
             conn_bytes = 0
             try:
                 while True:
@@ -247,14 +241,12 @@ class Crossbar:
                         # Watchdog: the upstream of this wormhole died (a
                         # failed port blackholed its tail); tear down the
                         # connection instead of holding the output forever.
-                        self._note_teardown(port, out_port, message_id)
+                        self._note_teardown()
                         resync = True
                         break
                     if out_port in failed:
                         # Port died mid-wormhole: drain the rest unsent.
-                        resync = yield from self._blackhole(port, out_port,
-                                                            flit.message_id,
-                                                            first=flit)
+                        resync = yield from self._blackhole(port, first=flit)
                         break
                     yield pooled_timeout(forward_ns)
                     yield link_send(flit)
@@ -267,8 +259,6 @@ class Crossbar:
                     arbiter.release(sclass, conn_bytes)
                 else:
                     arbiter.release()
-                self.tracer.record(sim.now, self.name, "close",
-                                   (port, out_port, message_id))
                 if OBS.enabled:
                     OBS.tracer.end(fwd_span, self.sim.now)
 
@@ -293,31 +283,25 @@ class Crossbar:
         fifo.cancel_get(get_event)
         return None
 
-    def _note_teardown(self, in_port: int, out_port: int,
-                       message_id: int) -> None:
+    def _note_teardown(self) -> None:
         self.stats.incr("torn_down")
-        self.tracer.record(self.sim.now, self.name, "teardown",
-                           (in_port, out_port, message_id))
         if OBS.enabled:
             OBS.metrics.incr("faults.wormhole_teardowns", xbar=self.name)
 
-    def _blackhole(self, in_port: int, out_port: int, message_id: int,
-                   first: Optional[Flit] = None):
+    def _blackhole(self, in_port: int, first: Optional[Flit] = None):
         """Consume a wormhole's flits up to CLOSE without forwarding.
 
         Returns True when the watchdog ended the drain (the upstream died
         before sending CLOSE), in which case the caller must resync.
         """
         self.stats.incr("blackholed")
-        self.tracer.record(self.sim.now, self.name, "blackhole",
-                           (in_port, out_port, message_id))
         if OBS.enabled:
             OBS.metrics.incr("faults.blackholed", xbar=self.name)
         flit = first
         while flit is None or flit.kind != FlitKind.CLOSE:
             flit = yield from self._guarded_get(self.inputs[in_port])
             if flit is None:
-                self._note_teardown(in_port, out_port, message_id)
+                self._note_teardown()
                 return True
         return False
 

@@ -20,7 +20,6 @@ from repro.sim.clock import Clock
 from repro.sim.engine import Event, SimulationError, Simulator, _heappush
 from repro.sim.resources import FifoStore
 from repro.sim.stats import Counter
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class ByteFifo:
@@ -223,14 +222,12 @@ class Link:
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig, rx: ByteFifo,
-                 name: str = "link", tx_capacity_bytes: int = 16,
-                 tracer: Tracer = NULL_TRACER):
+                 name: str = "link", tx_capacity_bytes: int = 16):
         self.sim = sim
         self.config = config
         self.name = name
         self.rx = rx
         self.tx = ByteFifo(sim, tx_capacity_bytes, name=f"{name}.tx")
-        self.tracer = tracer
         self.stats = Counter(name)
         self.busy_ns = 0.0
         # Flits in flight on the cable: (flit, arrival_time).  Propagation
@@ -295,7 +292,6 @@ class Link:
         pooled_timeout = sim.pooled_timeout
         rx_put = self.rx.put_pooled
         stats_incr = self.stats.incr
-        tracer_record = self.tracer.record
         data_kind = FlitKind.DATA
         close_kind = FlitKind.CLOSE
         while True:
@@ -328,8 +324,6 @@ class Link:
             yield rx_put(flit)
             stats_incr("flits")
             stats_incr("bytes", flit.nbytes)
-            tracer_record(sim.now, self.name, "delivered",
-                          (flit.kind.value, flit.message_id, flit.seq))
             if self._spans and flit.kind == close_kind:
                 span = self._spans.pop(flit.message_id, 0)
                 if OBS.enabled:

@@ -44,7 +44,6 @@ from repro.network.link import LinkConfig
 from repro.network.crossbar import CrossbarConfig
 from repro.network.topo.spec import TopologySpec, register_generator
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
 
 # Op tags.  A blueprint op is one of:
 #   ("xbar", name)
@@ -394,8 +393,7 @@ def _gen_fat_tree(params: dict, ports: int) -> List[tuple]:
 def build_fabric(sim: Simulator, spec: TopologySpec,
                  link_config: LinkConfig = LinkConfig(),
                  crossbar_config: CrossbarConfig = CrossbarConfig(),
-                 node_rx_fifo_bytes: int = 256,
-                 tracer: Tracer = NULL_TRACER):
+                 node_rx_fifo_bytes: int = 256):
     """Realise ``spec`` as a full flit-level Fabric on ``sim``.
 
     Ops replay in blueprint order, so a spec produced by one of the
@@ -410,7 +408,7 @@ def build_fabric(sim: Simulator, spec: TopologySpec,
             f"asks for {spec.fidelity!r} (use FlowWorld for the flow tier)")
     plan = blueprint(spec, crossbar_config.ports)
     fabric = Fabric(sim, link_config, crossbar_config,
-                    node_rx_fifo_bytes=node_rx_fifo_bytes, tracer=tracer)
+                    node_rx_fifo_bytes=node_rx_fifo_bytes)
     for op in plan.ops:
         if op[0] == OP_XBAR:
             fabric.add_crossbar(op[1])

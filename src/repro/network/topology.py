@@ -28,7 +28,6 @@ from repro.network.crossbar import Crossbar, CrossbarConfig
 from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.transceiver import TransceiverConfig, make_async_link
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
 
 NodeKey = Tuple[str, int, int]   # ("node", node_id, iface)
 XbarKey = Tuple[str, str]        # ("xbar", name)
@@ -65,13 +64,11 @@ class Fabric:
     def __init__(self, sim: Simulator,
                  link_config: LinkConfig = LinkConfig(),
                  crossbar_config: CrossbarConfig = CrossbarConfig(),
-                 node_rx_fifo_bytes: int = 256,
-                 tracer: Tracer = NULL_TRACER):
+                 node_rx_fifo_bytes: int = 256):
         self.sim = sim
         self.link_config = link_config
         self.crossbar_config = crossbar_config
         self.node_rx_fifo_bytes = node_rx_fifo_bytes
-        self.tracer = tracer
         self.crossbars: Dict[str, Crossbar] = {}
         self.attachments: Dict[Tuple[int, int], NodeAttachment] = {}
         self.graph = nx.DiGraph()
@@ -82,8 +79,7 @@ class Fabric:
     def add_crossbar(self, name: str) -> Crossbar:
         if name in self.crossbars:
             raise ValueError(f"crossbar {name!r} already exists")
-        xbar = Crossbar(self.sim, self.crossbar_config, name=name,
-                        tracer=self.tracer)
+        xbar = Crossbar(self.sim, self.crossbar_config, name=name)
         self.crossbars[name] = xbar
         self._port_claims[name] = {}
         self.graph.add_node(xbar_key(name))
@@ -215,8 +211,7 @@ def grid_spec(rows: int = 4, cols: int = 4, nodes_per_cluster: int = 8):
 def build_cluster(sim: Simulator, n_nodes: int = 8,
                   link_config: LinkConfig = LinkConfig(),
                   crossbar_config: CrossbarConfig = CrossbarConfig(),
-                  planes: int = 2,
-                  tracer: Tracer = NULL_TRACER) -> Fabric:
+                  planes: int = 2) -> Fabric:
     """Figure 5a: ``n_nodes`` nodes on ``planes`` duplicated crossbars.
 
     Node *i*'s interface *p* attaches to port *i* of plane-*p*'s crossbar,
@@ -227,15 +222,15 @@ def build_cluster(sim: Simulator, n_nodes: int = 8,
 
     return build_fabric(sim, cluster_spec(n_nodes, planes),
                         link_config=link_config,
-                        crossbar_config=crossbar_config, tracer=tracer)
+                        crossbar_config=crossbar_config)
 
 
 def build_power_manna_256(sim: Simulator,
                           clusters: int = 16,
                           nodes_per_cluster: int = 8,
                           link_config: LinkConfig = LinkConfig(),
-                          crossbar_config: CrossbarConfig = CrossbarConfig(),
-                          tracer: Tracer = NULL_TRACER) -> Fabric:
+                          crossbar_config: CrossbarConfig = CrossbarConfig()
+                          ) -> Fabric:
     """Figure 5b: a 256-processor (128 dual-CPU node) PowerMANNA.
 
     Per network plane, every cluster crossbar spends its free ports on
@@ -248,15 +243,15 @@ def build_power_manna_256(sim: Simulator,
 
     return build_fabric(sim, manna_spec(clusters, nodes_per_cluster),
                         link_config=link_config,
-                        crossbar_config=crossbar_config, tracer=tracer)
+                        crossbar_config=crossbar_config)
 
 
 def build_grid_system(sim: Simulator,
                       rows: int = 4, cols: int = 4,
                       nodes_per_cluster: int = 8,
                       link_config: LinkConfig = LinkConfig(),
-                      crossbar_config: CrossbarConfig = CrossbarConfig(),
-                      tracer: Tracer = NULL_TRACER) -> Fabric:
+                      crossbar_config: CrossbarConfig = CrossbarConfig()
+                      ) -> Fabric:
     """The row/column reading of Figure 5b, for comparison.
 
     Plane 0 connects the clusters of each row through row crossbars; plane
@@ -268,4 +263,4 @@ def build_grid_system(sim: Simulator,
 
     return build_fabric(sim, grid_spec(rows, cols, nodes_per_cluster),
                         link_config=link_config,
-                        crossbar_config=crossbar_config, tracer=tracer)
+                        crossbar_config=crossbar_config)

@@ -1,13 +1,12 @@
 """Span tracing: one message's lifetime as a causal tree.
 
-The flat :class:`repro.sim.trace.Tracer` answers "did X happen before Y";
-spans answer "where did the time go".  A :class:`Span` is an interval with
-a component, a parent, and arbitrary attributes; spans that belong to one
-network message carry its ``message_id`` and are automatically parented to
-the message's *root* span (opened by the sending driver, closed at
-delivery), so the send-PIO / NI-inject / link / crossbar / drain stages of
-a single message form one tree even though five independent simulation
-processes record them.
+Spans answer both "did X happen before Y" and "where did the time go".
+A :class:`Span` is an interval with a component, a parent, and arbitrary
+attributes; spans that belong to one network message carry its
+``message_id`` and are automatically parented to the message's *root* span
+(opened by the sending driver, closed at delivery), so the send-PIO /
+NI-inject / link / crossbar / drain stages of a single message form one
+tree even though five independent simulation processes record them.
 
 :func:`SpanTracer.breakdown` turns a message tree into a critical-path
 attribution: the root interval is swept left to right and every instant is
@@ -59,7 +58,7 @@ class Span:
 
 
 class SpanTracer:
-    """Collects spans; bounded, with drop accounting like the flat tracer."""
+    """Collects spans; bounded at ``limit``, counting what it drops."""
 
     def __init__(self, limit: int = 1_000_000):
         self.limit = limit

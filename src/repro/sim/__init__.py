@@ -12,7 +12,7 @@ from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import FifoStore, Resource, Signal
 from repro.sim.clock import Clock
-from repro.sim.stats import Counter, Histogram, TimeSeries
+from repro.sim.stats import Counter, Histogram
 
 __all__ = [
     "Clock",
@@ -24,7 +24,5 @@ __all__ = [
     "Resource",
     "Signal",
     "Simulator",
-    "TimeSeries",
-    "TimeSeries",
     "Timeout",
 ]

@@ -1,16 +1,15 @@
 """Statistics collection for simulation components.
 
-Counters, histograms and time series used by caches (hit/miss counts), the
-network (latency distributions) and the benchmark harness (QUIPS curves,
-bandwidth sweeps).
+Per-component counters and histograms: cache hit/miss counts, crossbar
+and link traffic, and latency distributions.  Series over simulated time
+live in :mod:`repro.obs.timeline`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 
 class Counter:
@@ -288,58 +287,3 @@ class Histogram:
             else self._p2_p999.value(),
         }
 
-
-@dataclass
-class TimeSeries:
-    """Ordered (time, value) samples with integration helpers.
-
-    Used to build the HINT QUIPS-versus-time curve and bandwidth sweeps.
-    """
-
-    name: str = "series"
-    points: List[Tuple[float, float]] = field(default_factory=list)
-
-    def add(self, time: float, value: float) -> None:
-        if self.points and time < self.points[-1][0]:
-            raise ValueError(
-                f"time series {self.name!r} requires nondecreasing time; "
-                f"got {time} after {self.points[-1][0]}")
-        self.points.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def times(self) -> List[float]:
-        return [t for t, _ in self.points]
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.points]
-
-    def last(self) -> Tuple[float, float]:
-        if not self.points:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return self.points[-1]
-
-    def value_at(self, time: float) -> float:
-        """Step-interpolated value at ``time`` (value of last sample <= t)."""
-        if not self.points:
-            raise ValueError(f"time series {self.name!r} is empty")
-        result = self.points[0][1]
-        for t, v in self.points:
-            if t > time:
-                break
-            result = v
-        return result
-
-    def integrate(self) -> float:
-        """Trapezoidal integral of value over time."""
-        total = 0.0
-        for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
-            total += 0.5 * (v0 + v1) * (t1 - t0)
-        return total
-
-    def peak(self) -> Tuple[float, float]:
-        """(time, value) of the maximum value."""
-        if not self.points:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return max(self.points, key=lambda p: p[1])

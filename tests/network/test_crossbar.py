@@ -5,6 +5,8 @@ import pytest
 from repro.network.crossbar import Crossbar, CrossbarConfig, RoutingError
 from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.message import Flit, FlitKind, Message, build_wire_format
+from repro.network.topology import build_cluster
+from repro.obs import observe
 from repro.sim.engine import Simulator
 
 
@@ -121,6 +123,50 @@ class TestWormholeRouting:
         ids = [f.message_id for _, f in out]
         switch_points = sum(1 for a, b in zip(ids, ids[1:]) if a != b)
         assert switch_points == 1
+
+
+class TestFailedOutput:
+    """A failed output black-holes wormholes routed to it: every flit is
+    consumed so the input keeps flowing, none is forwarded, and each
+    swallowed wormhole is counted once in stats and in metrics."""
+
+    def _cluster_plane(self):
+        sim = Simulator()
+        fabric = build_cluster(sim)
+        return sim, fabric.crossbars["plane0"], fabric.attachment(2, 0).rx_fifo
+
+    def test_message_to_failed_port_is_blackholed_and_counted(self):
+        with observe() as session:
+            sim, xbar, rx = self._cluster_plane()
+            xbar.fail_output(2)
+            inject(sim, xbar, 0, message_flits([2], payload=64))
+            sim.run()
+        assert xbar.stats["blackholed"] == 1
+        assert session.metrics.total("faults.blackholed") == 1
+        assert xbar.stats["forwarded_bytes"] == 0
+        assert rx.is_empty and xbar.input_fifo(0).is_empty
+
+    def test_port_failed_mid_wormhole_drains_the_rest_unsent(self):
+        sim, xbar, rx = self._cluster_plane()
+        flits = message_flits([2], payload=256)
+        inject(sim, xbar, 0, flits)
+        delivered = []
+        drain(sim, rx, len(flits), delivered)
+
+        def fail_after_first_flits():
+            # Route setup is 200 ns; by 400 ns the circuit is open and
+            # carrying payload, with most of the message still upstream.
+            yield sim.timeout(400.0)
+            assert xbar.stats["connections"] == 1
+            assert 0 < xbar.stats["forwarded_bytes"] < 256
+            xbar.fail_output(2)
+
+        sim.process(fail_after_first_flits())
+        sim.run()
+        assert xbar.stats["blackholed"] == 1
+        assert 0 < len(delivered) < len(flits) - 1
+        assert all(f.kind == FlitKind.DATA for _, f in delivered)
+        assert xbar.input_fifo(0).is_empty
 
 
 class TestProtocolErrors:

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro import cli
 from repro.cli import main
 from repro.obs.export import validate_trace_file
 from repro.obs.report import validate_report_file
@@ -10,7 +13,8 @@ from repro.obs.report import validate_report_file
 class TestTraceCommand:
     def test_trace_fig9_writes_valid_perfetto_file(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
-        assert main(["trace", "fig9", "--out", out, "--sizes", "8"]) == 0
+        assert main(["trace", "fig9", "--out", out,
+                     "--sizes", "8", "64"]) == 0
         assert validate_trace_file(out) > 0
         payload = json.load(open(out))
         x_names = {e["name"] for e in payload["traceEvents"]
@@ -40,6 +44,7 @@ class TestMetricsCommand:
         out = str(tmp_path / "m.json")
         main(["metrics", "fig9", "--sizes", "8", "--out", out])
         rows = json.load(open(out))
+        assert rows, "empty metrics dump"
         metrics = {r["metric"] for r in rows}
         assert "driver.sent" in metrics
         assert "xbar.connections" in metrics
@@ -104,8 +109,9 @@ class TestSamplingFlags:
                      "--no-cache"]) == 0
         payload = json.load(open(out))
         names = {s["name"] for s in payload["series"]}
-        assert {"link.util", "xbar.in_fifo_bytes", "ni.send_fifo_bytes",
-                "driver.send_backlog", "des.pending_events"} <= names
+        assert {"link.util", "xbar.in_fifo_bytes", "xbar.out_queue",
+                "ni.send_fifo_bytes", "driver.send_backlog",
+                "des.pending_events"} <= names
         assert payload["samples_taken"] > 0
         assert "Figure 9" in capsys.readouterr().out
 
@@ -154,6 +160,8 @@ class TestReportCommand:
         page = open(out).read()
         assert "<svg" in page
         assert "report-data" in page
+        assert "http" not in page.split("</style>")[1], \
+            "report is not self-contained"
         assert "wrote" in capsys.readouterr().out
 
     def test_report_health_violation_exits_nonzero(self, tmp_path):
@@ -185,3 +193,98 @@ class TestFigureFlags:
         from repro.obs import OBS
         assert main(["fig9", "--sizes", "8"]) == 0
         assert OBS.enabled is False
+
+
+def _without_wrote_lines(text: str) -> str:
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith("wrote "))
+
+
+class TestObservedSessions:
+    """Every command that takes observation flags opens its session the
+    same way: artifacts after the output, the output itself unchanged,
+    and partial artifacts flushed when the run is interrupted."""
+
+    CHAOS = ["chaos", "--seed", "11", "--messages", "4",
+             "--link-error-rate", "0.05"]
+    CAMPAIGN = CHAOS + ["--seeds", "2", "--no-cache"]
+
+    def test_fig7_timeline_out_writes_the_node_artifact(self, tmp_path,
+                                                        capsys):
+        out = str(tmp_path / "tl.json")
+        assert main(["fig7", "--sizes", "8", "--scale", "16",
+                     "--timeline-out", out, "--no-cache"]) == 0
+        payload = json.load(open(out))
+        assert "series" in payload and not payload.get("partial")
+        stdout = capsys.readouterr().out
+        assert "Figure 7" in stdout
+        assert f"wrote {out}" in stdout
+
+    @pytest.mark.parametrize("base", [CHAOS, CAMPAIGN],
+                             ids=["single", "campaign"])
+    def test_chaos_metrics_out_leaves_stdout_unchanged(self, base, tmp_path,
+                                                       capsys):
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        out = str(tmp_path / "m.json")
+        assert main(base + ["--metrics-out", out]) == 0
+        observed = capsys.readouterr().out
+        assert json.load(open(out)), "empty metrics dump"
+        assert f"wrote {out}" in observed
+        assert _without_wrote_lines(observed) == _without_wrote_lines(plain)
+
+    def _interrupt_after_work(self, monkeypatch, exc):
+        """Make fig9's sweep do its real (observed) work, then stop."""
+        real = cli.comm_sweep
+
+        def interrupted(*args, **kwargs):
+            real(*args, **kwargs)
+            raise exc
+
+        monkeypatch.setattr(cli, "comm_sweep", interrupted)
+
+    def test_interrupt_flushes_partial_artifacts_and_exits_130(
+            self, monkeypatch, tmp_path, capsys):
+        self._interrupt_after_work(monkeypatch, KeyboardInterrupt())
+        trace = str(tmp_path / "t.json")
+        metrics = str(tmp_path / "m.json")
+        timeline = str(tmp_path / "tl.json")
+        assert main(["fig9", "--sizes", "8", "--no-cache",
+                     "--trace", trace, "--metrics-out", metrics,
+                     "--timeline-out", timeline]) == 130
+        assert validate_trace_file(trace) > 0
+        assert json.load(open(trace))["otherData"]["partial"] is True
+        assert json.load(open(timeline))["partial"] is True
+        assert json.load(open(metrics)), "nothing observed was flushed"
+        captured = capsys.readouterr()
+        assert "(partial)" in captured.out
+        assert "Figure 9" not in captured.out
+        assert "interrupted" in captured.err
+
+    def test_chaos_interrupt_flushes_partial_artifacts(
+            self, monkeypatch, tmp_path):
+        import repro.faults.chaos as chaos
+
+        real = chaos.run_chaos
+
+        def interrupted(*args, **kwargs):
+            real(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(chaos, "run_chaos", interrupted)
+        trace = str(tmp_path / "t.json")
+        assert main(self.CHAOS + ["--trace", trace]) == 130
+        assert json.load(open(trace))["otherData"]["partial"] is True
+
+    def test_sweep_interrupt_keeps_the_resume_hint(self, monkeypatch,
+                                                   tmp_path, capsys):
+        from repro.parallel.supervise import SweepInterrupted
+
+        journal = str(tmp_path / "fig9.jsonl")
+        self._interrupt_after_work(monkeypatch, SweepInterrupted(journal))
+        metrics = str(tmp_path / "m.json")
+        assert main(["fig9", "--sizes", "8", "--no-cache",
+                     "--metrics-out", metrics]) == 130
+        assert json.load(open(metrics))
+        err = capsys.readouterr().err
+        assert f"resume with: --resume {journal}" in err

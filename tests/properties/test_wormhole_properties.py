@@ -7,25 +7,21 @@ from repro.msg.api import build_cluster_world
 from repro.network.message import FlitKind
 from repro.network.routing import RouteTable
 from repro.network.topology import build_power_manna_256, node_key
+from repro.obs import observe
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+
+_PAYLOADS = st.lists(st.integers(min_value=0, max_value=256),
+                     min_size=2, max_size=5)
+_SENDERS = st.lists(st.integers(min_value=1, max_value=7),
+                    min_size=2, max_size=5)
 
 
-@given(payloads=st.lists(st.integers(min_value=0, max_value=256),
-                         min_size=2, max_size=5),
-       senders=st.lists(st.integers(min_value=1, max_value=7),
-                        min_size=2, max_size=5))
-@settings(max_examples=25, deadline=None)
-def test_wormhole_messages_never_interleave(payloads, senders):
-    """Under arbitrary contention on one output port, each message's
-    payload flits arrive contiguously (wormhole = circuit until close)."""
-    senders = senders[:len(payloads)]
-    payloads = payloads[:len(senders)]
+def _contend(payloads, senders):
+    """Send one message from each sender to node 0 at once; return the
+    flits in the order they reached node 0's receive FIFO."""
     sim, world = build_cluster_world()
     target = 0
-
     arrived = []
-    original_apply = world.endpoint(target).driver
 
     def recorder():
         fifo = world.fabric.attachment(target, 0).rx_fifo
@@ -40,6 +36,17 @@ def test_wormhole_messages_never_interleave(payloads, senders):
         message = world.make_message(sender, target, nbytes)
         sim.process(world.endpoint(sender).driver.send_message(message))
     sim.run()
+    return arrived
+
+
+@given(payloads=_PAYLOADS, senders=_SENDERS)
+@settings(max_examples=25, deadline=None)
+def test_wormhole_messages_never_interleave(payloads, senders):
+    """Under arbitrary contention on one output port, each message's
+    payload flits arrive contiguously (wormhole = circuit until close)."""
+    senders = senders[:len(payloads)]
+    payloads = payloads[:len(senders)]
+    arrived = _contend(payloads, senders)
 
     # Partition arrivals by message id; each message's flits contiguous.
     ids_in_order = [f.message_id for f in arrived]
@@ -52,6 +59,37 @@ def test_wormhole_messages_never_interleave(payloads, senders):
     # And every message fully arrived (close flit per message).
     closes = [f for f in arrived if f.kind == FlitKind.CLOSE]
     assert len(closes) == len(senders)
+
+
+@given(payloads=_PAYLOADS, senders=_SENDERS)
+@settings(max_examples=25, deadline=None)
+def test_crossbar_spans_route_before_forward_and_hold_the_circuit(
+        payloads, senders):
+    """The same contention, read back from repro.obs spans: a crossbar
+    consumes the route byte (xbar.arbitrate) before it forwards anything
+    (xbar.forward), and an output port carries one wormhole at a time —
+    forward spans on one (crossbar, out_port) never overlap, because the
+    circuit is held until the close flit."""
+    senders = senders[:len(payloads)]
+    payloads = payloads[:len(senders)]
+    with observe() as session:
+        _contend(payloads, senders)
+    spans = session.tracer.finished_spans()
+    arbitrate = {(s.message_id, s.component): s for s in spans
+                 if s.name == "xbar.arbitrate"}
+    forward = [s for s in spans if s.name == "xbar.forward"]
+    assert len(forward) == len(arbitrate) == len(senders)
+
+    by_output = {}
+    for fwd in forward:
+        arb = arbitrate[(fwd.message_id, fwd.component)]
+        assert arb.end_ns <= fwd.start_ns, (arb, fwd)
+        by_output.setdefault((fwd.component, fwd.attrs["out_port"]),
+                             []).append(fwd)
+    for circuits in by_output.values():
+        circuits.sort(key=lambda s: s.start_ns)
+        for held, nxt in zip(circuits, circuits[1:]):
+            assert held.end_ns <= nxt.start_ns, (held, nxt)
 
 
 @given(pairs=st.lists(

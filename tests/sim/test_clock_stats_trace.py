@@ -1,10 +1,9 @@
-"""Tests for clocks, statistics and tracing."""
+"""Tests for clocks and component statistics."""
 
 import pytest
 
 from repro.sim.clock import Clock
-from repro.sim.stats import Counter, Histogram, TimeSeries
-from repro.sim.trace import Tracer
+from repro.sim.stats import Counter, Histogram
 
 
 class TestClock:
@@ -142,96 +141,3 @@ class TestHistogram:
         assert summary["count"] == 0
         assert summary["p99"] == 0.0
 
-
-class TestTimeSeries:
-    def test_add_and_query(self):
-        series = TimeSeries("s")
-        series.add(0.0, 10.0)
-        series.add(1.0, 20.0)
-        assert series.last() == (1.0, 20.0)
-        assert series.value_at(0.5) == 10.0
-        assert series.value_at(1.5) == 20.0
-
-    def test_time_must_be_nondecreasing(self):
-        series = TimeSeries()
-        series.add(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.add(4.0, 1.0)
-
-    def test_integrate_trapezoid(self):
-        series = TimeSeries()
-        series.add(0.0, 0.0)
-        series.add(2.0, 2.0)
-        assert series.integrate() == pytest.approx(2.0)
-
-    def test_peak(self):
-        series = TimeSeries()
-        for t, v in ((0.0, 1.0), (1.0, 9.0), (2.0, 3.0)):
-            series.add(t, v)
-        assert series.peak() == (1.0, 9.0)
-
-    def test_empty_series_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
-
-class TestTracer:
-    def test_records_and_filters(self):
-        tracer = Tracer()
-        tracer.record(1.0, "link", "delivered", "a")
-        tracer.record(2.0, "xbar", "route", "b")
-        tracer.record(3.0, "link", "delivered", "c")
-        assert len(tracer) == 3
-        assert [r.payload for r in tracer.filter(component="link")] == ["a", "c"]
-        assert tracer.first("route").time == 2.0
-        assert tracer.counts_by_event() == {"delivered": 2, "route": 1}
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "x", "y")
-        assert len(tracer) == 0
-
-    def test_limit_drops_excess(self):
-        tracer = Tracer(limit=2)
-        for i in range(5):
-            tracer.record(float(i), "c", "e")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-
-    def test_dropped_records_still_counted_by_event(self):
-        tracer = Tracer(limit=3)
-        for i in range(4):
-            tracer.record(float(i), "c", "flit")
-        tracer.record(4.0, "c", "route")
-        assert tracer.counts_by_event() == {"flit": 4, "route": 1}
-        assert tracer.counts_by_event(include_dropped=False) == {"flit": 3}
-        assert tracer.dropped_by_event == {"flit": 1, "route": 1}
-
-    def test_dump_truncates(self):
-        tracer = Tracer()
-        for i in range(5):
-            tracer.record(float(i), "c", "e")
-        dump = tracer.dump(limit=2)
-        assert "3 more records" in dump
-
-    def test_dump_tail_shows_last_records(self):
-        tracer = Tracer()
-        for i in range(10):
-            tracer.record(float(i), "c", "e", i)
-        dump = tracer.dump(limit=2, tail=2)
-        assert "... 6 more records" in dump
-        assert "8" in dump and "9" in dump
-
-    def test_dump_reports_drops(self):
-        tracer = Tracer(limit=2)
-        for i in range(5):
-            tracer.record(float(i), "c", "e")
-        dump = tracer.dump()
-        assert "[3 records dropped after limit 2]" in dump
-
-    def test_filter_predicate(self):
-        tracer = Tracer()
-        tracer.record(1.0, "c", "e", 10)
-        tracer.record(2.0, "c", "e", 20)
-        hits = tracer.filter(predicate=lambda r: r.payload > 15)
-        assert len(hits) == 1
