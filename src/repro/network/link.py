@@ -17,7 +17,7 @@ from repro.faults import FAULTS
 from repro.network.message import Flit, FlitKind
 from repro.obs import OBS
 from repro.sim.clock import Clock
-from repro.sim.engine import Event, SimulationError, Simulator, _heappush
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import FifoStore
 from repro.sim.stats import Counter
 
@@ -85,8 +85,7 @@ class ByteFifo:
             # double-trigger check cannot fire.
             event._triggered = True
             event._value = flit
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._ready.append(event)
             getters = self._getters
             if getters:
                 gev = getters.popleft()
@@ -119,8 +118,7 @@ class ByteFifo:
             self.total_bytes_out += flit.nbytes
             event._triggered = True
             event._value = flit
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._ready.append(event)
             if self._putters:
                 self._settle()
             return event

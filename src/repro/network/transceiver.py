@@ -68,7 +68,7 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
         # which is what lets the stop signal work over 30 m.
         relay_span = 0
         while True:
-            flit = yield buffer_fifo.get()
+            flit = yield buffer_fifo.get_pooled()
             if OBS.enabled and not relay_span:
                 relay_span = OBS.tracer.begin(
                     "xcvr.relay", name, sim.now, category="network",
@@ -85,7 +85,7 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
                                             xcvr=name)
                     yield sim.pooled_timeout(stall)
             yield sim.pooled_timeout(cfg.serialize_ns(flit.nbytes))
-            yield rx.put(flit)
+            yield rx.put_pooled(flit)
             if flit.kind == FlitKind.CLOSE:
                 if OBS.enabled:
                     OBS.tracer.end(relay_span, sim.now)

@@ -11,8 +11,8 @@ instrumented layer registers cheap gauge *probes* at construction::
                            lambda: self.tx.level_bytes, link=self.name)
 
 and the simulator kernel drives sampling from its event loop: one float
-compare per event (``when >= sim._sample_due``) when a sampler is
-attached, and the same compare against ``inf`` when not — so a run
+compare per clock advance (``when >= sim._sample_due``) when a sampler
+is attached, and the same compare against ``inf`` when not — so a run
 without sampling pays (almost) nothing, mirroring the ``OBS.enabled``
 discipline of every other observability layer.
 
@@ -277,7 +277,7 @@ class Timeline:
             sampler.add("des.event_pool",
                         lambda: float(len(sim._timeout_pool)), {})
             sampler.add("des.pending_events",
-                        lambda: float(len(sim._queue)), {})
+                        lambda: float(sim.pending_events()), {})
         return sampler
 
     def probe(self, sim, name: str, fn: Callable[[], float],

@@ -19,6 +19,10 @@ has to beat:
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
   (driver -> NI -> link -> crossbar -> drain): the event-kernel hot loop.
 * ``fig11_unidir`` — back-to-back streaming bandwidth (DES under load).
+* ``traffic_incast`` — one classed load point of ``traffic --load`` on
+  the 32-node two-level crossbar tree under the priority arbiter: the
+  contended DES path, where most events come due at the instant they
+  are scheduled.
 * ``topo_hypercube_1k`` — 1024-node hypercube fabric construction (the
   topology generator + realizer path at sweep scale).
 
@@ -42,6 +46,9 @@ from repro.perf.baseline import SEED_BASELINE
 SCHEMA = "repro.perf/v1"
 
 FIG9_SIZES = (8, 64, 512, 1024)
+
+#: Messages per sender in the ``traffic_incast`` load point.
+TRAFFIC_MESSAGES = 6
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,24 @@ def _kernel_fig11_unidir() -> Tuple[int, str, float]:
     return events, "events", bw
 
 
+def _kernel_traffic_incast() -> Tuple[int, str, float]:
+    from repro.bench.traffic import parse_classes, parse_mix, run_load
+    from repro.msg.api import build_topology_world
+    from repro.network.crossbar import CrossbarConfig
+    from repro.network.qos import QosConfig
+    from repro.network.topo import parse_topology
+
+    qos = QosConfig(arbiter="priority", classes=parse_classes(
+        "urgent:prio=0:weight=4,bulk:prio=1:weight=1"))
+    sim, world = build_topology_world(
+        parse_topology("xbar_tree:levels=2,arity=4"),
+        crossbar_config=CrossbarConfig(qos=qos))
+    result = run_load(
+        world, qos=qos, load=0.8, messages=TRAFFIC_MESSAGES, seed=11,
+        mix=parse_mix("urgent=incast:0.2:odd,bulk=hotspot:0.8:even"))
+    return sim.events_processed, "events", result.elapsed_ns
+
+
 def _kernel_topo_hypercube_1k() -> Tuple[int, str, float]:
     """Stand up a 1024-node hypercube flit fabric: the generator +
     realizer construction path at sweep scale (no simulation run)."""
@@ -183,6 +208,7 @@ KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig8_smp": _kernel_fig8_smp,
     "fig9_pingpong": _kernel_fig9_pingpong,
     "fig11_unidir": _kernel_fig11_unidir,
+    "traffic_incast": _kernel_traffic_incast,
     "topo_hypercube_1k": _kernel_topo_hypercube_1k,
 }
 
@@ -196,6 +222,7 @@ def _warm_imports() -> None:
     """
     import repro.bench.hint  # noqa: F401
     import repro.bench.matmult  # noqa: F401
+    import repro.bench.traffic  # noqa: F401
     import repro.core.specs  # noqa: F401
     import repro.msg.api  # noqa: F401
     import repro.network.topo  # noqa: F401

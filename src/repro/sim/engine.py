@@ -5,13 +5,30 @@ library convert cycles to nanoseconds through :class:`repro.sim.clock.Clock`
 so that components in different clock domains (180 MHz CPUs, 60 MHz links)
 compose on one timeline.
 
+Pending events live in a two-level queue:
+
+* ``_ready`` — a FIFO (``deque``) of events due at the current instant.
+  :meth:`Event.trigger`, the inline FIFO accept/match paths, and any
+  timeout whose ``now + delay`` equals ``now`` (a zero delay, or one
+  absorbed by float rounding) append here.
+* ``_queue`` — a heap of ``(time, seq, event)`` entries due strictly
+  later; only future timeouts pay its log-n push and pop.
+
+The run loops drain ``_ready`` first.  When it is empty they advance the
+clock to the heap top and move *every* heap entry due at that instant
+into ``_ready`` before running any of them.  That is exactly the order of
+a single heap keyed by ``(time, seq)``: an entry in the heap at time T
+was pushed before the clock reached T, so it precedes everything
+triggered at T, and ``_ready`` is appended in trigger order, which is
+seq order.  While a run is in progress no heap entry is due at ``now``.
+
 The event loop is the hot path of every network figure, so the kernel
-keeps allocation off the per-event path where it can: the run loops pop
-the heap inline, events with a single waiter (the dominant case — one
-process blocked on one FIFO slot or timeout) dispatch without building a
-fresh callback list, and the link/crossbar/driver processes draw their
-delays from a :meth:`Simulator.pooled_timeout` free list instead of
-allocating a new :class:`Timeout` per flit.
+also keeps allocation off the per-event path: events with a single
+waiter (the dominant case — one process blocked on one FIFO slot or
+timeout) dispatch without building a fresh callback list, and the
+link/crossbar/driver processes draw their events and delays from a
+:meth:`Simulator.pooled_timeout` free list instead of allocating a new
+:class:`Timeout` per flit.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
 _heappush = heapq.heappush
@@ -69,8 +87,7 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        sim = self.sim
-        _heappush(sim._queue, (sim._now, next(sim._tiebreak), self))
+        self.sim._ready.append(self)
         return self
 
     def succeed(self, value: Any = None) -> "Event":
@@ -95,7 +112,12 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        _heappush(sim._queue, (sim._now + delay, next(sim._tiebreak), self))
+        now = sim._now
+        when = now + delay
+        if when == now:
+            sim._ready.append(self)
+        else:
+            _heappush(sim._queue, (when, next(sim._tiebreak), self))
 
 
 class AnyOf(Event):
@@ -165,10 +187,12 @@ class AllOf(Event):
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, tiebreak, event)."""
+    """The event loop: a same-time FIFO before a heap of future
+    ``(time, tiebreak, event)`` entries (see the module docstring)."""
 
     def __init__(self):
         self._now = 0.0
+        self._ready: deque[Event] = deque()
         self._queue: list[tuple[float, int, Event]] = []
         self._tiebreak = itertools.count()
         self._running = False
@@ -176,9 +200,9 @@ class Simulator:
         self.events_processed = 0
         # Periodic telemetry sampling (repro.obs.timeline).  With no
         # sampler attached ``_sample_due`` stays at +inf, so the run
-        # loops pay one float compare per event and nothing else.  The
-        # import is function-level: repro.obs pulls in sim.stats, which
-        # triggers this module via sim/__init__.
+        # loops pay one float compare per clock advance and nothing
+        # else.  The import is function-level: repro.obs pulls in
+        # sim.stats, which triggers this module via sim/__init__.
         self._sampler = None
         self._sample_due = math.inf
         from repro.obs import OBS
@@ -224,8 +248,12 @@ class Simulator:
         timeout.delay = delay
         if timeout.callbacks:
             timeout.callbacks.clear()
-        _heappush(self._queue,
-                  (self._now + delay, next(self._tiebreak), timeout))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(timeout)
+        else:
+            _heappush(self._queue, (when, next(self._tiebreak), timeout))
         return timeout
 
     def pooled_event(self, name: str = "") -> Event:
@@ -266,15 +294,39 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self._now + delay, next(self._tiebreak), event))
+    def _requeue_ready(self) -> None:
+        """Hand events made due outside a run back to the heap.
+
+        Code between runs (building a world, a run cut at ``until``) can
+        leave events in ``_ready``.  Re-pushed at ``now`` in FIFO order
+        they precede every heap entry, so the loop still runs them first,
+        but meets them through its advance path: the ``until`` cut-off
+        and the sampler tick treat them exactly as they did when every
+        event went through the heap.
+        """
+        ready = self._ready
+        if ready:
+            now = self._now
+            queue = self._queue
+            tiebreak = self._tiebreak
+            for event in ready:
+                _heappush(queue, (now, next(tiebreak), event))
+            ready.clear()
 
     def step(self) -> float:
         """Process one event; return its timestamp."""
-        when, _, event = heapq.heappop(self._queue)
-        if when < self._now:
-            raise SimulationError("time ran backwards")
-        self._now = when
+        ready = self._ready
+        if ready:
+            event = ready.popleft()
+            when = self._now
+        else:
+            queue = self._queue
+            when, _, event = heapq.heappop(queue)
+            if when < self._now:
+                raise SimulationError("time ran backwards")
+            self._now = when
+            while queue and queue[0][0] == when:
+                ready.append(heapq.heappop(queue)[2])
         if when >= self._sample_due:
             self._sample_due = self._sampler.tick(self._sample_due, when)
         event._processed = True
@@ -303,26 +355,42 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        self._requeue_ready()
         events = 0
+        ready = self._ready
+        next_ready = ready.popleft
+        make_ready = ready.append
         queue = self._queue
         pool = self._timeout_pool
         heappop = heapq.heappop
         try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
+            while True:
+                if ready:
+                    if events >= max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; runaway simulation?")
+                    event = next_ready()
+                elif queue:
+                    when = queue[0][0]
+                    if until is not None and when > until:
+                        self._now = until
+                        break
+                    if events >= max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; runaway simulation?")
+                    event = heappop(queue)[2]
+                    if when < self._now:
+                        raise SimulationError("time ran backwards")
+                    self._now = when
+                    while queue and queue[0][0] == when:
+                        make_ready(heappop(queue)[2])
+                    if when >= self._sample_due:
+                        self._sample_due = self._sampler.tick(
+                            self._sample_due, when)
+                else:
+                    if until is not None and until > self._now:
+                        self._now = until
                     break
-                if events >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation?")
-                _, _, event = heappop(queue)
-                if when < self._now:
-                    raise SimulationError("time ran backwards")
-                self._now = when
-                if when >= self._sample_due:
-                    self._sample_due = self._sampler.tick(
-                        self._sample_due, when)
                 event._processed = True
                 callbacks = event.callbacks
                 if len(callbacks) == 1:
@@ -336,9 +404,6 @@ class Simulator:
                 if event._pooled:
                     pool.append(event)
                 events += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
         finally:
             self._running = False
             self.events_processed += events
@@ -355,22 +420,36 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        self._requeue_ready()
         events = 0
+        ready = self._ready
+        next_ready = ready.popleft
+        make_ready = ready.append
         queue = self._queue
         pool = self._timeout_pool
         heappop = heapq.heappop
         try:
-            while queue and not process._triggered:
-                if events >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation?")
-                when, _, event = heappop(queue)
-                if when < self._now:
-                    raise SimulationError("time ran backwards")
-                self._now = when
-                if when >= self._sample_due:
-                    self._sample_due = self._sampler.tick(
-                        self._sample_due, when)
+            while not process._triggered:
+                if ready:
+                    if events >= max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; runaway simulation?")
+                    event = next_ready()
+                elif queue:
+                    if events >= max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; runaway simulation?")
+                    when, _, event = heappop(queue)
+                    if when < self._now:
+                        raise SimulationError("time ran backwards")
+                    self._now = when
+                    while queue and queue[0][0] == when:
+                        make_ready(heappop(queue)[2])
+                    if when >= self._sample_due:
+                        self._sample_due = self._sampler.tick(
+                            self._sample_due, when)
+                else:
+                    break
                 event._processed = True
                 callbacks = event.callbacks
                 if len(callbacks) == 1:
@@ -394,4 +473,6 @@ class Simulator:
         return process.value
 
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Events scheduled but not yet processed: the same-time FIFO
+        plus the future heap."""
+        return len(self._ready) + len(self._queue)

@@ -33,7 +33,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running generator, resumable by the events it yields."""
 
-    __slots__ = ("_generator", "_send", "_waiting_on")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: Simulator, generator: Generator):
         if not hasattr(generator, "send"):
@@ -44,9 +44,11 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._waiting_on: Event | None = None
+        # Bound once: every wait appends this same callback.
+        self._resume_cb = self._resume
         # Bootstrap: resume once at the current time.
         start = Event(sim, "start")
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._resume_cb)
         start.trigger()
 
     @property
@@ -65,7 +67,7 @@ class Process(Event):
         if waited is not None and not waited.processed:
             # Detach from the event we were waiting on.
             try:
-                waited.callbacks.remove(self._resume)
+                waited.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self._waiting_on = None
@@ -98,7 +100,7 @@ class Process(Event):
             poke.trigger()
         else:
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_cb)
 
     def _step(self, value: Any, throw: bool = False) -> None:
         try:
@@ -123,4 +125,4 @@ class Process(Event):
             poke.trigger()
         else:
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_cb)

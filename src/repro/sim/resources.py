@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator, _heappush
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class FifoStore:
@@ -77,8 +77,7 @@ class FifoStore:
             # double-trigger check cannot fire.
             event._triggered = True
             event._value = item
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._ready.append(event)
             getters = self._getters
             if getters:
                 gev = getters.popleft()
@@ -110,8 +109,7 @@ class FifoStore:
             self.total_got += 1
             event._triggered = True
             event._value = got
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._ready.append(event)
             if self._putters:
                 self._settle()
             return event

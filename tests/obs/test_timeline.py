@@ -223,6 +223,22 @@ class TestSimSampler:
         # Boundaries 10..50 inclusive crossed by event timestamps.
         assert pending.sample_count() == 5
 
+    def test_pending_events_counts_same_time_events(self):
+        from repro.obs import observe
+        from repro.sim.engine import Simulator
+
+        with observe(sample_interval_ns=10.0) as session:
+            sim = Simulator()
+            for _ in range(3):
+                sim.timeout(10.0)
+            sim.timeout(25.0)
+            sim.run()
+        pending = session.timeline.series_named("des.pending_events")[0]
+        # At t=10 one timeout is about to run, the other two due at t=10 wait
+        # in the same-time queue and the t=25 one in the heap: 3 pending.
+        # The t=20 boundary is sampled on reaching t=25, with none left.
+        assert pending.values("max") == [3.0, 0.0]
+
     def test_unsampled_simulator_pays_one_inf_compare(self):
         import math
         from repro.sim.engine import Simulator

@@ -89,11 +89,13 @@ class TestRunBench:
     def test_default_covers_every_figure_family(self):
         assert set(KERNELS) == {
             "fig6_hint", "fig7_matmult", "fig7_matmult_scalar", "fig8_smp",
-            "fig9_pingpong", "fig11_unidir", "topo_hypercube_1k"}
+            "fig9_pingpong", "fig11_unidir", "traffic_incast",
+            "topo_hypercube_1k"}
         # Every figure kernel has a recorded seed baseline to beat;
         # kernels born after the seed (the topology layer, the
-        # scalar-loop twin of fig7, the dual-CPU fig8 replay) have none
-        # and report no speedup_vs_seed.
+        # scalar-loop twin of fig7, the dual-CPU fig8 replay, the
+        # contended traffic point) have none and report no
+        # speedup_vs_seed.
         figure_kernels = {"fig6_hint", "fig7_matmult", "fig9_pingpong",
                           "fig11_unidir"}
         assert figure_kernels <= set(SEED_BASELINE["kernels"])

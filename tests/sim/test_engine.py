@@ -63,7 +63,9 @@ class TestSimulatorBasics:
     def test_pending_events_counts_queue(self, sim):
         sim.timeout(1.0)
         sim.timeout(2.0)
-        assert sim.pending_events() == 2
+        sim.event().trigger()  # due now: the same-time FIFO, not the heap
+        assert (len(sim._ready), len(sim._queue)) == (1, 2)
+        assert sim.pending_events() == 3
 
 
 class TestEvent:

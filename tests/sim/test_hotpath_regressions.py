@@ -9,11 +9,18 @@ Each test here pins a specific pre-fix behavior:
   event in a loop accumulated dead callbacks on it.
 * Pooled timeouts/events must behave exactly like fresh ones when
   recycled (state fully reset, callbacks cleared).
+
+It also pins the kernel invariants the fast paths rely on: an unsampled
+simulator compares against ``inf`` only, and during a run every event
+due at ``now`` waits in the same-time FIFO, never in the heap.
 """
+
+import math
 
 import pytest
 
 from repro.sim.engine import AllOf, AnyOf, SimulationError, Simulator
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -172,3 +179,31 @@ class TestPooledRecycling:
         timeout = sim.pooled_timeout(3.0, value="later")
         assert timeout is event
         assert sim.run() == 3.0
+
+
+class TestKernelInvariants:
+    def test_unsampled_run_keeps_due_now_events_off_the_heap(
+            self, monkeypatch):
+        from repro.msg.api import build_cluster_world
+
+        resume = Process._resume
+        checked = []
+
+        def checked_resume(self, event):
+            queue = self.sim._queue
+            assert not queue or queue[0][0] > self.sim.now, (
+                f"heap entry due at {queue[0][0]!r} with now="
+                f"{self.sim.now!r}")
+            checked.append(None)
+            return resume(self, event)
+
+        # Patched before the world is built: each process binds its
+        # resume callback once, at construction.
+        monkeypatch.setattr(Process, "_resume", checked_resume)
+        sim, world = build_cluster_world()
+        # No sampler: the run loops compare against inf only.
+        assert sim._sampler is None
+        assert sim._sample_due == math.inf
+        world.one_way_latency_ns(0, 1, 1024)
+        world.unidirectional_mb_s(0, 1, 256, count=4)
+        assert len(checked) > 1000
