@@ -116,8 +116,8 @@ def run_matmult(node: NodeModel, n: int, version: str = "naive",
     always replayed in full (it is O(n^2)).
 
     Traces are emitted as structured arrays, the product a row at a time;
-    ``node.run_traces`` replays a one-CPU run vectorized and a multi-CPU
-    run through the scalar loop.
+    ``node.run_traces`` replays them vectorized, a multi-CPU run too,
+    since each CPU's matrices are its own.
     """
     if n < 2:
         raise ValueError(f"matrix size must be >= 2, got {n}")

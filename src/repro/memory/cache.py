@@ -253,8 +253,10 @@ class Cache:
         """Flush the whole cache; returns number of dirty lines discarded."""
         dirty = 0
         for line_set in self._sets:
-            dirty += sum(1 for s in line_set.values() if s == MESIState.MODIFIED)
-            line_set.clear()
+            if line_set:
+                dirty += sum(1 for s in line_set.values()
+                             if s == MESIState.MODIFIED)
+                line_set.clear()
         return dirty
 
     # -- statistics -----------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -281,7 +282,10 @@ StallModel = Callable[[float, float], float]
 
 Stall models must be pure: the result depends on the two arguments only.
 The fast replay paths (``_replay_fast`` and :mod:`repro.memory.vec`)
-evaluate the stalls of their in-loop outcomes once per replay.
+evaluate the stalls of their in-loop outcomes once per replay.  They
+must also be non-negative: vec merges only the CPUs' L2 misses, which
+visits them in the reference's order only while issue times never
+decrease.
 """
 
 
@@ -350,6 +354,9 @@ def run_interleaved(memory: MultiprocessorMemory,
 # Replaying an address trace through ``run_interleaved`` costs one TraceStep
 # dataclass, one AccessResult, one MpAccessOutcome, two MESIState
 # constructions and several Counter dict updates per reference.
+# ``replay_traces`` sends most replays to :mod:`repro.memory.vec`; the rest
+# -- CPUs whose traces share lines, SHARED lines resident, addresses
+# outside ``[0, 2**63)`` -- take ``_replay_fast``.
 # ``_replay_fast`` is one scalar loop for any CPU count: the merge heap of
 # ``run_interleaved`` is kept, but the common accesses run inside the loop
 # frame.  Set/tag shifts are precomputed, the L1/L2/TLB dicts are touched
@@ -426,15 +433,18 @@ def replay_traces(memory: MultiprocessorMemory,
 
     * one trace goes to the vectorized engine in :mod:`repro.memory.vec`,
       one bounded segment at a time; a segment the engine cannot take (an
-      address outside ``[0, 2**63)``, SHARED lines resident, warm sibling
-      CPUs) goes to the scalar loop ``_replay_fast``, which continues the
-      clock;
-    * any replay of more than one trace takes the scalar loop.
+      address outside ``[0, 2**63)``, a SHARED line resident, a line a
+      sibling CPU holds) goes to the scalar loop ``_replay_fast``, which
+      continues the clock;
+    * several traces are cut into segments once, and go to the
+      vectorized engine when the CPUs' lines are pairwise disjoint (see
+      ``vec.supported``), as fig8's per-CPU matrices are; otherwise the
+      same segments go to the scalar loop.
 
-    Both engines require pure stall models.  A trace is an iterable of
-    pairs, a structured ``(addr, is_write)`` array, or an iterable of such
-    arrays (one long trace in pieces).  ``OBS.enabled`` forces the
-    reference path so per-access metric streams are preserved.
+    Both engines require pure, non-negative stall models.  A trace is an
+    iterable of pairs, a structured ``(addr, is_write)`` array, or an
+    iterable of such arrays (one long trace in pieces).  ``OBS.enabled``
+    forces the reference path so per-access metric streams are preserved.
     """
     if len(traces) != len(stall_models):
         raise ValueError("need one stall model per trace")
@@ -444,18 +454,26 @@ def replay_traces(memory: MultiprocessorMemory,
     if OBS.enabled:
         return replay_reference(memory, traces, compute_ns, stall_models)
     if len(traces) != 1:
-        return _replay_fast(memory, traces, compute_ns, stall_models)
+        pieces = [list(vec.segments(t)) for t in traces]
+        if not vec.supported(memory, pieces, vec.node_lines(memory)):
+            return _replay_fast(
+                memory, [itertools.chain.from_iterable(map(vec.iter_pairs, p))
+                         for p in pieces], compute_ns, stall_models)
+        states = [CpuRunResult(0.0, 0, 0.0, 0.0, 0.0) for _ in traces]
+        vec.replay(memory, pieces, compute_ns, stall_models, states)
+        return states
     state = CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)
-    usable = vec.supported(memory)
+    # Vec moves only CPU 0's lines, to ones just found disjoint from its
+    # siblings', so ``lines`` goes stale only after the scalar loop.
+    lines = vec.node_lines(memory)
     for piece in vec.segments(traces[0]):
-        if usable and not isinstance(piece, list):
-            vec.replay_segment(memory, piece, compute_ns, stall_models[0],
-                               state)
+        if vec.supported(memory, [[piece]], lines):
+            vec.replay(memory, [[piece]], compute_ns, stall_models, [state])
         else:
             state, = _replay_fast(memory, [piece], compute_ns, stall_models,
                                   start=[state])
-            # Its lines may now hold addresses the engine cannot.
-            usable = vec.supported(memory)
+            # Its lines may now be ones the engine cannot take.
+            lines = vec.node_lines(memory)
     return [state]
 
 

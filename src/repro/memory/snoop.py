@@ -61,6 +61,7 @@ class AddressPhaseSequencer:
     def __init__(self, config: SnoopConfig, name: str = "snoop"):
         self.config = config
         self.name = name
+        self._phase_ns = config.phase_ns  # the config is frozen
         self._next_free = 0.0
         self.stats = Counter(name)
         self.total_wait_ns = 0.0
@@ -73,19 +74,20 @@ class AddressPhaseSequencer:
         and when it completed.  Queue-depth overflow shows up naturally as
         wait time because grants are strictly serial.
         """
+        phase_ns = self._phase_ns
         grant = max(now_ns, self._next_free)
         # Beyond the hardware queue depth, the master must retry: model the
         # retry penalty as one extra phase time of delay.
-        backlog_phases = max(0.0, (grant - now_ns) / self.config.phase_ns)
+        backlog_phases = max(0.0, (grant - now_ns) / phase_ns)
         if backlog_phases > self.config.queue_depth:
-            grant += self.config.phase_ns
+            grant += phase_ns
             self.stats.incr("retries")
-        done = grant + self.config.phase_ns
+        done = grant + phase_ns
         self._next_free = done
         self.stats.incr("phases")
         waited = grant - now_ns
         self.total_wait_ns += waited
-        self.busy_ns += self.config.phase_ns
+        self.busy_ns += phase_ns
         if waited > 0:
             self.stats.incr("contended")
         return grant, done

@@ -1,6 +1,7 @@
 """Numpy-vectorized trace replay: array kernels over trace segments.
 
-``replay_traces`` sends every single-trace replay to this module first.
+``replay_traces`` sends every single-trace replay to this module first,
+and every multi-trace replay whose CPUs touch pairwise disjoint lines.
 The contract is the one the scalar loop keeps: the replay must be
 *access-for-access identical* to the reference ``run_interleaved`` path —
 same hit/miss/evict/upgrade/TLB counters, same float operation order,
@@ -51,20 +52,32 @@ a segment:
   *misses* — which serialize through the address-phase sequencer and the
   DRAM banks — run scalar, calling the real sequencer/DRAM/data-bus
   objects between cumsum segments.
+* **CPUs (one merge of the misses).**  When no line is in two CPUs'
+  caches or traces, no access snoops another CPU's line, so each CPU's
+  L1, TLB and L2 oracles run on its own segments unchanged.  Only the
+  refill misses meet, in the shared sequencer, DRAM banks and data bus:
+  a heap keyed ``(issue_ns, cpu)``, as in ``run_interleaved``, pulls
+  each CPU's next miss and times it.  A segment's cache state commits
+  right after its oracles, since none of it depends on timing; a CPU
+  whose misses run out opens its next segment.  With non-negative
+  compute and stall times each CPU's issue times never decrease, so
+  this visits the misses in the reference's order; with one CPU it is
+  the plain loop.
 
-The engine needs a node that is :func:`supported` — no SHARED line in
-the active CPU's caches, nothing in the other CPUs' — and addresses in
-``[0, 2**63)``.  ``replay_traces`` sends other nodes, and every
-multi-trace replay, to the scalar loop; :func:`segments` hands it the
-pieces with other addresses.  Stall models must be pure functions of
+The engine needs a node and trace that are :func:`supported` — no
+SHARED line anywhere, lines and addresses in ``[0, 2**63)``, and the
+CPUs' lines pairwise disjoint.  ``replay_traces`` sends everything else
+to the scalar loop; :func:`segments` hands it the pieces with other
+addresses.  Stall models must be pure, non-negative functions of
 ``(latency_ns, compute_ns)`` — every model in :mod:`repro.cpu.pipeline`
 is.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -359,11 +372,10 @@ def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
 
 
 class _Job:
-    """One segment of a replay through the engine passes; ``state`` is
-    the replay's ``CpuRunResult``, continued in place."""
+    """One segment of CPU ``cpu``'s trace through the oracle passes."""
 
     __slots__ = (
-        "memory", "compute_ns", "stall", "state", "n",
+        "memory", "cpu", "n",
         "addr", "is_write",
         "l1_plan", "l1_hit", "l1_vtag", "l1_vdirty", "l1_final",
         "tlb_miss", "tlb_evictions", "tlb_final",
@@ -371,36 +383,74 @@ class _Job:
         "l2_plan", "op_hit", "op_vtag", "op_vdirty", "l2_final",
     )
 
-    def __init__(self, memory, segment: np.ndarray, compute_ns: float,
-                 stall, state):
+    def __init__(self, memory, cpu: int, segment: np.ndarray):
         self.memory = memory
-        self.compute_ns = compute_ns
-        self.stall = stall
-        self.state = state
+        self.cpu = cpu
         self.n = len(segment)
         self.addr = np.ascontiguousarray(segment["addr"], dtype=np.int64)
         self.is_write = np.ascontiguousarray(segment["is_write"],
                                              dtype=bool)
 
 
-def supported(memory) -> bool:
-    """Vec preconditions over the *state* of the node (CPU 0 active):
-    nothing in any other CPU's caches, and in its own no SHARED line and
-    no line of an address outside ``[0, 2**63)``."""
-    for l1, l2 in zip(memory.l1s[1:], memory.l2s[1:]):
-        if l1.occupancy() or l2.occupancy():
-            return False
+def node_lines(memory) -> Optional[List[np.ndarray]]:
+    """Per CPU, the line tags its L1 and L2 hold; ``None`` when any cache
+    of the node holds a SHARED line or a line of an address outside
+    ``[0, 2**63)``."""
     limit = 2 ** 63 >> memory.l1s[0]._set_shift
-    for cache in (memory.l1s[0], memory.l2s[0]):
-        for line_set in cache._sets:
-            for tag, state in line_set.items():
-                if int(state) == _SHARED or not 0 <= tag < limit:
-                    return False
-    return True
+    lines = []
+    for l1, l2 in zip(memory.l1s, memory.l2s):
+        tags: List[int] = []
+        for cache in (l1, l2):
+            for line_set in cache._sets:
+                for tag, state in line_set.items():
+                    if int(state) == _SHARED or not 0 <= tag < limit:
+                        return None
+                    tags.append(tag)
+        lines.append(np.array(tags, dtype=np.int64))
+    return lines
+
+
+def supported(memory, pieces: Sequence[Sequence],
+              lines: Optional[List[np.ndarray]]) -> bool:
+    """Whether the engine can replay ``pieces[c]`` (pieces of
+    :func:`segments`) on CPU ``c`` of ``memory``.
+
+    Every piece must be an array, no cache may hold a SHARED line or a
+    line outside ``[0, 2**63)``, and the CPUs' line sets -- the lines
+    their pieces touch and the lines their caches already hold -- must
+    be pairwise disjoint.  Then no access ever snoops a line in another
+    CPU's caches, so each CPU's caches evolve on their own and only the
+    L2 misses meet, in the shared sequencer and memory path.  ``lines``
+    is :func:`node_lines` of ``memory``.
+    """
+    if lines is None or any(isinstance(piece, list)
+                            for own in pieces for piece in own):
+        return False
+    per_cpu = list(pieces) + [()] * (len(lines) - len(pieces))
+    busy = [(resident, cpu_pieces)
+            for resident, cpu_pieces in zip(lines, per_cpu)
+            if resident.size or cpu_pieces]
+    if len(busy) < 2:
+        return True
+    shift = memory.l1s[0]._set_shift
+    tags = np.concatenate([
+        _distinct(np.concatenate(
+            [resident] + [_distinct(piece["addr"] >> shift)
+                          for piece in cpu_pieces]))
+        for resident, cpu_pieces in busy])
+    return len(_distinct(tags)) == len(tags)
+
+
+def _distinct(tags: np.ndarray) -> np.ndarray:
+    """The distinct values of ``tags``, sorted.  The stable sort's code
+    is the engine's own; ``np.unique`` would map about 2.7 MB of fresh
+    pages on its first call."""
+    tags = np.sort(tags, kind="stable")
+    return tags[np.append(True, tags[1:] != tags[:-1])]
 
 
 def _plan_l1(job: _Job) -> None:
-    l1 = job.memory.l1s[0]
+    l1 = job.memory.l1s[job.cpu]
     tag = job.addr >> l1._set_shift
     sidx = tag & l1._set_mask
     job.l1_plan = _plan_lanes(tag, job.is_write, sidx, len(l1._sets),
@@ -550,7 +600,7 @@ def _run_tlb(job: _Job) -> None:
     initial state are older than every touched page, in their original
     dict order).  Recency between candidates never needs materialising.
     """
-    tlb = job.memory.tlbs[0]
+    tlb = job.memory.tlbs[job.cpu]
     pages = job.addr >> tlb._page_shift
     capacity = tlb.config.entries
     resident: Dict[int, None] = dict(tlb._entries)
@@ -643,8 +693,8 @@ def _plan_l2(job: _Job) -> None:
     L1 miss first writes back a dirty victim (VWB), then refills the line
     (REFILL).  Every op is a plain ``Cache.access`` on the private L2.
     """
-    l1 = job.memory.l1s[0]
-    l2 = job.memory.l2s[0]
+    l1 = job.memory.l1s[job.cpu]
+    l2 = job.memory.l2s[job.cpu]
     addr, is_write = job.addr, job.is_write
     l1_hit, vdirty = job.l1_hit, job.l1_vdirty
 
@@ -711,105 +761,138 @@ def _gather_l2(job: _Job) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _finish(job: _Job) -> None:
-    """Time the segment, continuing its replay's clock and totals."""
-    state = job.state
-    memory = job.memory
-    config = memory.config
-    n = job.n
-    compute_ns = job.compute_ns
-    stall = job.stall
-    l1_hit_ns = config.l1_hit_ns
-    l2_hit_ns = config.l2_hit_ns
-    tlb_miss_ns = config.tlb_miss_ns
-    line = config.l1.line_bytes
-    l2_shift = memory.l2s[0]._set_shift
+class _Clock:
+    """One committed segment's timing: its CPU's clock over it, paused
+    at each slow access (a refill that misses L2) for the merge to serve.
+    ``state`` is the CPU's ``CpuRunResult``, continued in place."""
 
-    # Slow accesses are the refills that miss L2: they serialize through
-    # the sequencer and DRAM, in trace order (``op_src`` ascends).
-    dram = job.op_refill & ~job.op_hit
-    slow_pos = job.op_src[dram].tolist()
-    victim = job.op_vtag[dram]
-    wb_addr = np.where((victim >= 0) & job.op_vdirty[dram],
-                       victim << l2_shift, -1).tolist()
-    tlb_miss = job.tlb_miss
+    __slots__ = ("memory", "compute_ns", "stall", "state", "n",
+                 "slow_pos", "slow_addr", "slow_tlb_miss", "wb_addr",
+                 "next_slow", "stall_arr", "buf", "seg_start", "local",
+                 "queueing")
 
-    # The four fast stall constants, argument grouping per the reference.
-    stall_consts = np.array([
-        stall(0.0 + l1_hit_ns, compute_ns),
-        stall((0.0 + l1_hit_ns) + l2_hit_ns, compute_ns),
-        stall(tlb_miss_ns + l1_hit_ns, compute_ns),
-        stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
-    ])
-    key = tlb_miss.astype(np.int8) * 2 + ~job.l1_hit
-    stall_arr = stall_consts[key]
+    def __init__(self, job: _Job, compute_ns: float, stall, state):
+        memory = job.memory
+        self.memory = memory
+        self.compute_ns = compute_ns
+        self.stall = stall
+        self.state = state
+        self.n = job.n
+        l1_hit_ns = memory.l1_hit_ns
+        l2_hit_ns = memory.l2_hit_ns
+        tlb_miss_ns = memory.tlb_miss_ns
 
-    sequencer = memory.sequencer
-    memory_fetch = memory._memory_fetch
-    addr_col = job.addr
-    local = state.finish_ns
-    queueing_total = state.queueing_ns
-    # ``buf`` interleaves the clock recurrence: a start value, then per
-    # access its compute time and stall.  Segments between slow accesses
-    # use disjoint slices, so each cumsum runs in place.
-    buf = np.empty(2 * n + 1)
-    buf[1::2] = compute_ns
+        # Slow accesses serialize through the sequencer and DRAM, in
+        # trace order (``op_src`` ascends).
+        dram = job.op_refill & ~job.op_hit
+        slow_pos = job.op_src[dram]
+        self.slow_pos = slow_pos.tolist()
+        self.slow_addr = job.addr[slow_pos].tolist()
+        self.slow_tlb_miss = job.tlb_miss[slow_pos].tolist()
+        victim = job.op_vtag[dram]
+        self.wb_addr = np.where(
+            (victim >= 0) & job.op_vdirty[dram],
+            victim << memory.l2s[job.cpu]._set_shift, -1).tolist()
+        self.next_slow = 0
 
-    def advance(local: float, lo: int, hi: int) -> float:
-        """Run the clock over the fast accesses ``[lo, hi)``."""
-        seg = buf[2 * lo:2 * hi + 1]
-        seg[0] = local
-        seg[2::2] = stall_arr[lo:hi]
-        np.cumsum(seg, out=seg)
-        return float(seg[-1])
+        # The four fast stall constants, argument grouping per the
+        # reference.
+        stall_consts = np.array([
+            stall(0.0 + l1_hit_ns, compute_ns),
+            stall((0.0 + l1_hit_ns) + l2_hit_ns, compute_ns),
+            stall(tlb_miss_ns + l1_hit_ns, compute_ns),
+            stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
+        ])
+        key = job.tlb_miss.astype(np.int8) * 2 + ~job.l1_hit
+        self.stall_arr = stall_consts[key]
 
-    seg_start = 0
-    for si, victim_addr in zip(slow_pos, wb_addr):
-        if si > seg_start:
-            local = advance(local, seg_start, si)
-        issue = local + compute_ns
-        translation = tlb_miss_ns if tlb_miss[si] else 0.0
+        # ``buf`` interleaves the clock recurrence: a start value, then
+        # per access its compute time and stall.  Runs between slow
+        # accesses use disjoint slices, so each cumsum runs in place.
+        self.buf = np.empty(2 * self.n + 1)
+        self.buf[1::2] = compute_ns
+        self.seg_start = 0
+        self.local = state.finish_ns
+        self.queueing = state.queueing_ns
+
+    def _advance(self, hi: int) -> None:
+        """Run the clock over the fast accesses ``[seg_start, hi)``."""
+        lo = self.seg_start
+        if hi > lo:
+            seg = self.buf[2 * lo:2 * hi + 1]
+            seg[0] = self.local
+            seg[2::2] = self.stall_arr[lo:hi]
+            seg.cumsum(out=seg)
+            self.local = float(seg[-1])
+
+    def next_issue(self) -> Optional[float]:
+        """Run the clock up to the next slow access and return its issue
+        time; ``None`` once every access is timed."""
+        if self.next_slow == len(self.slow_pos):
+            self._advance(self.n)
+            return None
+        self._advance(self.slow_pos[self.next_slow])
+        return self.local + self.compute_ns
+
+    def serve(self, issue: float) -> None:
+        """Time the next slow access, issued at ``issue``, through the
+        node's shared sequencer, DRAM banks and data bus."""
+        memory = self.memory
+        l1_hit_ns = memory.l1_hit_ns
+        l2_hit_ns = memory.l2_hit_ns
+        line = memory.config.l1.line_bytes
+        k = self.next_slow
+        si = self.slow_pos[k]
+        victim_addr = self.wb_addr[k]
+        translation = memory.tlb_miss_ns if self.slow_tlb_miss[k] else 0.0
         latency = translation + l1_hit_ns
         issue_bus = issue + latency + l2_hit_ns
-        grant, phase_done = sequencer.occupy(issue_bus)
+        grant, phase_done = memory.sequencer.occupy(issue_bus)
         queueing = grant - issue_bus
         latency += l2_hit_ns + (phase_done - issue_bus)
-        start, done = memory_fetch(phase_done, int(addr_col[si]), line)
+        start, done = memory._memory_fetch(phase_done, self.slow_addr[k],
+                                           line)
         queueing += start - phase_done
         latency += done - phase_done
         if victim_addr >= 0:
-            memory_fetch(phase_done, victim_addr, line)
-        stall_ns = stall(latency, compute_ns)
-        stall_arr[si] = stall_ns
-        local = issue + stall_ns
-        queueing_total += queueing
-        seg_start = si + 1
-    if seg_start < n:
-        local = advance(local, seg_start, n)
+            memory._memory_fetch(phase_done, victim_addr, line)
+        stall_ns = self.stall(latency, self.compute_ns)
+        self.stall_arr[si] = stall_ns
+        self.local = issue + stall_ns
+        self.queueing += queueing
+        self.seg_start = si + 1
+        self.next_slow = k + 1
 
-    _commit(job, dram, len(wb_addr) - wb_addr.count(-1))
-    state.finish_ns = local
-    state.steps += n
-    state.queueing_ns = queueing_total
-    # Sequential sums continuing the previous segment's, like the
-    # reference's per-access ``+=``.
-    buf[0] = state.compute_ns
-    buf[1:n + 1] = compute_ns
-    state.compute_ns = float(np.cumsum(buf[:n + 1])[-1])
-    buf[0] = state.stall_ns
-    buf[1:n + 1] = stall_arr
-    state.stall_ns = float(np.cumsum(buf[:n + 1])[-1])
+    def close(self) -> None:
+        """Continue the replay's totals past this fully timed segment."""
+        state = self.state
+        n = self.n
+        buf = self.buf
+        state.finish_ns = self.local
+        state.steps += n
+        state.queueing_ns = self.queueing
+        # Sequential sums continuing the previous segment's, like the
+        # reference's per-access ``+=``.
+        buf[0] = state.compute_ns
+        buf[1:n + 1] = self.compute_ns
+        state.compute_ns = float(np.cumsum(buf[:n + 1])[-1])
+        buf[0] = state.stall_ns
+        buf[1:n + 1] = self.stall_arr
+        state.stall_ns = float(np.cumsum(buf[:n + 1])[-1])
 
 
-def _commit(job: _Job, dram: np.ndarray, dram_writebacks: int) -> None:
+def _commit(job: _Job) -> None:
     """Fold the oracle outcomes into the real caches and counters, with
-    the same per-key attribution as the scalar routes."""
+    the same per-key attribution as the scalar routes.  No cache state
+    depends on timing, so this runs before the segment is timed."""
     memory = job.memory
-    l1, l2, tlb = memory.l1s[0], memory.l2s[0], memory.tlbs[0]
+    cpu = job.cpu
+    l1, l2, tlb = memory.l1s[cpu], memory.l2s[cpu], memory.tlbs[cpu]
     is_write, l1_hit = job.is_write, job.l1_hit
     vtag, vdirty = job.l1_vtag, job.l1_vdirty
     op_write, op_hit = job.op_write, job.op_hit
     op_vtag, op_vdirty = job.op_vtag, job.op_vdirty
+    dram = job.op_refill & ~op_hit
 
     def count(mask) -> int:
         return int(np.count_nonzero(mask))
@@ -844,7 +927,8 @@ def _commit(job: _Job, dram: np.ndarray, dram_writebacks: int) -> None:
     incr(memory.stats, "tlb_misses", tlb_misses)
     incr(memory.stats, "l2_hits", refill_hits)
     incr(memory.stats, "memory_accesses", count(dram))
-    incr(memory.stats, "writebacks", dram_writebacks)
+    incr(memory.stats, "writebacks",
+         count(dram & (op_vtag >= 0) & op_vdirty))
 
     for cache, finals in ((l1, job.l1_final), (l2, job.l2_final)):
         for s, state in finals.items():
@@ -862,15 +946,65 @@ def _commit(job: _Job, dram: np.ndarray, dram_writebacks: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def replay_segment(memory, segment: np.ndarray, compute_ns: float,
-                   stall_model, state) -> None:
-    """Replay one array piece of :func:`segments` on CPU 0 of a node
-    that is :func:`supported`, continuing ``state`` (the replay's
-    ``CpuRunResult`` so far) in place."""
-    job = _Job(memory, segment, compute_ns, stall_model, state)
+def _open(memory, cpu: int, segment: np.ndarray, compute_ns: float,
+          stall_model, state) -> _Clock:
+    """Run CPU ``cpu``'s cache and TLB oracles over one segment, from the
+    state its previous segment committed, commit the outcome, and return
+    the segment's clock.  Only the clock's arrays outlive the call."""
+    job = _Job(memory, cpu, segment)
     _plan_l1(job)
     _fixup_l1(job)
     _run_tlb(job)
     _plan_l2(job)
     _gather_l2(job)
-    _finish(job)
+    _commit(job)
+    return _Clock(job, compute_ns, stall_model, state)
+
+
+def replay(memory, pieces: Sequence[Iterable[np.ndarray]],
+           compute_ns: float, stall_models, states) -> None:
+    """Replay the array pieces ``pieces[c]`` on CPU ``c`` of a node that
+    is :func:`supported` for them, continuing ``states[c]`` (the CPU's
+    ``CpuRunResult`` so far) in place.
+
+    Each CPU's segments run through the oracles on their own.  Their L2
+    misses, the only accesses that reach the shared sequencer, DRAM
+    banks and data bus, are merged on ``(issue_ns, cpu)`` as in
+    ``run_interleaved``, so the shared resources see the reference's
+    order.  A CPU's next segment is opened once its current one is
+    timed.
+    """
+    sources = [iter(own) for own in pieces]
+    clocks: List[Optional[_Clock]] = [None] * len(pieces)
+
+    def next_miss(cpu: int) -> Optional[float]:
+        """Open CPU ``cpu``'s segments until one has a slow access left;
+        its issue time, or ``None`` when the CPU's trace is done."""
+        clock = clocks[cpu]
+        issue = None if clock is None else clock.next_issue()
+        while issue is None:
+            if clock is not None:
+                clock.close()
+                clock = clocks[cpu] = None  # free it before the next
+            segment = next(sources[cpu], None)
+            if segment is None:
+                return None
+            clock = clocks[cpu] = _open(memory, cpu, segment, compute_ns,
+                                        stall_models[cpu], states[cpu])
+            issue = clock.next_issue()
+        return issue
+
+    heap = []
+    for cpu in range(len(pieces)):
+        issue = next_miss(cpu)
+        if issue is not None:
+            heap.append((issue, cpu))
+    heapq.heapify(heap)
+    while heap:
+        issue, cpu = heap[0]
+        clocks[cpu].serve(issue)
+        issue = next_miss(cpu)
+        if issue is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (issue, cpu))

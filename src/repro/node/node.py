@@ -65,10 +65,11 @@ class NodeModel:
         timed sections of one program.
 
         :func:`repro.memory.mp.replay_traces` picks the engine from the
-        input: a single trace runs vectorized, several traces run through
-        the scalar loop, both identical to the reference path.  Traces may
-        be iterables or the structured arrays of the ``trace_gen`` array
-        emitters.
+        input: a single trace, or several whose CPUs touch disjoint lines
+        (fig8's per-CPU matrices), runs vectorized; overlapping traces run
+        through the scalar loop; both are identical to the reference
+        path.  Traces may be iterables or the structured arrays of the
+        ``trace_gen`` array emitters.
         """
         self.memory.reset_timing()
         results = replay_traces(self.memory, traces, compute_ns_per_access,

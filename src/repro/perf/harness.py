@@ -15,7 +15,8 @@ has to beat:
   contract, so its wall-time ratio to ``fig7_matmult`` is what the
   dispatch's choice of vec for one trace buys.
 * ``fig8_smp`` — the same naive MatMult run on both CPUs of one node
-  at once: the multi-CPU merge of the scalar replay loop, fig8's engine.
+  at once: vec's per-CPU oracles and issue-time merge of the L2 misses,
+  fig8's engine.
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
   (driver -> NI -> link -> crossbar -> drain): the event-kernel hot loop.
 * ``fig11_unidir`` — back-to-back streaming bandwidth (DES under load).

@@ -6,10 +6,12 @@ evict/upgrade/TLB counters, same float operation order (hence
 bit-identical timing).  These property tests pin that over randomized
 traces designed to hit every replay regime — L1 hits, SHARED-line write
 upgrades, capacity misses, TLB thrashing — on one- and multi-CPU nodes,
-for the default ``replay_traces`` dispatch (vec for a fresh single-CPU
-replay, the scalar loop otherwise) and for the scalar loop
-``_replay_fast`` called directly, so the loop keeps its single-CPU
-coverage.
+for the default ``replay_traces`` dispatch (vec whenever the CPUs' lines
+are pairwise disjoint, the scalar loop otherwise; these overlapping
+random traces take the loop) and for the scalar loop ``_replay_fast``
+called directly, so the loop keeps its single-CPU coverage.  The
+dispatch cases pin which engine each input gets, and the fig8 regime
+pins the dual-CPU vec route on real MatMult traces.
 
 A second group pins the DES side the same way: the seeded fig9 run must
 produce an identical metrics snapshot run-to-run, so the pooled-event /
@@ -37,7 +39,7 @@ from repro.memory.tlb import TlbConfig
 from repro.sim.clock import Clock
 
 
-def make_memory(cpus):
+def make_memory(cpus, kind=FabricKind.SWITCHED):
     """A deliberately tiny node so short random traces still evict."""
     hierarchy = HierarchyConfig(
         cpu_clock=Clock(180.0),
@@ -49,7 +51,7 @@ def make_memory(cpus):
         tlb=TlbConfig(entries=8, page_bytes=4096, miss_cycles=12.0),
         l1_hit_cycles=1.0, l2_hit_cycles=6.0, bus_overhead_bus_cycles=4.0)
     fabric = FabricConfig(
-        kind=FabricKind.SWITCHED,
+        kind=kind,
         snoop=SnoopConfig(bus_clock=Clock(60.0), phase_cycles=3.0,
                           queue_depth=4),
         data_bus_mb_s=480.0, c2c_transfer_mb_s=480.0, c2c_latency_ns=50.0)
@@ -76,6 +78,12 @@ def random_trace(rng, length):
         access = AccessType.WRITE if rng.random() < 0.3 else AccessType.READ
         trace.append((addr, access))
     return trace
+
+
+def relocate(trace, cpu):
+    """``trace`` moved into CPU ``cpu``'s own 8 MiB region, so traces
+    relocated to different CPUs share no line."""
+    return [(addr + (cpu << 23), access) for addr, access in trace]
 
 
 def snapshot(memory):
@@ -222,7 +230,7 @@ class TestReplayDispatch:
         from repro.memory import mp
 
         log = []
-        for owner, name, label in ((mp.vec, "replay_segment", "vec"),
+        for owner, name, label in ((mp.vec, "replay", "vec"),
                                    (mp, "_replay_fast", "scalar")):
             def spy(*args, engine=getattr(owner, name), label=label,
                     **kwargs):
@@ -248,6 +256,13 @@ class TestReplayDispatch:
         self.replay(make_memory(2), [random_trace(rng, 500) for _ in "ab"])
         assert served == ["scalar"]
 
+    def test_disjoint_multi_cpu_replay_served_by_vec(self, served):
+        rng = random.Random(2)
+        memory = make_memory(2)
+        self.replay(memory, [relocate(random_trace(rng, 500), cpu)
+                             for cpu in range(2)])
+        assert served == ["vec"]
+
     @pytest.mark.parametrize("case", ["shared_line", "warm_sibling"])
     def test_node_state_falls_back(self, served, case):
         memory = make_memory(2)
@@ -258,9 +273,37 @@ class TestReplayDispatch:
             memory.l2s[1].invalidate_all()
             assert memory.l2s[0].state_of(0x40) == MESIState.SHARED
         else:
-            self.replay(memory, [[], line])
+            self.replay(memory, [[], line])  # CPU 1 holds the line
+        served.clear()
+        self.replay(memory, [[(0x80, AccessType.READ),
+                              (0x40, AccessType.WRITE)]])
+        assert served == ["scalar"]
+
+    def test_disjoint_warm_sibling_served_by_vec(self, served):
+        memory = make_memory(2)
+        self.replay(memory, [[], [(0x40, AccessType.READ)]])
         self.replay(memory, [[(0x80, AccessType.READ)]])
-        assert served == ["scalar", "scalar"]
+        assert served == ["vec", "vec"]
+
+    @pytest.mark.parametrize("case",
+                             ["shared_line", "sibling_line", "outside_int64"])
+    def test_multi_cpu_falls_back(self, served, case):
+        memory = make_memory(2)
+        traces = [[(0x1000, AccessType.READ)], [(0x2000, AccessType.WRITE)]]
+        if case == "shared_line":
+            line = [(0x40, AccessType.READ)]
+            self.replay(memory, [line, line])
+            memory.l1s[1].invalidate_all()
+            memory.l2s[1].invalidate_all()
+        elif case == "sibling_line":
+            # CPU 0 holds the line CPU 1's trace touches.
+            self.replay(memory, [[(0x2000, AccessType.READ)]])
+        else:
+            traces[1].append((1 << 70, AccessType.READ))
+        served.clear()
+        results = self.replay(memory, traces)
+        assert served == ["scalar"]
+        assert [r.steps for r in results] == [len(t) for t in traces]
 
     def test_address_outside_int64_falls_back(self, served):
         trace = iter([(0x40, AccessType.READ), (1 << 70, AccessType.READ),
@@ -272,13 +315,17 @@ class TestReplayDispatch:
 
 class TestFig8RegimeEquivalence:
     """The real fig8 regime: both MatMult versions, dual-CPU, on
-    disjoint per-CPU matrices whose L2 lines are only ever E or M."""
+    disjoint per-CPU matrices whose L2 lines are only ever E or M, on
+    all three fabrics; every dual-CPU replay goes to vec."""
 
-    @pytest.mark.parametrize("spec_name", ["POWERMANNA", "PC_CLUSTER_180"])
+    @pytest.mark.parametrize("spec_name",
+                             ["POWERMANNA", "SUN_ULTRA", "PC_CLUSTER_180"])
     @pytest.mark.parametrize("version", ["naive", "transposed"])
-    def test_dual_cpu_matmult_identical(self, spec_name, version):
+    def test_dual_cpu_matmult_identical(self, monkeypatch, spec_name,
+                                        version):
         from repro.bench import matmult
         from repro.core import specs
+        from repro.memory import mp
         from repro.memory.trace_gen import transpose_trace
 
         spec = getattr(specs, spec_name)
@@ -303,8 +350,18 @@ class TestFig8RegimeEquivalence:
                 matmult._per_access_compute_ns(node, n, version), stalls))
             return results, node.memory
 
-        fast, fast_mem = run(replay_traces)
         ref, ref_mem = run(replay_reference)
+        cpus_per_vec_call = []
+        vec_replay = mp.vec.replay
+
+        def spy(memory, pieces, *args):
+            cpus_per_vec_call.append(len(pieces))
+            return vec_replay(memory, pieces, *args)
+
+        monkeypatch.setattr(mp.vec, "replay", spy)
+        monkeypatch.setattr(mp, "_replay_fast", None)  # must not be reached
+        fast, fast_mem = run(replay_traces)
+        assert cpus_per_vec_call == [2] * len(ref)
         assert fast == ref
         assert snapshot(fast_mem) == snapshot(ref_mem)
         # The regime this pins: no L2 line is ever SHARED, so there are
@@ -313,6 +370,21 @@ class TestFig8RegimeEquivalence:
         assert not fast_mem.stats["c2c_transfers"]
         assert all(state != MESIState.SHARED
                    for l2 in fast_mem.l2s for _, state in l2.resident_lines())
+
+    def test_fig8_command_stays_in_vec(self, monkeypatch, capsys):
+        """``fig8 --sizes 16 24`` replays every access through vec: no
+        scalar loop, and no access through the reference path."""
+        from repro.cli import main
+        from repro.memory import mp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("left the vectorized engine")
+
+        monkeypatch.setattr(mp, "_replay_fast", forbidden)
+        monkeypatch.setattr(MultiprocessorMemory, "access", forbidden)
+        assert main(["fig8", "--sizes", "16", "24", "--jobs", "1",
+                     "--no-cache", "--no-journal"]) in (0, None)
+        assert "Figure 8" in capsys.readouterr().out
 
 
 class TestReferencePathMesiBreach:

@@ -1,15 +1,18 @@
 """Vectorized-engine vs. reference equivalence for trace replay.
 
-``replay_traces`` hands every fresh single-CPU replay to the vectorized
-engine, which carries the scalar loop's contract: *access-for-access*
-identical to ``replay_reference`` — same hit/miss/evict/upgrade/TLB
-counters, same float operation order, hence bit-identical timing, and
-the same final cache/TLB contents and recency order.  The hypothesis
-suite here pins that over randomized traces spanning every replay regime
-(L1-hit runs, write fractions from read-only to write-heavy, TLB churn
-and L2-thrashing spans) for the default dispatch and for the scalar loop
-``_replay_fast`` called directly; the multi-CPU cases pin the dispatch's
-scalar route too.
+``replay_traces`` hands single-CPU replays, and multi-CPU replays whose
+CPUs touch pairwise disjoint lines, to the vectorized engine, which
+carries the scalar loop's contract: *access-for-access* identical to
+``replay_reference`` — same hit/miss/evict/upgrade/TLB counters, same
+float operation order, hence bit-identical timing, and the same final
+cache/TLB contents and recency order.  The hypothesis suite here pins
+that over randomized traces spanning every replay regime (L1-hit runs,
+write fractions from read-only to write-heavy, TLB churn and
+L2-thrashing spans) for the default dispatch and for the scalar loop
+``_replay_fast`` called directly.  The multi-CPU cases pin the
+dispatch's scalar route for overlapping traces, and vec's per-CPU
+oracles and issue-time merge of the L2 misses for disjoint ones on
+every fabric.
 """
 
 import random
@@ -21,12 +24,19 @@ from hypothesis import strategies as st
 
 from repro.memory import vec
 from repro.memory.cache import AccessType
-from repro.memory.mp import _replay_fast, replay_reference, replay_traces
+from repro.memory import mp
+from repro.memory.mp import (
+    FabricKind,
+    _replay_fast,
+    replay_reference,
+    replay_traces,
+)
 from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
 
 from .test_replay_equivalence import (
     make_memory,
     random_trace,
+    relocate,
     replay_pair,
     snapshot,
 )
@@ -165,6 +175,85 @@ class TestSegmentedReplay:
         assert (replay_traces(memory, [trace], 5.0, stalls)
                 == replay_reference(ref_mem, [pairs], 5.0, stalls))
         assert snapshot(memory) == snapshot(ref_mem)
+
+
+class TestDisjointMultiCpuEquivalence:
+    """Traces in disjoint per-CPU regions replay through vec: per-CPU
+    oracles, and one merge of the L2 misses on ``(issue_ns, cpu)``.  The
+    shared sequencer, DRAM banks and (on the bus fabrics) data bus must
+    see the reference's order, so results and every counter, cache set
+    and resource clock match ``replay_reference`` exactly."""
+
+    @pytest.fixture
+    def vec_only(self, monkeypatch):
+        """Fail on any scalar-loop call; count the vec calls."""
+        calls = []
+        replay = vec.replay
+
+        def spy(memory, pieces, *args):
+            calls.append(len(pieces))
+            return replay(memory, pieces, *args)
+
+        monkeypatch.setattr(vec, "replay", spy)
+        monkeypatch.setattr(mp, "_replay_fast", None)
+        return calls
+
+    @staticmethod
+    def epochs(cpus, seed, lengths, mirrored):
+        """Two replays on one node, a warm second epoch after the first;
+        with ``mirrored`` every CPU runs the same trace in its own region,
+        so issue times tie and contend at every miss."""
+        rng = random.Random(seed)
+        runs = []
+        for length in lengths:
+            base = random_trace(rng, length)
+            runs.append([relocate(base if mirrored
+                                  else random_trace(rng, length), cpu)
+                         for cpu in range(cpus)])
+        return runs
+
+    @staticmethod
+    def replay_epochs(replay, kind, runs, compute_ns=5.0):
+        cpus = len(runs[0])
+        memory = make_memory(cpus, kind)
+        stalls = [lambda latency, compute: latency] * cpus
+        results = []
+        for traces in runs:
+            memory.reset_timing()
+            results.append(replay(memory, [list(t) for t in traces],
+                                  compute_ns, stalls))
+        return results, snapshot(memory)
+
+    @pytest.mark.parametrize("kind", list(FabricKind))
+    @pytest.mark.parametrize("cpus,seed,mirrored",
+                             [(2, 0, True), (2, 5, False), (4, 9, True),
+                              (4, 12, False)])
+    def test_matches_reference(self, vec_only, monkeypatch, kind, cpus,
+                               seed, mirrored):
+        runs = self.epochs(cpus, seed, (700, 600), mirrored)
+        ref = self.replay_epochs(replay_reference, kind, runs)
+        monkeypatch.setattr(vec, "_SEGMENT", 97)  # several segments each
+        assert self.replay_epochs(replay_traces, kind, runs) == ref
+        assert vec_only == [cpus, cpus]
+        # The runs reached the shared resources, in contention.
+        _, snap = ref
+        assert snap["memory"]["memory_accesses"] > 100
+        assert snap["sequencer"][3]["contended"] > 0
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           cpus=st.integers(min_value=2, max_value=4),
+           kind=st.sampled_from(list(FabricKind)),
+           lengths=st.lists(st.integers(min_value=0, max_value=400),
+                            min_size=4, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_uneven_traces_match_reference(self, seed, cpus, kind, lengths):
+        """CPUs with traces of different lengths, empty ones included, so
+        CPUs run out of misses at different points of the merge."""
+        rng = random.Random(seed)
+        traces = [relocate(random_trace(rng, length), cpu)
+                  for cpu, length in enumerate(lengths[:cpus])]
+        assert (self.replay_epochs(replay_traces, kind, [traces])
+                == self.replay_epochs(replay_reference, kind, [traces]))
 
 
 class TestVecPrimitives:

@@ -32,6 +32,6 @@ class TestRunSweepOption:
         assert ([pickle.dumps(o.value) for o in serial]
                 == [pickle.dumps(o.value) for o in fanned])
         # vec ruled out for every node leaves the scalar loop: same values
-        monkeypatch.setattr(mp.vec, "supported", lambda memory: False)
+        monkeypatch.setattr(mp.vec, "supported", lambda *args: False)
         scalar = run_sweep("mm", points, matmult_cell_task)
         assert [o.value for o in scalar] == [o.value for o in serial]
