@@ -117,7 +117,8 @@ def run_matmult(node: NodeModel, n: int, version: str = "naive",
 
     Traces are emitted as structured arrays, the product a row at a time;
     ``node.run_traces`` replays them vectorized, a multi-CPU run too,
-    since each CPU's matrices are its own.
+    since each CPU's matrices are its own: no access takes the slower
+    reference path.
     """
     if n < 2:
         raise ValueError(f"matrix size must be >= 2, got {n}")

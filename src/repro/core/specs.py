@@ -98,8 +98,7 @@ POWERMANNA = MachineSpec(
         dram=DramConfig(num_banks=8, interleave_bytes=64,
                         access_ns=60.0, bandwidth_mb_s=640.0),
         l1_hit_cycles=1.0,
-        l2_hit_cycles=6.0,     # the 2-Mbyte L2 runs at the processor clock
-        bus_overhead_bus_cycles=4.0),
+        l2_hit_cycles=6.0),    # the 2-Mbyte L2 runs at the processor clock
     fabric=FabricConfig(
         kind=FabricKind.SWITCHED,
         snoop=SnoopConfig(bus_clock=_BUS_60, phase_cycles=2.0, queue_depth=4),
@@ -123,8 +122,7 @@ SUN_ULTRA = MachineSpec(
         dram=DramConfig(num_banks=4, interleave_bytes=64,
                         access_ns=95.0, bandwidth_mb_s=450.0),
         l1_hit_cycles=1.0,
-        l2_hit_cycles=8.0,
-        bus_overhead_bus_cycles=3.0),
+        l2_hit_cycles=8.0),
     fabric=FabricConfig(
         kind=FabricKind.SPLIT_BUS,                 # UPA: packet-switched data
         snoop=SnoopConfig(bus_clock=_BUS_84, phase_cycles=3.0, queue_depth=2),
@@ -150,8 +148,7 @@ def _pc_cluster(cpu: CpuSpec, bus: Clock) -> MachineSpec:
             dram=DramConfig(num_banks=2, interleave_bytes=64,
                             access_ns=110.0, bandwidth_mb_s=320.0),
             l1_hit_cycles=1.0,
-            l2_hit_cycles=7.0,     # half-speed backside L2
-            bus_overhead_bus_cycles=3.0),
+            l2_hit_cycles=7.0),    # half-speed backside L2
         fabric=FabricConfig(
             kind=FabricKind.SHARED_BUS,            # one GTL+ bus, addr + data
             snoop=SnoopConfig(bus_clock=bus, phase_cycles=3.0, queue_depth=2),

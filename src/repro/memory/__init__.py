@@ -12,9 +12,12 @@ package provides:
 * :mod:`repro.memory.snoop` — snooping with the MPC620's queued-but-
   sequentialised address phases.
 * :mod:`repro.memory.dram` — interleaved, pipelined DRAM banks.
-* :mod:`repro.memory.hierarchy` — single-CPU L1/L2/memory timing stack.
-* :mod:`repro.memory.mp` — multiprocessor timing simulation (shared-bus vs
-  switched address/data paths).
+* :mod:`repro.memory.hierarchy` — per-CPU L1/L2/TLB/DRAM configuration.
+* :mod:`repro.memory.mp` — the node timing model for any CPU count
+  (shared-bus vs switched address/data paths) and its reference trace
+  replay.
+* :mod:`repro.memory.vec` — the vectorized trace-replay engine, identical
+  to the reference for the traces it accepts.
 * :mod:`repro.memory.trace_gen` — address-trace generators for the
   benchmark kernels.
 """
@@ -22,7 +25,7 @@ package provides:
 from repro.memory.address import AddressMap, line_address
 from repro.memory.cache import AccessType, Cache, CacheGeometry, MESIState
 from repro.memory.dram import DramConfig, InterleavedDram
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.mesi import CoherenceDomain
 from repro.memory.mp import FabricKind, MultiprocessorMemory
 
@@ -37,7 +40,6 @@ __all__ = [
     "HierarchyConfig",
     "InterleavedDram",
     "MESIState",
-    "MemoryHierarchy",
     "MultiprocessorMemory",
     "line_address",
 ]

@@ -1,23 +1,23 @@
-"""Single-CPU memory hierarchy timing: L1 -> L2 -> interleaved DRAM.
+"""Per-CPU memory-stack configuration and the levels that serve an access.
 
-The hierarchy is inclusive (an L1 line is always present in L2) and
-write-back at both levels.  Every access returns the level that served it
-and its unloaded latency in nanoseconds; the CPU pipeline model decides how
-much of that latency is overlapped (the MPC620's missing load pipelining is
-a CPU property, not a memory property).
+:class:`HierarchyConfig` holds the geometry and unloaded timing of one
+CPU's L1/L2/TLB stack and the DRAM behind it; :class:`ServiceLevel`
+names the level that served an access.  The timing model itself is
+:class:`repro.memory.mp.MultiprocessorMemory`, which serves any CPU
+count; the CPU pipeline model decides how much of an access's latency is
+overlapped (the MPC620's missing load pipelining is a CPU property, not
+a memory property).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-from repro.memory.cache import AccessType, Cache, CacheGeometry
-from repro.memory.dram import DramConfig, InterleavedDram
-from repro.memory.tlb import Tlb, TlbConfig
+from repro.memory.cache import CacheGeometry
+from repro.memory.dram import DramConfig
+from repro.memory.tlb import TlbConfig
 from repro.sim.clock import Clock
-from repro.sim.stats import Counter
 
 
 class ServiceLevel(enum.IntEnum):
@@ -32,7 +32,8 @@ class HierarchyConfig:
     """Geometry and unloaded timing of one CPU's memory stack.
 
     Latencies are in the units natural to the hardware: cache hit times in
-    CPU cycles, bus overhead in bus cycles, DRAM timing in nanoseconds.
+    CPU cycles, DRAM timing in nanoseconds.  ``bus_clock`` is the node
+    bus frequency Table 1 reports.
     """
 
     cpu_clock: Clock
@@ -43,7 +44,6 @@ class HierarchyConfig:
     tlb: TlbConfig = TlbConfig()
     l1_hit_cycles: float = 1.0
     l2_hit_cycles: float = 9.0
-    bus_overhead_bus_cycles: float = 4.0  # address + arbitration per bus transaction
 
     def __post_init__(self):
         if self.l2.line_bytes != self.l1.line_bytes:
@@ -62,10 +62,6 @@ class HierarchyConfig:
         return self.cpu_clock.cycles_to_ns(self.l2_hit_cycles)
 
     @property
-    def bus_overhead_ns(self) -> float:
-        return self.bus_clock.cycles_to_ns(self.bus_overhead_bus_cycles)
-
-    @property
     def tlb_miss_ns(self) -> float:
         return self.cpu_clock.cycles_to_ns(self.tlb.miss_cycles)
 
@@ -79,91 +75,4 @@ class HierarchyConfig:
             tlb=self.tlb.scaled(factor,
                                 min_page_bytes=2 * self.l1.line_bytes),
             l1_hit_cycles=self.l1_hit_cycles,
-            l2_hit_cycles=self.l2_hit_cycles,
-            bus_overhead_bus_cycles=self.bus_overhead_bus_cycles)
-
-
-@dataclass(frozen=True)
-class MemoryAccessOutcome:
-    latency_ns: float
-    level: ServiceLevel
-
-
-class MemoryHierarchy:
-    """Timing front-end over an L1/L2 cache pair and a DRAM model.
-
-    ``shared_dram`` lets several hierarchies (the CPUs of an SMP node)
-    contend for the same banks; each hierarchy still owns its caches.
-    """
-
-    def __init__(self, config: HierarchyConfig, name: str = "mem",
-                 shared_dram: Optional[InterleavedDram] = None):
-        self.config = config
-        self.name = name
-        self.l1 = Cache(config.l1, name=f"{name}.l1")
-        self.l2 = Cache(config.l2, name=f"{name}.l2")
-        self.tlb = Tlb(config.tlb, name=f"{name}.tlb")
-        self.dram = shared_dram or InterleavedDram(config.dram, name=f"{name}.dram")
-        self.stats = Counter(name)
-
-    def access(self, now_ns: float, addr: int,
-               access: AccessType = AccessType.READ) -> MemoryAccessOutcome:
-        """One load/store; returns its unloaded service latency and level."""
-        line = self.config.l1.line_bytes
-        translation_ns = 0.0
-        if not self.tlb.access(addr):
-            translation_ns = self.config.tlb_miss_ns
-            self.stats.incr("tlb_misses")
-        l1_result = self.l1.access(addr, access)
-        if l1_result.hit:
-            self.stats.incr("l1_hits")
-            return MemoryAccessOutcome(translation_ns + self.config.l1_hit_ns,
-                                       ServiceLevel.L1)
-
-        # L1 miss: the refill comes from L2 (inclusive), possibly from memory.
-        latency = translation_ns + self.config.l1_hit_ns
-        # An L1 dirty victim is absorbed by L2 (same line size, inclusive).
-        if l1_result.writeback is not None:
-            self.l2.access(l1_result.writeback, AccessType.WRITE)
-            self.stats.incr("l1_writebacks")
-
-        l2_result = self.l2.access(addr, access)
-        latency += self.config.l2_hit_ns
-        if l2_result.hit:
-            self.stats.incr("l2_hits")
-            return MemoryAccessOutcome(latency, ServiceLevel.L2)
-
-        # L2 miss: bus transaction + DRAM line fetch (bank-aware).
-        self.stats.incr("memory_accesses")
-        latency += self.config.bus_overhead_ns
-        issue_time = now_ns + latency
-        done = self.dram.service(issue_time, addr, line)
-        latency += done - issue_time
-        if l2_result.writeback is not None:
-            # Write-back drains through a write buffer off the critical path,
-            # but it does occupy its DRAM bank.
-            self.dram.service(issue_time, l2_result.writeback, line)
-            self.stats.incr("l2_writebacks")
-            self._enforce_inclusion(l2_result.writeback)
-        if l2_result.evicted is not None:
-            self._enforce_inclusion(l2_result.evicted)
-        return MemoryAccessOutcome(latency, ServiceLevel.MEMORY)
-
-    def _enforce_inclusion(self, line_addr: int) -> None:
-        """Back-invalidate L1 when L2 evicts (inclusive hierarchy)."""
-        self.l1.snoop_invalidate(line_addr)
-
-    # -- instrumentation -----------------------------------------------------
-
-    def level_counts(self) -> Tuple[int, int, int]:
-        return (self.stats["l1_hits"], self.stats["l2_hits"],
-                self.stats["memory_accesses"])
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-
-    def flush(self) -> None:
-        self.l1.invalidate_all()
-        self.l2.invalidate_all()
+            l2_hit_cycles=self.l2_hit_cycles)

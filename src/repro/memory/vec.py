@@ -2,16 +2,15 @@
 
 ``replay_traces`` sends every single-trace replay to this module first,
 and every multi-trace replay whose CPUs touch pairwise disjoint lines.
-The contract is the one the scalar loop keeps: the replay must be
-*access-for-access identical* to the reference ``run_interleaved`` path —
-same hit/miss/evict/upgrade/TLB counters, same float operation order,
-hence bit-identical timing.  The representation changes, the semantics
-do not.
+The contract: the replay must be *access-for-access identical* to the
+reference ``run_interleaved`` path — same hit/miss/evict/upgrade/TLB
+counters, same float operation order, hence bit-identical timing.  The
+representation changes, the semantics do not.
 
 How a dict-LRU simulation becomes array code
 --------------------------------------------
 
-The scalar paths juggle one dict entry per reference.  Here a trace is
+The reference updates a few dict entries per access.  Here a trace is
 cut into contiguous ``(addr, is_write)`` structured arrays of at most
 ``_SEGMENT`` accesses (:func:`segments`), each replayed from the state
 the previous one committed, and each structure gets its own oracle over
@@ -37,10 +36,11 @@ a segment:
   argsort of the page column proves almost the whole trace; only the
   remaining *candidates* (first occurrences, wide recurrence gaps) run
   scalar, with exact victim selection keyed by last-occurrence lookups.
-* **L2 (derived op stream).**  Every L2 side effect of both scalar routes
-  is a plain ``Cache.access`` with ``fill_state=EXCLUSIVE`` semantics,
-  from exactly three sources: a write L1-hit (dirtiness sync), a dirty L1
-  victim writeback, and a refill of the missed line.  The op stream is
+* **L2 (derived op stream).**  On a :func:`supported` node every L2
+  side effect of an access is a plain ``Cache.access`` with
+  ``fill_state=EXCLUSIVE`` semantics, from exactly three sources: a
+  write L1-hit (dirtiness sync), a dirty L1 victim writeback, and a
+  refill of the missed line.  The op stream is
   scattered from the L1 outcomes, split per L2 set, and run through the
   same lockstep engine — one lane per set, seeded from the true L2 state,
   so no fixup is needed.
@@ -67,7 +67,7 @@ a segment:
 The engine needs a node and trace that are :func:`supported` — no
 SHARED line anywhere, lines and addresses in ``[0, 2**63)``, and the
 CPUs' lines pairwise disjoint.  ``replay_traces`` sends everything else
-to the scalar loop; :func:`segments` hands it the pieces with other
+to the reference; :func:`segments` hands it the pieces with other
 addresses.  Stall models must be pure, non-negative functions of
 ``(latency_ns, compute_ns)`` — every model in :mod:`repro.cpu.pipeline`
 is.
@@ -100,8 +100,8 @@ _L1_CHUNK = 128
 #: bytes of arrays per access, so a longer trace is replayed piece by
 #: piece, each seeded from the state the previous one committed: the
 #: working set stays bounded whatever the trace length.  Larger pieces
-#: amortise more numpy dispatch; at 12288 a figure run's peak RSS stays
-#: within 10% of the scalar loop's.
+#: amortise more numpy dispatch; at 12288 the engine's arrays added under
+#: 10% to a figure run's peak RSS when this was measured.
 _SEGMENT = 12288
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def coerce_trace(trace) -> np.ndarray:
     """Materialise any ``(addr, AccessType)`` iterable as a REF_DTYPE array.
 
     Structured arrays pass through untouched.  Raises ``OverflowError``
-    for addresses outside int64 (callers fall back to the scalar paths).
+    for addresses outside int64 (callers fall back to the reference).
     """
     if isinstance(trace, np.ndarray):
         if trace.dtype == REF_DTYPE:
@@ -127,7 +127,7 @@ def coerce_trace(trace) -> np.ndarray:
 
 def iter_refs(arr: np.ndarray) -> Iterator[Tuple[int, AccessType]]:
     """Adapt an array trace back to ``(int, AccessType)`` pairs for the
-    scalar replay paths (INSTR collapses to READ, as everywhere else)."""
+    reference replay (INSTR collapses to READ, as everywhere else)."""
     read = AccessType.READ
     write = AccessType.WRITE
     addrs = arr["addr"].tolist()
@@ -153,7 +153,7 @@ def _source(trace):
 
 
 def iter_pairs(trace) -> Iterator[Tuple[int, AccessType]]:
-    """Any trace as ``(addr, AccessType)`` pairs, for the scalar loops."""
+    """Any trace as ``(addr, AccessType)`` pairs, for the reference."""
     blocks, pairs = _source(trace)
     if blocks is None:
         return pairs
@@ -883,7 +883,7 @@ class _Clock:
 
 def _commit(job: _Job) -> None:
     """Fold the oracle outcomes into the real caches and counters, with
-    the same per-key attribution as the scalar routes.  No cache state
+    the same per-key attribution as the reference.  No cache state
     depends on timing, so this runs before the segment is timed."""
     memory = job.memory
     cpu = job.cpu

@@ -66,9 +66,9 @@ class NodeModel:
 
         :func:`repro.memory.mp.replay_traces` picks the engine from the
         input: a single trace, or several whose CPUs touch disjoint lines
-        (fig8's per-CPU matrices), runs vectorized; overlapping traces run
-        through the scalar loop; both are identical to the reference
-        path.  Traces may be iterables or the structured arrays of the
+        (fig8's per-CPU matrices), runs vectorized, identically to the
+        reference path; overlapping traces run through the reference
+        itself.  Traces may be iterables or the structured arrays of the
         ``trace_gen`` array emitters.
         """
         self.memory.reset_timing()

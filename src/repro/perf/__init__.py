@@ -3,11 +3,9 @@
 Times the hot kernels behind the figures (trace replay and the DES
 network stack) at fixed scaled sizes and writes ``BENCH_perf.json`` so
 every PR has a throughput trajectory to beat.  See
-:mod:`repro.perf.harness` for the kernel definitions and
-:mod:`repro.perf.baseline` for the recorded seed baseline.
+:mod:`repro.perf.harness` for the kernel definitions.
 """
 
-from repro.perf.baseline import SEED_BASELINE
 from repro.perf.compare import (
     KernelDelta,
     compare_payloads,
@@ -30,7 +28,6 @@ __all__ = [
     "KernelDelta",
     "KernelResult",
     "SCHEMA",
-    "SEED_BASELINE",
     "bench_payload",
     "compare_payloads",
     "format_bench_table",

@@ -10,10 +10,6 @@ has to beat:
 * ``fig6_hint`` — HINT refinement + checkpoint scan replays (DOUBLE).
 * ``fig7_matmult`` — full naive MatMult address-trace replay (N=48,
   caches scaled 1/16): one trace, so the vectorized engine replays it.
-* ``fig7_matmult_scalar`` — the same trace through the scalar loop
-  ``_replay_fast`` directly: identical work/check by the equivalence
-  contract, so its wall-time ratio to ``fig7_matmult`` is what the
-  dispatch's choice of vec for one trace buys.
 * ``fig8_smp`` — the same naive MatMult run on both CPUs of one node
   at once: vec's per-CPU oracles and issue-time merge of the L2 misses,
   fig8's engine.
@@ -29,8 +25,7 @@ has to beat:
 
 Kernel sizes are identical in ``--quick`` and full mode (only the repeat
 count differs) so every ``BENCH_perf.json`` is comparable with every
-other, including the recorded seed baseline in
-:mod:`repro.perf.baseline`.  Wall times take the *best* of ``repeats``
+other recorded on the same host.  Wall times take the *best* of ``repeats``
 runs — the minimum is the least noisy estimator of the achievable time.
 """
 
@@ -41,8 +36,6 @@ import platform
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.perf.baseline import SEED_BASELINE
 
 SCHEMA = "repro.perf/v1"
 
@@ -83,12 +76,6 @@ class KernelResult:
         """Work units per second of host wall time."""
         return self.work / self.wall_s if self.wall_s > 0 else 0.0
 
-    def speedup_vs_seed(self) -> Optional[float]:
-        base = SEED_BASELINE["kernels"].get(self.name)
-        if base is None or self.wall_s <= 0:
-            return None
-        return base["wall_s"] / self.wall_s
-
 
 # ---------------------------------------------------------------------------
 # The kernels.  Each returns (work_units, work_unit_name, check_value).
@@ -114,28 +101,6 @@ def _kernel_fig7_matmult() -> Tuple[int, str, float]:
                          machine_key="powermanna")
     accesses = sum(l1.access_count() for l1 in node.memory.l1s)
     return accesses, "accesses", result.mflops
-
-
-def _kernel_fig7_matmult_scalar() -> Tuple[int, str, float]:
-    """``fig7_matmult``'s replay, step for step, minus the dispatch:
-    ``run_matmult`` would hand this single trace to vec."""
-    from repro.bench.matmult import (
-        _alloc_matrices,
-        _per_access_compute_ns,
-        _product_trace,
-    )
-    from repro.core.specs import POWERMANNA
-    from repro.memory.mp import _replay_fast
-
-    n = 48
-    node = POWERMANNA.node(scale=16)
-    node.reset()
-    trace = _product_trace("naive", _alloc_matrices(0, n), n, None)
-    compute_ns = _per_access_compute_ns(node, n, "naive")
-    node.memory.reset_timing()
-    result, = _replay_fast(node.memory, [trace], compute_ns, [node._stall])
-    accesses = sum(l1.access_count() for l1 in node.memory.l1s)
-    return accesses, "accesses", 2.0 * n * n * n / result.finish_ns * 1e3
 
 
 def _kernel_fig8_smp() -> Tuple[int, str, float]:
@@ -205,7 +170,6 @@ def _kernel_topo_hypercube_1k() -> Tuple[int, str, float]:
 KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig6_hint": _kernel_fig6_hint,
     "fig7_matmult": _kernel_fig7_matmult,
-    "fig7_matmult_scalar": _kernel_fig7_matmult_scalar,
     "fig8_smp": _kernel_fig8_smp,
     "fig9_pingpong": _kernel_fig9_pingpong,
     "fig11_unidir": _kernel_fig11_unidir,
@@ -361,9 +325,6 @@ def bench_payload(results: Sequence[KernelResult],
             f"{r.work_unit}_per_s": r.rate,
             "check": r.check,
         }
-        speedup = r.speedup_vs_seed()
-        if speedup is not None:
-            entry["speedup_vs_seed"] = speedup
         kernels[r.name] = entry
     payload = {
         "schema": SCHEMA,
@@ -372,7 +333,6 @@ def bench_payload(results: Sequence[KernelResult],
         "platform": platform.platform(),
         "quick": quick,
         "kernels": kernels,
-        "seed_baseline": SEED_BASELINE,
     }
     if partial:
         payload["partial"] = True
@@ -394,14 +354,12 @@ def format_bench_table(results: Sequence[KernelResult]) -> str:
 
     rows = []
     for r in results:
-        speedup = r.speedup_vs_seed()
         rows.append([
             r.name,
             f"{r.wall_s:.3f}",
             f"{r.rate:,.0f} {r.work_unit}/s",
             f"{r.check:.4g}",
-            "-" if speedup is None else f"{speedup:.2f}x",
         ])
     return format_table(
-        ["kernel", "best wall (s)", "throughput", "check", "vs seed"],
+        ["kernel", "best wall (s)", "throughput", "check"],
         rows, title="Hot-kernel performance")

@@ -68,8 +68,7 @@ class TestBenchKernelSelection:
     def test_bench_list_prints_kernels(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig7_matmult", "fig7_matmult_scalar",
-                     "traffic_incast"):
+        for name in ("fig7_matmult", "fig8_smp", "traffic_incast"):
             assert name in out
 
     def test_bench_unknown_kernel_clean_error(self, capsys):

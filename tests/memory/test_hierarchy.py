@@ -1,14 +1,10 @@
-"""Tests for the single-CPU memory hierarchy timing stack."""
+"""Tests for the per-CPU memory-stack configuration."""
 
 import pytest
 
-from repro.memory.cache import AccessType, CacheGeometry
+from repro.memory.cache import CacheGeometry
 from repro.memory.dram import DramConfig
-from repro.memory.hierarchy import (
-    HierarchyConfig,
-    MemoryHierarchy,
-    ServiceLevel,
-)
+from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.tlb import TlbConfig
 from repro.sim.clock import Clock
 
@@ -24,7 +20,6 @@ def make_config(**overrides):
         tlb=TlbConfig(entries=1024, page_bytes=4096, miss_cycles=50.0),
         l1_hit_cycles=1.0,
         l2_hit_cycles=6.0,
-        bus_overhead_bus_cycles=4.0,
     )
     defaults.update(overrides)
     return HierarchyConfig(**defaults)
@@ -35,7 +30,6 @@ class TestConfig:
         config = make_config()
         assert config.l1_hit_ns == pytest.approx(1000.0 / 180.0)
         assert config.l2_hit_ns == pytest.approx(6000.0 / 180.0)
-        assert config.bus_overhead_ns == pytest.approx(4000.0 / 60.0)
         assert config.tlb_miss_ns == pytest.approx(50000.0 / 180.0)
 
     def test_line_sizes_must_match(self):
@@ -52,94 +46,3 @@ class TestConfig:
         assert config.l2.size_bytes == 2048
         assert config.tlb.page_bytes == 1024
         assert config.l1.line_bytes == 64
-
-
-class TestServiceLevels:
-    def test_first_touch_goes_to_memory(self):
-        mem = MemoryHierarchy(make_config())
-        outcome = mem.access(0.0, 0x1000)
-        assert outcome.level == ServiceLevel.MEMORY
-        # TLB miss + L1 + L2 + bus + DRAM access + line transfer.
-        expected = (50.0 + 1.0 + 6.0) * (1000.0 / 180.0) + 4000.0 / 60.0 \
-            + 60.0 + 64 * 1000.0 / 640.0
-        assert outcome.latency_ns == pytest.approx(expected)
-
-    def test_second_touch_hits_l1(self):
-        mem = MemoryHierarchy(make_config())
-        mem.access(0.0, 0x1000)
-        outcome = mem.access(500.0, 0x1008)
-        assert outcome.level == ServiceLevel.L1
-        assert outcome.latency_ns == pytest.approx(1000.0 / 180.0)
-
-    def test_l1_victim_found_in_l2(self):
-        config = make_config()
-        mem = MemoryHierarchy(config)
-        # L1 is 1 KB 2-way with 64B lines -> 8 sets; 0x0 and 0x400 conflict.
-        mem.access(0.0, 0x0)
-        mem.access(0.0, 0x200)
-        mem.access(0.0, 0x400)       # evicts 0x0 from L1, stays in L2
-        outcome = mem.access(0.0, 0x0)
-        assert outcome.level == ServiceLevel.L2
-
-    def test_inclusion_backinvalidates_l1(self):
-        config = make_config(l1=CacheGeometry(128, 64, 1),
-                             l2=CacheGeometry(256, 64, 1))
-        mem = MemoryHierarchy(config)
-        mem.access(0.0, 0x0)
-        # 0x100 maps to the same L2 set (256B direct-mapped -> 4 sets? no:
-        # 4 lines).  Evicting 0x0 from L2 must also remove it from L1.
-        mem.access(0.0, 0x100)
-        assert not mem.l1.contains(0x0)
-
-    def test_level_counts(self):
-        mem = MemoryHierarchy(make_config())
-        mem.access(0.0, 0x0)
-        mem.access(0.0, 0x8)
-        l1, l2, memory = mem.level_counts()
-        assert (l1, l2, memory) == (1, 0, 1)
-
-    def test_flush_forgets_everything(self):
-        mem = MemoryHierarchy(make_config())
-        mem.access(0.0, 0x0)
-        mem.flush()
-        assert mem.access(0.0, 0x0).level == ServiceLevel.MEMORY
-
-
-class TestTlbCharging:
-    def test_tlb_miss_charged_once_per_page(self):
-        mem = MemoryHierarchy(make_config())
-        mem.access(0.0, 0x1000)
-        base = mem.access(0.0, 0x1008).latency_ns   # L1 hit, TLB hit
-        far = mem.access(0.0, 0x1040)               # same page, L1 miss
-        assert far.latency_ns < make_config().tlb_miss_ns + base + 1000
-        assert mem.stats["tlb_misses"] == 1
-
-    def test_strided_pages_thrash_tlb(self):
-        config = make_config(tlb=TlbConfig(entries=4, page_bytes=4096,
-                                           miss_cycles=50.0))
-        mem = MemoryHierarchy(config)
-        for i in range(16):
-            mem.access(0.0, i * 4096)
-        for i in range(16):
-            mem.access(0.0, i * 4096)
-        assert mem.stats["tlb_misses"] == 32   # every access a new page
-
-
-class TestDramIntegration:
-    def test_writeback_consumes_bank_time(self):
-        config = make_config(l1=CacheGeometry(128, 64, 1),
-                             l2=CacheGeometry(128, 64, 1))
-        mem = MemoryHierarchy(config)
-        mem.access(0.0, 0x0, AccessType.WRITE)
-        mem.access(0.0, 0x1000, AccessType.READ)   # evicts dirty 0x0
-        assert mem.stats["l2_writebacks"] == 1
-
-    def test_shared_dram_contends(self):
-        config = make_config()
-        from repro.memory.dram import InterleavedDram
-        shared = InterleavedDram(config.dram)
-        a = MemoryHierarchy(config, name="a", shared_dram=shared)
-        b = MemoryHierarchy(config, name="b", shared_dram=shared)
-        first = a.access(0.0, 0x0)
-        second = b.access(0.0, 0x0)    # same bank, must queue
-        assert second.latency_ns > first.latency_ns

@@ -26,7 +26,7 @@ def make_hierarchy():
         dram=DramConfig(num_banks=4, interleave_bytes=64,
                         access_ns=60.0, bandwidth_mb_s=640.0),
         tlb=TlbConfig(entries=4096, page_bytes=4096, miss_cycles=0.0),
-        l1_hit_cycles=1.0, l2_hit_cycles=6.0, bus_overhead_bus_cycles=4.0)
+        l1_hit_cycles=1.0, l2_hit_cycles=6.0)
 
 
 def make_fabric(kind):

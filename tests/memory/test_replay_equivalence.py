@@ -1,16 +1,14 @@
 """Engine vs. reference equivalence for the batch trace replay.
 
-Every replay engine must be *access-for-access* identical to
+``replay_traces`` must be *access-for-access* identical to
 ``replay_reference`` (the ``run_interleaved`` path): same hit/miss/
 evict/upgrade/TLB counters, same float operation order (hence
 bit-identical timing).  These property tests pin that over randomized
-traces designed to hit every replay regime — L1 hits, SHARED-line write
-upgrades, capacity misses, TLB thrashing — on one- and multi-CPU nodes,
-for the default ``replay_traces`` dispatch (vec whenever the CPUs' lines
-are pairwise disjoint, the scalar loop otherwise; these overlapping
-random traces take the loop) and for the scalar loop ``_replay_fast``
-called directly, so the loop keeps its single-CPU coverage.  The
-dispatch cases pin which engine each input gets, and the fig8 regime
+traces designed to hit every regime the vectorized engine serves — L1
+hits, capacity misses, L2 refills, TLB thrashing — on one CPU and on
+several CPUs in disjoint regions.  Inputs vec declines (lines shared
+across CPUs, a SHARED line resident) go to the reference itself, so the
+dispatch cases only pin which engine each input gets; the fig8 regime
 pins the dual-CPU vec route on real MatMult traces.
 
 A second group pins the DES side the same way: the seeded fig9 run must
@@ -30,7 +28,6 @@ from repro.memory.mp import (
     FabricConfig,
     FabricKind,
     MultiprocessorMemory,
-    _replay_fast,
     replay_reference,
     replay_traces,
 )
@@ -49,7 +46,7 @@ def make_memory(cpus, kind=FabricKind.SWITCHED):
         dram=DramConfig(num_banks=4, interleave_bytes=64,
                         access_ns=60.0, bandwidth_mb_s=640.0),
         tlb=TlbConfig(entries=8, page_bytes=4096, miss_cycles=12.0),
-        l1_hit_cycles=1.0, l2_hit_cycles=6.0, bus_overhead_bus_cycles=4.0)
+        l1_hit_cycles=1.0, l2_hit_cycles=6.0)
     fabric = FabricConfig(
         kind=kind,
         snoop=SnoopConfig(bus_clock=Clock(60.0), phase_cycles=3.0,
@@ -128,8 +125,11 @@ def replay_pair(replay, traces, compute_ns=5.0):
 
 
 def run_both(replay, cpus, seed, length=3000, compute_ns=5.0):
+    """Random traces, one per CPU in its own region, through ``replay``
+    and the reference."""
     rng = random.Random(seed)
-    traces = [random_trace(rng, length) for _ in range(cpus)]
+    traces = [relocate(random_trace(rng, length), cpu)
+              for cpu in range(cpus)]
     (got, got_mem), (ref, ref_mem) = replay_pair(replay, traces, compute_ns)
     return (got, snapshot(got_mem)), (ref, snapshot(ref_mem))
 
@@ -181,44 +181,16 @@ class TestReplayFastPathEquivalence:
             for key, value in counts.items():
                 tlb_total[key] = tlb_total.get(key, 0) + value
         for key in ("read_hit", "write_hit", "read_miss", "write_miss",
-                    "upgrade"):
+                    "writeback"):
             assert l1_total.get(key, 0) > 0, f"trace never hit {key}"
         assert tlb_total.get("misses", 0) > 0
         assert tlb_total.get("hits", 0) > 0
         assert tlb_total.get("evictions", 0) > 0
-        # L1 misses refilled in-loop from the CPU's own E/M L2 line.
+        # L1 misses refilled from the CPU's own E/M L2 line.
         l2_read_hits = sum(counts.get("read_hit", 0)
                            for counts in ref_snap["l2"])
         assert l2_read_hits > 0
         assert ref_snap["domain"].get("hit", 0) > 0
-
-    def test_refills_run_in_loop(self):
-        """Private-L2 refills must not reach the reference access path:
-        only DRAM misses, SHARED upgrades and repair cases do."""
-        rng = random.Random(0)
-        traces = [random_trace(rng, 3000) for _ in range(2)]
-        memory = make_memory(2)
-        slow_calls = []
-        reference_access = memory.access
-
-        def counting_access(*args):
-            slow_calls.append(args)
-            return reference_access(*args)
-
-        memory.access = counting_access
-        self.replay(memory, traces, 5.0,
-                    [lambda latency, compute: latency] * 2)
-        # A replay that sent every L1 miss to the reference path would
-        # make at least one call per miss.
-        assert memory.domain.stats["hit"] > 0
-        assert len(slow_calls) < sum(l1.miss_count() for l1 in memory.l1s)
-
-
-class TestScalarLoopEquivalence(TestReplayFastPathEquivalence):
-    """The same contract for ``_replay_fast`` called directly: the
-    dispatch hands it single-CPU replays only when vec declines."""
-
-    replay = staticmethod(_replay_fast)
 
 
 class TestReplayDispatch:
@@ -231,7 +203,7 @@ class TestReplayDispatch:
 
         log = []
         for owner, name, label in ((mp.vec, "replay", "vec"),
-                                   (mp, "_replay_fast", "scalar")):
+                                   (mp, "run_interleaved", "reference")):
             def spy(*args, engine=getattr(owner, name), label=label,
                     **kwargs):
                 log.append(label)
@@ -251,10 +223,12 @@ class TestReplayDispatch:
         self.replay(memory, [trace])  # warm CPU 0 alone: still vec
         assert served == ["vec", "vec"]
 
-    def test_multi_cpu_replay_served_by_scalar_loop(self, served):
+    def test_multi_cpu_replay_served_by_reference(self, served):
         rng = random.Random(2)
-        self.replay(make_memory(2), [random_trace(rng, 500) for _ in "ab"])
-        assert served == ["scalar"]
+        results = self.replay(make_memory(2),
+                              [random_trace(rng, 500) for _ in "ab"])
+        assert served == ["reference"]
+        assert [r.steps for r in results] == [500, 500]
 
     def test_disjoint_multi_cpu_replay_served_by_vec(self, served):
         rng = random.Random(2)
@@ -277,7 +251,7 @@ class TestReplayDispatch:
         served.clear()
         self.replay(memory, [[(0x80, AccessType.READ),
                               (0x40, AccessType.WRITE)]])
-        assert served == ["scalar"]
+        assert served == ["reference"]
 
     def test_disjoint_warm_sibling_served_by_vec(self, served):
         memory = make_memory(2)
@@ -302,14 +276,14 @@ class TestReplayDispatch:
             traces[1].append((1 << 70, AccessType.READ))
         served.clear()
         results = self.replay(memory, traces)
-        assert served == ["scalar"]
+        assert served == ["reference"]
         assert [r.steps for r in results] == [len(t) for t in traces]
 
     def test_address_outside_int64_falls_back(self, served):
         trace = iter([(0x40, AccessType.READ), (1 << 70, AccessType.READ),
                       (0x80, AccessType.WRITE)])
         result, = self.replay(make_memory(1), [trace])
-        assert served == ["scalar"]
+        assert served == ["reference"]
         assert result.steps == 3  # the half-coerced iterator is replayed whole
 
 
@@ -359,7 +333,7 @@ class TestFig8RegimeEquivalence:
             return vec_replay(memory, pieces, *args)
 
         monkeypatch.setattr(mp.vec, "replay", spy)
-        monkeypatch.setattr(mp, "_replay_fast", None)  # must not be reached
+        monkeypatch.setattr(mp, "run_interleaved", None)  # not reached
         fast, fast_mem = run(replay_traces)
         assert cpus_per_vec_call == [2] * len(ref)
         assert fast == ref
@@ -373,14 +347,14 @@ class TestFig8RegimeEquivalence:
 
     def test_fig8_command_stays_in_vec(self, monkeypatch, capsys):
         """``fig8 --sizes 16 24`` replays every access through vec: no
-        scalar loop, and no access through the reference path."""
+        access goes through the reference path."""
         from repro.cli import main
         from repro.memory import mp
 
         def forbidden(*args, **kwargs):
             raise AssertionError("left the vectorized engine")
 
-        monkeypatch.setattr(mp, "_replay_fast", forbidden)
+        monkeypatch.setattr(mp, "run_interleaved", forbidden)
         monkeypatch.setattr(MultiprocessorMemory, "access", forbidden)
         assert main(["fig8", "--sizes", "16", "24", "--jobs", "1",
                      "--no-cache", "--no-journal"]) in (0, None)

@@ -1,18 +1,15 @@
 """Vectorized-engine vs. reference equivalence for trace replay.
 
 ``replay_traces`` hands single-CPU replays, and multi-CPU replays whose
-CPUs touch pairwise disjoint lines, to the vectorized engine, which
-carries the scalar loop's contract: *access-for-access* identical to
-``replay_reference`` — same hit/miss/evict/upgrade/TLB counters, same
-float operation order, hence bit-identical timing, and the same final
-cache/TLB contents and recency order.  The hypothesis suite here pins
-that over randomized traces spanning every replay regime (L1-hit runs,
-write fractions from read-only to write-heavy, TLB churn and
-L2-thrashing spans) for the default dispatch and for the scalar loop
-``_replay_fast`` called directly.  The multi-CPU cases pin the
-dispatch's scalar route for overlapping traces, and vec's per-CPU
-oracles and issue-time merge of the L2 misses for disjoint ones on
-every fabric.
+CPUs touch pairwise disjoint lines, to the vectorized engine, whose
+contract is *access-for-access* identity with ``replay_reference`` —
+same hit/miss/evict/upgrade/TLB counters, same float operation order,
+hence bit-identical timing, and the same final cache/TLB contents and
+recency order.  The hypothesis suite here pins that over randomized
+traces spanning every replay regime (L1-hit runs, write fractions from
+read-only to write-heavy, TLB churn and L2-thrashing spans).  The
+multi-CPU cases pin vec's per-CPU oracles and issue-time merge of the
+L2 misses for disjoint traces on every fabric.
 """
 
 import random
@@ -24,13 +21,7 @@ from hypothesis import strategies as st
 
 from repro.memory import vec
 from repro.memory.cache import AccessType
-from repro.memory import mp
-from repro.memory.mp import (
-    FabricKind,
-    _replay_fast,
-    replay_reference,
-    replay_traces,
-)
+from repro.memory.mp import FabricKind, replay_reference, replay_traces
 from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
 
 from .test_replay_equivalence import (
@@ -43,10 +34,6 @@ from .test_replay_equivalence import (
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
-
-#: The engines under the contract: the default dispatch and the scalar
-#: loop it falls back to.
-ENGINES = (replay_traces, _replay_fast)
 
 
 def regime_trace(rng, length, write_fraction):
@@ -90,30 +77,6 @@ class TestVecBackendEquivalence:
                                           length):
         assert_regime_identical(replay_traces, seed, write_fraction, length)
 
-    @regimes
-    @settings(max_examples=25, deadline=None)
-    def test_scalar_loop_single_cpu_bitwise_identical(self, seed,
-                                                      write_fraction,
-                                                      length):
-        assert_regime_identical(_replay_fast, seed, write_fraction, length)
-
-    @pytest.mark.parametrize("cpus,seed", [(2, 0), (2, 3), (4, 4), (4, 13)])
-    def test_multi_cpu_identical_via_fallback(self, cpus, seed):
-        rng = random.Random(seed)
-        traces = [random_trace(rng, 1500) for _ in range(cpus)]
-        (got, got_mem), (ref, ref_mem) = replay_pair(replay_traces, traces)
-        assert got == ref
-        assert snapshot(got_mem) == snapshot(ref_mem)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_matches_scalar_fast_path_too(self, seed):
-        rng = random.Random(seed)
-        trace = random_trace(rng, 2000)
-        (got, got_mem), _ = replay_pair(replay_traces, [trace])
-        (fast, fast_mem), _ = replay_pair(_replay_fast, [trace])
-        assert got == fast
-        assert snapshot(got_mem) == snapshot(fast_mem)
-
     def test_warm_cache_second_epoch_identical(self):
         """Equivalence must hold from a *warm* (non-empty) state: vec's
         lane seeding and TLB initial-recency paths only matter then."""
@@ -129,9 +92,7 @@ class TestVecBackendEquivalence:
             return (replay(memory, [list(measured)], 5.0, stalls),
                     snapshot(memory))
 
-        ref = two_epochs(replay_reference)
-        for replay in ENGINES:
-            assert two_epochs(replay) == ref
+        assert two_epochs(replay_traces) == two_epochs(replay_reference)
 
     def test_array_traces_accepted_by_every_backend(self):
         rng = random.Random(3)
@@ -141,23 +102,21 @@ class TestVecBackendEquivalence:
         stalls = [lambda latency, compute: latency]
         ref_mem = make_memory(1)
         ref = replay_reference(ref_mem, [arr], 5.0, stalls)
-        for replay in ENGINES:
-            mem = make_memory(1)
-            assert replay(mem, [arr], 5.0, stalls) == ref
-            assert snapshot(mem) == snapshot(ref_mem)
+        mem = make_memory(1)
+        assert replay_traces(mem, [arr], 5.0, stalls) == ref
+        assert snapshot(mem) == snapshot(ref_mem)
 
     def test_empty_trace(self):
-        for replay in ENGINES:
-            (got, got_mem), (ref, ref_mem) = replay_pair(replay, [[]])
-            assert got == ref
-            assert snapshot(got_mem) == snapshot(ref_mem)
+        (got, got_mem), (ref, ref_mem) = replay_pair(replay_traces, [[]])
+        assert got == ref
+        assert snapshot(got_mem) == snapshot(ref_mem)
 
 
 class TestSegmentedReplay:
     """A trace longer than a segment replays piece by piece, each piece
     from the state the last one committed; no seam may show, whether the
     trace is pairs or a stream of short array blocks, and where a piece
-    holds an address that sends it to the scalar loop."""
+    holds an address that sends it to the reference."""
 
     @pytest.mark.parametrize("form", ["pairs", "blocks"])
     def test_matches_reference(self, monkeypatch, form):
@@ -186,7 +145,8 @@ class TestDisjointMultiCpuEquivalence:
 
     @pytest.fixture
     def vec_only(self, monkeypatch):
-        """Fail on any scalar-loop call; count the vec calls."""
+        """Count the vec calls and their CPUs: a multi-CPU replay goes to
+        vec whole or to the reference whole."""
         calls = []
         replay = vec.replay
 
@@ -195,7 +155,6 @@ class TestDisjointMultiCpuEquivalence:
             return replay(memory, pieces, *args)
 
         monkeypatch.setattr(vec, "replay", spy)
-        monkeypatch.setattr(mp, "_replay_fast", None)
         return calls
 
     @staticmethod

@@ -1,8 +1,8 @@
 """Replay engines under ``run_sweep``: values and jobs-level identity.
 
 A MatMult sweep replays one trace per point, which ``replay_traces``
-hands to the vectorized engine.  Its results must equal the scalar
-loop's and be byte-identical pickled at any jobs level.
+hands to the vectorized engine.  Its results must equal the reference's
+and be byte-identical pickled at any jobs level.
 """
 
 import pickle
@@ -22,7 +22,7 @@ class TestRunSweepOption:
         from repro.memory import mp
 
         points = [((n,), {"spec": POWERMANNA, "n": n, "version": "naive",
-                          "scale": 16}) for n in (8, 12)]
+                          "scale": 16}) for n in (8, 12, 16)]
         serial = run_sweep("mm", points, matmult_cell_task)
         fanned = run_sweep("mm", points, matmult_cell_task, jobs=4)
         # jobs fan-out must not perturb any point's result, byte for byte
@@ -31,7 +31,7 @@ class TestRunSweepOption:
         # change)
         assert ([pickle.dumps(o.value) for o in serial]
                 == [pickle.dumps(o.value) for o in fanned])
-        # vec ruled out for every node leaves the scalar loop: same values
+        # vec ruled out for every node leaves the reference: same values
         monkeypatch.setattr(mp.vec, "supported", lambda *args: False)
-        scalar = run_sweep("mm", points, matmult_cell_task)
-        assert [o.value for o in scalar] == [o.value for o in serial]
+        reference = run_sweep("mm", points, matmult_cell_task)
+        assert [o.value for o in reference] == [o.value for o in serial]

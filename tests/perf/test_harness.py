@@ -2,8 +2,8 @@
 
 The actual kernels are too slow for unit tests; these tests patch tiny
 stand-ins into ``KERNELS`` and check everything around them — best/mean
-selection, determinism enforcement, speedup accounting, payload schema
-and the file round trip.
+selection, determinism enforcement, payload schema and the file round
+trip.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.perf import (
     KERNELS,
     KernelResult,
     SCHEMA,
-    SEED_BASELINE,
     bench_payload,
     run_bench,
     run_kernel,
@@ -64,18 +63,6 @@ class TestRunKernel:
         with pytest.raises(AssertionError, match="nondeterministic"):
             run_kernel("flaky", repeats=2)
 
-    def test_speedup_vs_seed(self):
-        known = next(iter(SEED_BASELINE["kernels"]))
-        base = SEED_BASELINE["kernels"][known]["wall_s"]
-        result = KernelResult(name=known, wall_s=base / 2, mean_s=base,
-                              repeats=3, work=10, work_unit="events",
-                              check=1.0)
-        assert result.speedup_vs_seed() == pytest.approx(2.0)
-        unknown = KernelResult(name="nope", wall_s=1.0, mean_s=1.0,
-                               repeats=1, work=1, work_unit="events",
-                               check=0.0)
-        assert unknown.speedup_vs_seed() is None
-
 
 class TestRunBench:
     def test_unknown_kernel_rejected(self):
@@ -88,18 +75,8 @@ class TestRunBench:
 
     def test_default_covers_every_figure_family(self):
         assert set(KERNELS) == {
-            "fig6_hint", "fig7_matmult", "fig7_matmult_scalar", "fig8_smp",
-            "fig9_pingpong", "fig11_unidir", "traffic_incast",
-            "topo_hypercube_1k"}
-        # Every figure kernel has a recorded seed baseline to beat;
-        # kernels born after the seed (the topology layer, the
-        # scalar-loop twin of fig7, the dual-CPU fig8 replay, the
-        # contended traffic point) have none and report no
-        # speedup_vs_seed.
-        figure_kernels = {"fig6_hint", "fig7_matmult", "fig9_pingpong",
-                          "fig11_unidir"}
-        assert figure_kernels <= set(SEED_BASELINE["kernels"])
-        assert set(SEED_BASELINE["kernels"]) <= set(KERNELS)
+            "fig6_hint", "fig7_matmult", "fig8_smp", "fig9_pingpong",
+            "fig11_unidir", "traffic_incast", "topo_hypercube_1k"}
 
 
 class TestPayload:
@@ -112,16 +89,10 @@ class TestPayload:
         payload = bench_payload([self._result()], quick=True)
         assert payload["schema"] == SCHEMA == "repro.perf/v1"
         assert payload["quick"] is True
-        assert payload["seed_baseline"] == SEED_BASELINE
         entry = payload["kernels"]["fig9_pingpong"]
         assert entry["wall_s"] == 0.05
         assert entry["work"] == 40001
         assert entry["events_per_s"] == pytest.approx(40001 / 0.05)
-        assert entry["speedup_vs_seed"] == pytest.approx(0.149 / 0.05)
-
-    def test_unknown_kernel_has_no_speedup_key(self):
-        payload = bench_payload([self._result(name="custom")])
-        assert "speedup_vs_seed" not in payload["kernels"]["custom"]
 
     def test_write_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
@@ -132,9 +103,8 @@ class TestPayload:
         assert on_disk["quick"] is False
         assert "fig9_pingpong" in on_disk["kernels"]
 
-    def test_table_mentions_each_kernel_and_speedup(self, tiny_kernel):
+    def test_table_mentions_each_kernel(self, tiny_kernel):
         results = run_bench(repeats=1, kernels=["tiny"])
         table = harness.format_bench_table(results)
         assert "tiny" in table
         assert "accesses/s" in table
-        assert "vs seed" in table
