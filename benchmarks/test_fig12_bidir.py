@@ -18,9 +18,10 @@ import pytest
 
 from conftest import announce
 
-from repro.bench.microbench import comm_sweep, metric_value, powermanna_point
+from repro.bench.microbench import comm_sweep, metric_value, topology_point
 from repro.bench.report import format_series, format_table
 from repro.msg.api import build_cluster_world
+from repro.network.topology import cluster_spec
 
 SIZES = (64, 256, 1024, 4096, 16384)
 FIFO_LADDER = (32, 64, 128, 256)    # words; 32 is the real chip
@@ -33,7 +34,8 @@ def run_sweep():
 def run_fifo_ablation(nbytes=16384):
     results = {}
     for words in FIFO_LADDER:
-        point = powermanna_point(nbytes, "bidir", fifo_words=words)
+        point = topology_point(cluster_spec().to_dict(), nbytes, "bidir",
+                               fifo_words=words)
         results[words] = metric_value(point, "bidir")
     return results
 

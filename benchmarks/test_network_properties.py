@@ -19,17 +19,14 @@ from repro.msg.api import build_cluster_world
 from repro.network.crossbar import CrossbarConfig
 from repro.network.link import LinkConfig
 from repro.network.routing import RouteTable
-from repro.network.topology import (
-    build_grid_system,
-    build_power_manna_256,
-    node_key,
-)
+from repro.network.topo import build_fabric
+from repro.network.topology import grid_spec, manna_spec, node_key
 from repro.sim.engine import Simulator
 
 
 def route_study():
     sim = Simulator()
-    fabric = build_power_manna_256(sim)
+    fabric = build_fabric(sim, manna_spec())
     table = RouteTable(fabric.graph)
     sample_nodes = (0, 1, 7, 8, 15, 16, 63, 64, 100, 120, 127)
     counts = {}
@@ -45,7 +42,7 @@ def route_study():
 
 def grid_reachability():
     sim = Simulator()
-    fabric = build_grid_system(sim, rows=4, cols=4, nodes_per_cluster=8)
+    fabric = build_fabric(sim, grid_spec(rows=4, cols=4, nodes_per_cluster=8))
     table = RouteTable(fabric.graph)
     # One representative node per cluster keeps the pair count tractable.
     endpoints = [node_key(cluster * 8, 0) for cluster in range(16)]
@@ -106,7 +103,7 @@ class TestLatencyScalesWithCrossbars:
     def test_each_crossbar_adds_setup_time(self):
         from repro.msg.api import CommWorld
         sim = Simulator()
-        fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=8)
+        fabric = build_fabric(sim, manna_spec(clusters=4, nodes_per_cluster=8))
         world = CommWorld(sim, fabric)
         one_hop = world.one_way_latency_ns(0, 1, 8, reps=2)
         three_hop = world.one_way_latency_ns(0, 15, 8, reps=2)

@@ -15,17 +15,14 @@ import random
 from repro.bench.report import format_table
 from repro.msg.api import CommWorld
 from repro.network.routing import RouteTable
-from repro.network.topology import (
-    build_cluster,
-    build_power_manna_256,
-    node_key,
-)
+from repro.network.topo import build_fabric
+from repro.network.topology import cluster_spec, manna_spec, node_key
 from repro.sim.engine import Simulator
 
 
 def show_cluster() -> None:
     sim = Simulator()
-    fabric = build_cluster(sim)
+    fabric = build_fabric(sim, cluster_spec())
     table = RouteTable(fabric.graph)
     rows = []
     for src, dst in ((0, 1), (0, 7), (3, 4)):
@@ -41,7 +38,7 @@ def show_cluster() -> None:
 
 def show_256() -> None:
     sim = Simulator()
-    fabric = build_power_manna_256(sim)
+    fabric = build_fabric(sim, manna_spec())
     table = RouteTable(fabric.graph)
     rows = []
     for src, dst in ((0, 5), (0, 8), (0, 127), (64, 72), (9, 118)):
@@ -60,7 +57,7 @@ def show_256() -> None:
 
 def traffic_experiment() -> None:
     sim = Simulator()
-    fabric = build_cluster(sim)
+    fabric = build_fabric(sim, cluster_spec())
     world = CommWorld(sim, fabric)
     rng = random.Random(11)
     pairs = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.comparators.models import bip_model, fm_model
-from repro.msg.api import CommWorld, build_cluster_world
+from repro.network.topology import cluster_spec
 from repro.ni.dma import DmaNicModel
 from repro.ni.driver import DriverConfig
 from repro.obs import OBS
@@ -39,13 +39,6 @@ class CommPoint:
     gap_us: Optional[float] = None
     unidir_mb_s: Optional[float] = None
     bidir_mb_s: Optional[float] = None
-
-
-def _fresh_world(fifo_words: int = 32,
-                 driver_config: DriverConfig = DriverConfig()) -> CommWorld:
-    _, world = build_cluster_world(fifo_words=fifo_words,
-                                   driver_config=driver_config)
-    return world
 
 
 def _streams_count(nbytes: int) -> int:
@@ -85,18 +78,6 @@ def measure_point(world, a: int, b: int, nbytes: int,
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def powermanna_point(nbytes: int, metric: str,
-                     fifo_words: int = 32,
-                     driver_config: DriverConfig = DriverConfig()) -> CommPoint:
-    """Measure one metric at one size on a fresh 8-node cluster.
-
-    A fresh world per point keeps measurements independent (no warm FIFO
-    or in-flight state leaks between sizes).
-    """
-    return measure_point(_fresh_world(fifo_words, driver_config), 0, 1,
-                         nbytes, metric)
-
-
 def topology_point(spec_dict: Dict[str, Any], nbytes: int, metric: str,
                    fifo_words: int = 32,
                    driver_config: DriverConfig = DriverConfig()) -> CommPoint:
@@ -104,8 +85,9 @@ def topology_point(spec_dict: Dict[str, Any], nbytes: int, metric: str,
 
     The measured pair is the spec world's :meth:`far_pair` — a worst-case
     route — so figures across topologies compare like for like.  On the
-    default cluster spec the pair degenerates to ``(0, 1)``, matching
-    :func:`powermanna_point`.
+    default cluster spec the pair degenerates to ``(0, 1)``.  A fresh
+    world per point keeps measurements independent (no warm FIFO or
+    in-flight state leaks between sizes).
     """
     from repro.msg.api import build_topology_world
     from repro.network.topo import TopologySpec
@@ -142,14 +124,9 @@ def _comm_point_task(config: Dict[str, Any], seed: int) -> CommPoint:
     else:
         fault_ctx = contextlib.nullcontext()
     with fault_ctx:
-        spec_dict = config.get("topology")
-        if spec_dict is not None:
-            return topology_point(spec_dict, config["nbytes"],
-                                  config["metric"], config["fifo_words"],
-                                  config["driver_config"])
-        return powermanna_point(config["nbytes"], config["metric"],
-                                config["fifo_words"],
-                                config["driver_config"])
+        return topology_point(config["topology"], config["nbytes"],
+                              config["metric"], config["fifo_words"],
+                              config["driver_config"])
 
 
 def comm_sweep(metric: str, sizes: Sequence[int] = DEFAULT_SIZES,
@@ -171,24 +148,22 @@ def comm_sweep(metric: str, sizes: Sequence[int] = DEFAULT_SIZES,
     and stay in-process.  ``fault_plan`` (a :class:`repro.faults.FaultPlan`)
     is armed per point with a seed derived from the point's identity.
 
-    ``topology`` (a :class:`~repro.network.topo.spec.TopologySpec`) runs
-    the PowerMANNA points on that fabric — at flit or flow fidelity per
-    the spec — measuring its far pair.  When ``None`` the points use the
-    default 8-node cluster and their cache fingerprints are exactly what
-    they were before topologies existed (no spurious invalidation).
+    ``topology`` (a :class:`~repro.network.topo.spec.TopologySpec`,
+    default the 8-node cluster) runs the PowerMANNA points on that
+    fabric — at flit or flow fidelity per the spec — measuring its far
+    pair.
     """
     from repro.parallel import run_sweep, sweep_values
 
     plan_dict = fault_plan.to_dict() if fault_plan is not None else None
-    points = []
-    for n in sizes:
-        config = {"metric": metric, "nbytes": n,
-                  "fifo_words": fifo_words,
-                  "driver_config": driver_config,
-                  "fault_plan": plan_dict}
-        if topology is not None:
-            config["topology"] = topology.to_dict()
-        points.append(((metric, n), config))
+    spec_dict = (topology if topology is not None
+                 else cluster_spec()).to_dict()
+    points = [((metric, n), {"metric": metric, "nbytes": n,
+                             "fifo_words": fifo_words,
+                             "driver_config": driver_config,
+                             "fault_plan": plan_dict,
+                             "topology": spec_dict})
+              for n in sizes]
     outcomes = run_sweep(f"comm:{metric}", points, _comm_point_task,
                          jobs=jobs, cache=cache, modules=COMM_SWEEP_MODULES,
                          seed_base=fault_plan.seed if fault_plan else 0,

@@ -356,15 +356,11 @@ def _fault_plan_from_args(args):
 
 
 def _topology_spec(args):
-    """The --topology argument as a TopologySpec, or None (the default
-    8-node cluster, whose sweep fingerprints must stay exactly as they
-    were before topologies existed)."""
-    text = getattr(args, "topology", None)
-    if not text:
-        return None
+    """The --topology argument as a TopologySpec (``trace`` and
+    ``metrics`` take no --topology: they measure the 8-node cluster)."""
     from repro.network.topo import parse_topology
 
-    return parse_topology(text)
+    return parse_topology(getattr(args, "topology", "cluster"))
 
 
 def _comm_figure(metric: str, title: str, args) -> Optional[int]:
@@ -378,9 +374,8 @@ def _comm_figure(metric: str, title: str, args) -> Optional[int]:
                           topology=topology, **options)
 
     def show(sweep) -> None:
-        # The title deliberately stays topology-free: `fig9` and
-        # `fig9 --topology cluster` must be byte-identical (the CI smoke
-        # check pins the spec path to the legacy path this way).
+        # The title stays topology-free so every figure table keeps the
+        # form of the paper's figures (and of the recorded goldens).
         series = {system: [metric_value(p, metric) for p in points]
                   for system, points in sweep.items()}
         _emit(format_series(series, list(sizes), "bytes", title=title))
@@ -533,12 +528,10 @@ def cmd_bench(args) -> Optional[int]:
     if args.quick and args.out is None:
         # A quick run must never silently clobber a recorded full run:
         # the default quick path refuses if it holds a non-quick payload.
-        import json as _json
-        import os as _os
-
-        if _os.path.exists(out):
+        if os.path.exists(out):
             try:
-                existing_quick = _json.load(open(out)).get("quick", True)
+                with open(out, encoding="utf-8") as handle:
+                    existing_quick = json.load(handle).get("quick", True)
             except (OSError, ValueError):
                 existing_quick = True
             if existing_quick is False:
@@ -633,9 +626,11 @@ def _traffic_load(args, spec) -> Optional[int]:
         title=f"Offered load vs goodput/latency on {spec.label()} "
               f"({arbiter} arbiter)"))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        from repro.atomicio import atomic_write_text
+
+        atomic_write_text(args.json_out,
+                          json.dumps(results, indent=2, sort_keys=True)
+                          + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     _report_cache(options["cache"])
     _report_supervision(options.get("supervise"))
@@ -821,6 +816,25 @@ def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
                              "sampling)")
 
 
+def _add_observation_options(parser: argparse.ArgumentParser) -> None:
+    """The shared span-trace/metrics-dump surface."""
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="record span tracing; write a Chrome "
+                             "trace-event JSON (load in Perfetto / "
+                             "chrome://tracing)")
+    parser.add_argument("--metrics-out", metavar="FILE", default=None,
+                        help="write labeled metrics of the run as JSON")
+
+
+def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+    """The shared fault-plan surface of the measurement commands."""
+    parser.add_argument("--fault-plan", metavar="FILE", default=None,
+                        help="run under this fault plan (JSON; see the "
+                             "chaos subcommand)")
+    parser.add_argument("--fault-seed", type=int, default=None,
+                        help="override the fault plan's seed")
+
+
 def _add_supervise_options(parser: argparse.ArgumentParser) -> None:
     """The shared supervision/journaling surface of every sweep run."""
     parser.add_argument("--retries", type=int, default=2, metavar="N",
@@ -896,25 +910,18 @@ def build_parser() -> argparse.ArgumentParser:
                            ("fig12", "bidirectional bandwidth")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--sizes", type=int, nargs="*", default=None)
-        p.add_argument("--trace", metavar="FILE", default=None,
-                       help="record span tracing; write a Chrome trace-event "
-                            "JSON (load in Perfetto / chrome://tracing)")
-        p.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write labeled metrics of the run as JSON")
+        _add_observation_options(p)
         p.add_argument("--error-rate", type=float, default=None,
                        help="inject uniform link corruption at this "
                             "probability while measuring")
-        p.add_argument("--fault-plan", metavar="FILE", default=None,
-                       help="run the measurement under this fault plan "
-                            "(JSON; see the chaos subcommand)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       help="override the fault plan's seed")
-        p.add_argument("--topology", metavar="NAME_OR_JSON", default=None,
-                       help="measure on this topology instead of the "
-                            "8-node cluster: a generator expression "
-                            "(hypercube:dimensions=8,fidelity=flow), "
-                            "inline spec JSON, or a spec file; the "
-                            "measured pair is the topology's far pair")
+        _add_fault_options(p)
+        p.add_argument("--topology", metavar="NAME_OR_JSON",
+                       default="cluster",
+                       help="topology to measure on: a generator "
+                            "expression (hypercube:dimensions=8,"
+                            "fidelity=flow), inline spec JSON, or a spec "
+                            "file; the measured pair is the topology's "
+                            "far pair (default: the 8-node cluster)")
         _add_sampling_options(p)
         _add_sweep_options(p)
 
@@ -964,11 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--adaptive-depth", type=int, default=4,
                          help="queue depth at which an output port "
                               "counts as congested")
-    traffic.add_argument("--fault-plan", metavar="FILE", default=None,
-                         help="run the load sweep under this fault plan "
-                              "(JSON; see the chaos subcommand)")
-    traffic.add_argument("--fault-seed", type=int, default=None,
-                         help="override the fault plan's seed")
+    _add_fault_options(traffic)
     traffic.add_argument("--json-out", metavar="FILE", default=None,
                          help="write the load-sweep results as JSON")
     _add_sweep_options(traffic)
@@ -981,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the plan's seed")
     chaos.add_argument("--topology", metavar="NAME_OR_JSON",
                        default="cluster",
-                       help="cluster, manna, grid (legacy scaled-down "
+                       help="manna, grid (scaled-down Figure-5b "
                             "systems) or any topology spec expression/"
                             "JSON/file at flit fidelity")
     chaos.add_argument("--protocol", choices=("sliding", "stopwait"),
@@ -1001,10 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--link-error-rate", type=float, default=0.0,
                        help="shorthand: uniform link_corrupt plan at this "
                             "probability (ignored when --plan is given)")
-    chaos.add_argument("--trace", metavar="FILE", default=None,
-                       help="write a Perfetto trace of the chaos run")
-    chaos.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write labeled metrics of the run as JSON")
+    _add_observation_options(chaos)
     chaos.add_argument("--report-out", metavar="FILE", default=None,
                        help="write the chaos report (or campaign report "
                             "with --seeds) as JSON")
@@ -1095,11 +1095,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--error-rate", type=float, default=None)
     report.add_argument("--ack-error-rate", type=float, default=None)
     report.add_argument("--link-error-rate", type=float, default=0.0)
-    report.add_argument("--trace", metavar="FILE", default=None)
-    report.add_argument("--metrics-out", metavar="FILE", default=None)
+    _add_observation_options(report)
     report.add_argument("--report-out", metavar="FILE", default=None)
-    report.add_argument("--fault-plan", metavar="FILE", default=None)
-    report.add_argument("--fault-seed", type=int, default=None)
+    _add_fault_options(report)
     return parser
 
 

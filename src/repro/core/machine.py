@@ -15,13 +15,7 @@ from typing import Dict, List
 from repro.core.specs import POWERMANNA, MachineSpec
 from repro.msg.api import CommWorld
 from repro.msg.logp import LogPParameters, measure_logp
-from repro.network.crossbar import CrossbarConfig
-from repro.network.link import LinkConfig
-from repro.network.topology import (
-    Fabric,
-    build_cluster,
-    build_power_manna_256,
-)
+from repro.network.topology import cluster_spec, manna_spec
 from repro.ni.driver import DriverConfig
 from repro.ni.interface import LinkInterfaceConfig
 from repro.node.node import NodeModel
@@ -29,38 +23,30 @@ from repro.sim.engine import Simulator
 
 
 class PowerMannaSystem:
-    """N nodes + duplicated network + per-plane user-level comm worlds."""
+    """N nodes + duplicated network + per-plane user-level comm worlds.
 
-    def __init__(self, n_nodes: int = 8,
+    ``spec`` is any flit-fidelity :class:`TopologySpec` (default: the
+    Figure-5a cluster).  The fabric's node receive FIFOs track
+    ``fifo_words`` (the Figure-12 knob) and one CommWorld is stood up per
+    network plane the blueprint wires.
+    """
+
+    def __init__(self, spec=None,
                  machine: MachineSpec = POWERMANNA,
                  fifo_words: int = 32,
-                 link_config: LinkConfig = LinkConfig(),
-                 crossbar_config: CrossbarConfig = CrossbarConfig(),
                  driver_config: DriverConfig = DriverConfig(),
-                 planes: int = 2,
-                 node_scale: int = 1,
-                 fabric_builder=None):
+                 node_scale: int = 1):
+        from repro.network.topo import blueprint, build_fabric
+
+        spec = spec if spec is not None else cluster_spec()
         self.machine = machine
         self.sim = Simulator()
         self.ni_config = LinkInterfaceConfig(fifo_words=fifo_words)
-        builder = fabric_builder or (
-            lambda sim: build_cluster(sim, n_nodes=n_nodes,
-                                      link_config=link_config,
-                                      crossbar_config=crossbar_config,
-                                      planes=planes))
-        fabric = builder(self.sim)
-        if fabric.node_rx_fifo_bytes != self.ni_config.fifo_bytes:
-            # Rebuild with matching receive FIFOs (the Figure-12 knob).
-            self.sim = Simulator()
-            fabric = builder(self.sim)
-            raise ValueError(
-                "fabric receive FIFOs do not match the link-interface "
-                f"config ({fabric.node_rx_fifo_bytes} B vs "
-                f"{self.ni_config.fifo_bytes} B); pass a fabric_builder "
-                "that sets node_rx_fifo_bytes=fifo_words*8")
-        self.fabric = fabric
+        self.fabric = build_fabric(
+            self.sim, spec, node_rx_fifo_bytes=self.ni_config.fifo_bytes)
+        planes = blueprint(spec, self.fabric.crossbar_config.ports).planes()
         self.worlds: List[CommWorld] = [
-            CommWorld(self.sim, fabric, plane=plane,
+            CommWorld(self.sim, self.fabric, plane=plane,
                       ni_config=self.ni_config, driver_config=driver_config)
             for plane in range(planes)
         ]
@@ -74,44 +60,14 @@ class PowerMannaSystem:
                 driver_config: DriverConfig = DriverConfig(),
                 node_scale: int = 1) -> "PowerMannaSystem":
         """The Figure-5a eight-node desk-side system."""
-        from repro.network.topology import cluster_spec
-
-        return cls.from_spec(cluster_spec(), fifo_words=fifo_words,
-                             driver_config=driver_config,
-                             node_scale=node_scale)
+        return cls(cluster_spec(), fifo_words=fifo_words,
+                   driver_config=driver_config, node_scale=node_scale)
 
     @classmethod
     def system_256(cls, driver_config: DriverConfig = DriverConfig(),
                    ) -> "PowerMannaSystem":
         """The Figure-5b 256-processor (128-node) configuration."""
-        return cls(fabric_builder=lambda sim: build_power_manna_256(sim),
-                   driver_config=driver_config)
-
-    @classmethod
-    def from_spec(cls, spec, fifo_words: int = 32,
-                  driver_config: DriverConfig = DriverConfig(),
-                  node_scale: int = 1) -> "PowerMannaSystem":
-        """A system on any flit-fidelity :class:`TopologySpec`.
-
-        The fabric's node receive FIFOs track ``fifo_words`` (the
-        Figure-12 knob) and one CommWorld is stood up per network plane
-        the blueprint wires.
-        """
-        from repro.network.topo import blueprint, build_fabric
-
-        if spec.fidelity != "flit":
-            raise ValueError(
-                f"PowerMannaSystem needs flit fidelity (got "
-                f"{spec.fidelity!r}); FlowWorld covers the flow tier")
-        node_rx = fifo_words * 8
-        planes = blueprint(spec, CrossbarConfig().ports).planes()
-
-        def builder(sim: Simulator) -> Fabric:
-            return build_fabric(sim, spec, node_rx_fifo_bytes=node_rx)
-
-        return cls(fifo_words=fifo_words, driver_config=driver_config,
-                   node_scale=node_scale, planes=planes,
-                   fabric_builder=builder)
+        return cls(manna_spec(), driver_config=driver_config)
 
     # -- accessors --------------------------------------------------------------
 

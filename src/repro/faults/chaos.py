@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultEngine, FaultPlan, inject
 from repro.faults.controller import FaultController
-from repro.msg.api import CommWorld
+from repro.msg.api import CommWorld, build_topology_world
 from repro.msg.reliable import (
     DeliveryError,
     ReliableChannel,
@@ -28,14 +28,13 @@ from repro.msg.reliable import (
 )
 from repro.msg.sliding_window import SlidingWindowChannel, SlidingWindowConfig
 from repro.network.routing import NoRouteError
-from repro.network.topology import (
-    build_cluster,
-    build_grid_system,
-    build_power_manna_256,
-)
+from repro.network.topo import parse_topology
+from repro.network.topology import grid_spec, manna_spec
 from repro.sim.engine import Simulator
 
-TOPOLOGIES = ("cluster", "manna", "grid")
+#: The scaled-down Figure-5b systems chaos runs name directly.
+CHAOS_ALIASES = {"manna": manna_spec(4, 4), "grid": grid_spec(2, 2, 4)}
+TOPOLOGIES = ("cluster",) + tuple(CHAOS_ALIASES)
 PROTOCOLS = ("sliding", "stopwait")
 
 
@@ -88,37 +87,28 @@ def build_chaos_world(topology: str = "cluster") -> Tuple[Simulator,
                                                           CommWorld]:
     """A fresh simulator + CommWorld on a chaos topology.
 
-    The legacy names stay: ``manna`` and ``grid`` are scaled-down
-    Figure-5b systems (16 nodes) so a chaos run stays fast while still
-    exercising multi-crossbar routes with path diversity to reroute
-    over.  Anything else is handed to
-    :func:`repro.network.topo.parse_topology` (``hypercube:dimensions=4``,
-    inline JSON, a spec file), restricted to flit fidelity — fault
-    injection needs the real discrete-event components to break.
+    ``manna`` and ``grid`` name scaled-down Figure-5b systems (16 nodes)
+    so a chaos run stays fast while still exercising multi-crossbar
+    routes with path diversity to reroute over.  Anything else is handed
+    to :func:`repro.network.topo.parse_topology` (``cluster``,
+    ``hypercube:dimensions=4``, inline JSON, a spec file), restricted to
+    flit fidelity — fault injection needs the real discrete-event
+    components to break.
     """
-    sim = Simulator()
-    if topology == "cluster":
-        fabric = build_cluster(sim)
-    elif topology == "manna":
-        fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=4)
-    elif topology == "grid":
-        fabric = build_grid_system(sim, rows=2, cols=2, nodes_per_cluster=4)
-    else:
-        from repro.network.topo import build_fabric, parse_topology
-
+    spec = CHAOS_ALIASES.get(topology)
+    if spec is None:
         try:
             spec = parse_topology(topology)
         except ValueError as exc:
             raise ValueError(
                 f"unknown chaos topology {topology!r}: {exc}; choose from "
                 f"{TOPOLOGIES} or pass a topology spec") from None
-        if spec.fidelity != "flit":
-            raise ValueError(
-                f"chaos needs flit fidelity (got {spec.fidelity!r}): fault "
-                f"injection breaks simulated components, which the flow "
-                f"tier does not build")
-        fabric = build_fabric(sim, spec)
-    return sim, CommWorld(sim, fabric)
+    if spec.fidelity != "flit":
+        raise ValueError(
+            f"chaos needs flit fidelity (got {spec.fidelity!r}): fault "
+            f"injection breaks simulated components, which the flow "
+            f"tier does not build")
+    return build_topology_world(spec)
 
 
 def default_flows(world: CommWorld, flows: int) -> List[Tuple[int, int]]:

@@ -11,14 +11,15 @@ signal for soft flow control.  Messages open a wormhole connection with one
 * :mod:`repro.network.crossbar` — the 16x16 crossbar ASIC model.
 * :mod:`repro.network.transceiver` — asynchronous inter-cabinet links.
 * :mod:`repro.network.routing` — route computation over a fabric graph.
-* :mod:`repro.network.topology` — Figure-5 topology builders.
+* :mod:`repro.network.topology` — the :class:`Fabric` and the Figure-5
+  topology specs (realised by :mod:`repro.network.topo`).
 """
 
 from repro.network.crossbar import Crossbar, CrossbarConfig
 from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.message import Flit, FlitKind, Message, build_wire_format
 from repro.network.routing import NoRouteError, RouteTable
-from repro.network.topology import Fabric, build_cluster, build_power_manna_256
+from repro.network.topology import Fabric
 
 __all__ = [
     "ByteFifo",
@@ -32,7 +33,5 @@ __all__ = [
     "Message",
     "NoRouteError",
     "RouteTable",
-    "build_cluster",
-    "build_power_manna_256",
     "build_wire_format",
 ]

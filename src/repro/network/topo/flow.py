@@ -227,7 +227,7 @@ class FlowWorld:
     def far_pair(self) -> Tuple[int, int]:
         """The measurement pair: the lowest node id and the nearest of
         its most distant peers — deterministic, and on a single-crossbar
-        topology it degenerates to ``(0, 1)`` like the legacy sweeps."""
+        topology it degenerates to ``(0, 1)``, the pair of Figures 9-12."""
         import networkx as nx
 
         src = self._node_ids[0]

@@ -3,9 +3,9 @@
 A generator turns a :class:`~repro.network.topo.spec.TopologySpec` into a
 :class:`Blueprint` — an ordered op list of crossbars, node attachments
 and crossbar-crossbar dual links.  The op *order* is part of the
-contract: :func:`build_fabric` replays it verbatim, so the legacy
-builders' specs reconstruct bit-identical simulations (process creation
-order determines event ordering in the DES kernel).
+contract: :func:`build_fabric` replays it verbatim, so one spec always
+reconstructs a bit-identical simulation (process creation order
+determines event ordering in the DES kernel).
 
 Two realizers consume a blueprint:
 
@@ -99,8 +99,8 @@ def blueprint(spec: TopologySpec, ports: int) -> Blueprint:
 
 
 # ---------------------------------------------------------------------------
-# Legacy generators — op order matches the original bespoke builders
-# exactly (byte-identity of every existing figure depends on it).
+# The Figure-5 generators — their op order is what every recorded figure
+# was measured on (byte-identity of those figures depends on it).
 # ---------------------------------------------------------------------------
 
 
@@ -396,9 +396,8 @@ def build_fabric(sim: Simulator, spec: TopologySpec,
                  node_rx_fifo_bytes: int = 256):
     """Realise ``spec`` as a full flit-level Fabric on ``sim``.
 
-    Ops replay in blueprint order, so a spec produced by one of the
-    legacy wrappers constructs the exact simulation the bespoke builder
-    used to.
+    Ops replay in blueprint order, so one spec always constructs the
+    same simulation: same crossbars, ports and process creation order.
     """
     from repro.network.topology import Fabric
 

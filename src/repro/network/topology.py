@@ -1,19 +1,22 @@
-"""Fabric assembly and the Figure-5 topologies.
+"""Fabric assembly and the Figure-5 topology specs.
 
 A :class:`Fabric` owns crossbars, the links between them, and node
 attachment points, and maintains the wiring graph used for source-route
-computation.  Builders:
+computation; :func:`node_key` and :func:`xbar_key` name that graph's
+vertices.  The Figure-5 machines are plain
+:class:`~repro.network.topo.spec.TopologySpec` values, realised like any
+other spec by :func:`repro.network.topo.build_fabric`:
 
-* :func:`build_cluster` — Figure 5a: eight nodes, two crossbars (one per
+* :func:`cluster_spec` — Figure 5a: eight nodes, two crossbars (one per
   network plane), eight free asynchronous dual-links per plane.
-* :func:`build_power_manna_256` — Figure 5b: sixteen 8-node clusters
-  (256 processors) joined by two permutation networks.  Each plane's
+* :func:`manna_spec` — Figure 5b: sixteen 8-node clusters (256
+  processors) joined by two permutation networks.  Each plane's
   permutation network is a spine of 16x16 crossbars with one link from
   every cluster to every spine crossbar, which yields the paper's property
   that "a logical connection between any two nodes involves at most only
   three crossbars".
-* :func:`build_grid_system` — the row/column reading of Figure 5b, kept as
-  an exploration topology (its worst-case path is longer; the network
+* :func:`grid_spec` — the row/column reading of Figure 5b, kept as an
+  exploration topology (its worst-case path is longer; the network
   properties bench contrasts the two).
 """
 
@@ -181,20 +184,26 @@ class Fabric:
 
 
 # ---------------------------------------------------------------------------
-# Topology builders — thin wrappers that express the Figure-5 machines as
-# TopologySpecs and realise them through repro.network.topo.build_fabric.
-# The specs replay the exact historical construction order, so every
-# existing figure and chaos run is bit-identical to the bespoke builders.
+# The Figure-5 machines as TopologySpecs.  Realise them with
+# repro.network.topo.build_fabric (or build_topology_world for a world).
 # ---------------------------------------------------------------------------
 
 
 def cluster_spec(n_nodes: int = 8, planes: int = 2):
+    """Figure 5a: ``n_nodes`` nodes on ``planes`` duplicated crossbars.
+
+    Node *i*'s interface *p* attaches to port *i* of plane-*p*'s crossbar,
+    leaving ``ports - n_nodes`` free ports per plane for inter-cluster
+    (asynchronous) dual links.
+    """
     from repro.network.topo import TopologySpec
 
     return TopologySpec("cluster", {"n_nodes": n_nodes, "planes": planes})
 
 
 def manna_spec(clusters: int = 16, nodes_per_cluster: int = 8):
+    """Figure 5b: any-to-any traffic crosses at most three crossbars
+    (source cluster, one spine, destination cluster)."""
     from repro.network.topo import TopologySpec
 
     return TopologySpec("manna", {"clusters": clusters,
@@ -202,65 +211,9 @@ def manna_spec(clusters: int = 16, nodes_per_cluster: int = 8):
 
 
 def grid_spec(rows: int = 4, cols: int = 4, nodes_per_cluster: int = 8):
+    """The row/column reading of Figure 5b: plane 0 joins each row's
+    clusters, plane 1 each column's; other pairs must relay."""
     from repro.network.topo import TopologySpec
 
     return TopologySpec("grid", {"rows": rows, "cols": cols,
                                  "nodes_per_cluster": nodes_per_cluster})
-
-
-def build_cluster(sim: Simulator, n_nodes: int = 8,
-                  link_config: LinkConfig = LinkConfig(),
-                  crossbar_config: CrossbarConfig = CrossbarConfig(),
-                  planes: int = 2) -> Fabric:
-    """Figure 5a: ``n_nodes`` nodes on ``planes`` duplicated crossbars.
-
-    Node *i*'s interface *p* attaches to port *i* of plane-*p*'s crossbar,
-    leaving ``ports - n_nodes`` free ports per plane for inter-cluster
-    (asynchronous) dual links.
-    """
-    from repro.network.topo import build_fabric
-
-    return build_fabric(sim, cluster_spec(n_nodes, planes),
-                        link_config=link_config,
-                        crossbar_config=crossbar_config)
-
-
-def build_power_manna_256(sim: Simulator,
-                          clusters: int = 16,
-                          nodes_per_cluster: int = 8,
-                          link_config: LinkConfig = LinkConfig(),
-                          crossbar_config: CrossbarConfig = CrossbarConfig()
-                          ) -> Fabric:
-    """Figure 5b: a 256-processor (128 dual-CPU node) PowerMANNA.
-
-    Per network plane, every cluster crossbar spends its free ports on
-    asynchronous links into a spine of 16x16 crossbars; each spine crossbar
-    has exactly one link to every cluster.  Any-to-any traffic therefore
-    crosses at most three crossbars: source cluster, one spine, destination
-    cluster.
-    """
-    from repro.network.topo import build_fabric
-
-    return build_fabric(sim, manna_spec(clusters, nodes_per_cluster),
-                        link_config=link_config,
-                        crossbar_config=crossbar_config)
-
-
-def build_grid_system(sim: Simulator,
-                      rows: int = 4, cols: int = 4,
-                      nodes_per_cluster: int = 8,
-                      link_config: LinkConfig = LinkConfig(),
-                      crossbar_config: CrossbarConfig = CrossbarConfig()
-                      ) -> Fabric:
-    """The row/column reading of Figure 5b, for comparison.
-
-    Plane 0 connects the clusters of each row through row crossbars; plane
-    1 connects the clusters of each column.  Nodes sharing a row or column
-    reach each other in three crossbars; others must relay (the bench
-    quantifies this against :func:`build_power_manna_256`).
-    """
-    from repro.network.topo import build_fabric
-
-    return build_fabric(sim, grid_spec(rows, cols, nodes_per_cluster),
-                        link_config=link_config,
-                        crossbar_config=crossbar_config)

@@ -126,15 +126,13 @@ def fingerprint(sweep_id: str, key: Any, config: Dict[str, Any], seed: int,
                 sample_interval_ns: Optional[float] = None) -> str:
     """The content address of one sweep point's result.
 
-    ``sample_interval_ns`` joins the blob only when sampling is on, so
-    every pre-timeline fingerprint is unchanged — but a sampling run can
-    never replay a cache entry that carries no timeline payload (or one
-    sampled at a different interval).
+    ``sample_interval_ns`` (``None`` or 0 when sampling is off) is part
+    of every key, so a sampling run can never replay a cache entry that
+    carries no timeline payload (or one sampled at a different interval).
     """
     parts = [sweep_id, canonical(key), canonical(config), seed,
-             bool(capture), digest, _package_version()]
-    if sample_interval_ns:
-        parts.append(("timeline", float(sample_interval_ns)))
+             bool(capture), digest, _package_version(),
+             ("timeline", float(sample_interval_ns or 0.0))]
     blob = repr(tuple(parts))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -123,7 +123,7 @@ def _campaign_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
                        nbytes=config["nbytes"],
                        window=config["window"],
                        error_rate=config["error_rate"],
-                       ack_error_rate=config.get("ack_error_rate"))
+                       ack_error_rate=config["ack_error_rate"])
     run = report.to_dict()
     # Under a sampling session, embed this seed's per-name mean curves so
     # the campaign can band them across seeds (the ambient merge loses
@@ -163,11 +163,8 @@ def run_campaign(plan,
         "nbytes": nbytes,
         "window": window,
         "error_rate": error_rate,
+        "ack_error_rate": ack_error_rate,
     }
-    # Only a decoupled ack path joins the config (and so the cache /
-    # journal fingerprint); default campaigns keep their existing keys.
-    if ack_error_rate is not None:
-        config["ack_error_rate"] = ack_error_rate
     sweep_id = f"chaos-campaign:{topology}:{protocol}"
     points = [(("seed", index), config) for index in range(seeds)]
     outcomes = run_sweep(sweep_id, points, _campaign_point, jobs=jobs,

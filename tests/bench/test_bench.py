@@ -14,11 +14,12 @@ from repro.bench.microbench import (
     comm_sweep,
     comparator_point,
     metric_value,
-    powermanna_point,
+    topology_point,
 )
 from repro.bench.report import format_config_table, format_series, format_table
 from repro.comparators.models import bip_model
 from repro.core.specs import PC_CLUSTER_180, POWERMANNA
+from repro.network.topology import cluster_spec
 
 
 class TestHintAlgorithm:
@@ -129,13 +130,13 @@ class TestMatMult:
 
 class TestMicrobench:
     def test_powermanna_point_latency(self):
-        point = powermanna_point(8, "latency")
+        point = topology_point(cluster_spec().to_dict(), 8, "latency")
         assert point.system == "PowerMANNA"
         assert point.latency_us == pytest.approx(2.75, rel=0.15)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            powermanna_point(8, "jitter")
+            topology_point(cluster_spec().to_dict(), 8, "jitter")
 
     def test_comparator_point_fills_all_metrics(self):
         point = comparator_point(bip_model(), 64)

@@ -96,3 +96,19 @@ class TestPowerMannaSystem:
         system = PowerMannaSystem.system_256()
         assert system.num_nodes == 128
         assert system.num_processors == 256
+
+    def test_any_spec_one_world_per_wired_plane(self):
+        from repro.network.topo import TopologySpec
+
+        system = PowerMannaSystem(TopologySpec("cluster", {"planes": 1}))
+        assert system.num_nodes == 8
+        assert len(system.worlds) == 1
+        cube = PowerMannaSystem(TopologySpec("hypercube", {"dimensions": 2}))
+        assert cube.num_nodes == 4
+        assert len(cube.worlds) == 1
+
+    def test_flow_spec_rejected(self):
+        from repro.network.topo import TopologySpec
+
+        with pytest.raises(ValueError, match="flit"):
+            PowerMannaSystem(TopologySpec("cluster", fidelity="flow"))

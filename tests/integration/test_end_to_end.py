@@ -8,7 +8,8 @@ from repro.bench.matmult import run_matmult
 from repro.core.specs import PC_CLUSTER_180, POWERMANNA, SUN_ULTRA
 from repro.msg.api import CommWorld, build_cluster_world
 from repro.msg.mpi import MiniMpi
-from repro.network.topology import build_power_manna_256
+from repro.network.topo import build_fabric
+from repro.network.topology import manna_spec
 from repro.sim.engine import Simulator
 
 
@@ -22,7 +23,7 @@ class TestFullSystem:
 
     def test_256_system_messages_cross_three_crossbars(self):
         sim = Simulator()
-        fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=8)
+        fabric = build_fabric(sim, manna_spec(clusters=4, nodes_per_cluster=8))
         world = CommWorld(sim, fabric)
         recv = world.recv(31)
         world.send(0, 31, 1024)

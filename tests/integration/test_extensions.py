@@ -9,7 +9,8 @@ from repro.earth.operations import DataSync, Spawn
 from repro.earth.runtime import EarthMachine
 from repro.msg.api import CommWorld
 from repro.msg.reliable import ReliableChannel, ReliableConfig
-from repro.network.topology import build_power_manna_256
+from repro.network.topo import build_fabric
+from repro.network.topology import manna_spec
 from repro.sim.engine import Simulator
 
 
@@ -64,7 +65,7 @@ class TestEarthDivideAndConquer:
 class TestReliableOverBigTopology:
     def test_reliable_delivery_across_three_crossbars(self):
         sim = Simulator()
-        fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=8)
+        fabric = build_fabric(sim, manna_spec(clusters=4, nodes_per_cluster=8))
         world = CommWorld(sim, fabric)
         channel = ReliableChannel(world, ReliableConfig(error_rate=0.25,
                                                         seed=4))

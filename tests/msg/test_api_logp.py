@@ -31,10 +31,11 @@ class TestPingPong:
         # Same cluster either way, but route through a crossbar is the
         # same; compare 1 vs multi-crossbar path on the 256 system instead.
         from repro.msg.api import CommWorld
-        from repro.network.topology import build_power_manna_256
+        from repro.network.topo import build_fabric
+        from repro.network.topology import manna_spec
         from repro.sim.engine import Simulator
         sim = Simulator()
-        fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=8)
+        fabric = build_fabric(sim, manna_spec(clusters=4, nodes_per_cluster=8))
         world = CommWorld(sim, fabric)
         near = world.one_way_latency_ns(0, 1, 8, reps=2)     # 1 crossbar
         far = world.one_way_latency_ns(0, 15, 8, reps=2)     # 3 crossbars

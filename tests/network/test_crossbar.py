@@ -5,7 +5,8 @@ import pytest
 from repro.network.crossbar import Crossbar, CrossbarConfig, RoutingError
 from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.message import Flit, FlitKind, Message, build_wire_format
-from repro.network.topology import build_cluster
+from repro.network.topo import build_fabric
+from repro.network.topology import cluster_spec
 from repro.obs import observe
 from repro.sim.engine import Simulator
 
@@ -132,7 +133,7 @@ class TestFailedOutput:
 
     def _cluster_plane(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         return sim, fabric.crossbars["plane0"], fabric.attachment(2, 0).rx_fifo
 
     def test_message_to_failed_port_is_blackholed_and_counted(self):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.network.routing import NoRouteError, RouteTable
+from repro.network.topo import build_fabric
 from repro.network.topology import (
-    build_cluster,
-    build_power_manna_256,
+    cluster_spec,
+    manna_spec,
     node_key,
     xbar_key,
 )
@@ -14,7 +15,7 @@ from repro.sim.engine import Simulator
 
 def manna():
     sim = Simulator()
-    fabric = build_power_manna_256(sim, clusters=4, nodes_per_cluster=4)
+    fabric = build_fabric(sim, manna_spec(clusters=4, nodes_per_cluster=4))
     return fabric, RouteTable(fabric.graph)
 
 
@@ -108,7 +109,7 @@ class TestRerouting:
 class TestClusterFabric:
     def test_single_crossbar_cluster_loses_everything(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         routes = RouteTable(fabric.graph)
         eps = [node_key(n, 0) for n in fabric.node_ids()]
         assert routes.reachable_fraction(eps) == 1.0

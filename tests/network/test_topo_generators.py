@@ -1,4 +1,4 @@
-"""Generators: legacy equivalence, new-family structure, port claims."""
+"""Generators: realizer agreement, new-family structure, port claims."""
 
 import pytest
 
@@ -9,44 +9,33 @@ from repro.network.topo import (
     build_fabric,
     build_graph,
     diameter_bound_crossbars,
+    generator_kinds,
 )
-from repro.network.topology import (
-    build_cluster,
-    build_grid_system,
-    build_power_manna_256,
-    cluster_spec,
-    grid_spec,
-    manna_spec,
-    node_key,
-)
+from repro.network.topology import cluster_spec, manna_spec, node_key
 from repro.sim.engine import Simulator
 
 
-class TestLegacyEquivalence:
-    """The spec path must reproduce the bespoke builders exactly."""
+class TestRealizerAgreement:
+    """The flit realizer and the graph realizer wire the same machine."""
 
-    @pytest.mark.parametrize("legacy,spec", [
-        (build_cluster, cluster_spec()),
-        (build_power_manna_256, manna_spec()),
-        (build_grid_system, grid_spec()),
-    ])
-    def test_wrapper_fabric_matches_graph_realizer(self, legacy, spec):
-        fabric = legacy(Simulator())
+    @pytest.mark.parametrize("kind", generator_kinds())
+    def test_fabric_matches_build_graph(self, kind):
+        spec = TopologySpec(kind)
+        fabric = build_fabric(Simulator(), spec)
         graph = build_graph(spec)
         assert set(graph.nodes) == set(fabric.graph.nodes)
         assert set(graph.edges) == set(fabric.graph.edges)
         for edge in fabric.graph.edges:
-            legacy_attrs = dict(fabric.graph.edges[edge])
             spec_attrs = dict(graph.edges[edge])
             spec_attrs.pop("asynchronous", None)
-            assert spec_attrs == legacy_attrs
+            assert spec_attrs == dict(fabric.graph.edges[edge])
 
     def test_cluster_validation_message_preserved(self):
         with pytest.raises(ValueError, match="do not fit a 16-port"):
-            build_cluster(Simulator(), n_nodes=17)
+            build_fabric(Simulator(), cluster_spec(n_nodes=17))
 
     def test_manna_at_most_three_crossbars(self):
-        fabric = build_power_manna_256(Simulator())
+        fabric = build_fabric(Simulator(), manna_spec())
         routes = RouteTable(fabric.graph)
         # Far pair: different clusters, both planes available.
         assert routes.crossbars_on_path(node_key(0, 0),

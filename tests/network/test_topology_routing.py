@@ -3,11 +3,12 @@
 import pytest
 
 from repro.network.routing import NoRouteError, RouteTable
+from repro.network.topo import build_fabric
 from repro.network.topology import (
     Fabric,
-    build_cluster,
-    build_grid_system,
-    build_power_manna_256,
+    cluster_spec,
+    grid_spec,
+    manna_spec,
     node_key,
     xbar_key,
 )
@@ -66,7 +67,7 @@ class TestFabricWiring:
 class TestClusterTopology:
     def test_eight_nodes_two_planes(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         assert fabric.node_ids() == list(range(8))
         assert set(fabric.crossbars) == {"plane0", "plane1"}
         # 8 free ports per plane for inter-cluster links (paper Fig. 5a).
@@ -74,7 +75,7 @@ class TestClusterTopology:
 
     def test_route_within_cluster_is_one_crossbar(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         table = RouteTable(fabric.graph)
         route = table.route_bytes(node_key(0, 0), node_key(5, 0))
         assert route == [5]
@@ -82,7 +83,7 @@ class TestClusterTopology:
 
     def test_planes_are_independent(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         table = RouteTable(fabric.graph)
         with pytest.raises(NoRouteError):
             table.route_bytes(node_key(0, 0), node_key(5, 1))
@@ -90,14 +91,14 @@ class TestClusterTopology:
     def test_too_many_nodes_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            build_cluster(sim, n_nodes=20)
+            build_fabric(sim, cluster_spec(n_nodes=20))
 
 
 class TestPowerManna256:
     @pytest.fixture(scope="class")
     def system(self):
         sim = Simulator()
-        fabric = build_power_manna_256(sim)
+        fabric = build_fabric(sim, manna_spec())
         return fabric, RouteTable(fabric.graph)
 
     def test_128_nodes(self, system):
@@ -132,7 +133,8 @@ class TestPowerManna256:
 class TestGridSystem:
     def test_grid_connects_rows_and_columns_only(self):
         sim = Simulator()
-        fabric = build_grid_system(sim, rows=2, cols=2, nodes_per_cluster=4)
+        fabric = build_fabric(sim, grid_spec(rows=2, cols=2,
+                                             nodes_per_cluster=4))
         table = RouteTable(fabric.graph)
         # Same row (clusters 0 and 1) reachable on plane 0.
         assert table.crossbars_on_path(node_key(0, 0), node_key(7, 0)) == 3
@@ -144,7 +146,8 @@ class TestGridSystem:
 
     def test_reachable_fraction_below_one(self):
         sim = Simulator()
-        fabric = build_grid_system(sim, rows=2, cols=2, nodes_per_cluster=4)
+        fabric = build_fabric(sim, grid_spec(rows=2, cols=2,
+                                             nodes_per_cluster=4))
         table = RouteTable(fabric.graph)
         endpoints = [node_key(n, 0) for n in range(0, 16, 4)]
         fraction = table.reachable_fraction(endpoints)
@@ -154,7 +157,7 @@ class TestGridSystem:
 class TestRouteTable:
     def test_routes_never_transit_other_nodes(self):
         sim = Simulator()
-        fabric = build_cluster(sim, n_nodes=4)
+        fabric = build_fabric(sim, cluster_spec(n_nodes=4))
         table = RouteTable(fabric.graph)
         path = table.path(node_key(0, 0), node_key(3, 0))
         interior = path[1:-1]
@@ -162,7 +165,7 @@ class TestRouteTable:
 
     def test_cache_returns_copies(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         table = RouteTable(fabric.graph)
         route1 = table.route_bytes(node_key(0, 0), node_key(1, 0))
         route1.append(99)
@@ -171,7 +174,7 @@ class TestRouteTable:
 
     def test_invalidate_clears_cache(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         table = RouteTable(fabric.graph)
         table.route_bytes(node_key(0, 0), node_key(1, 0))
         table.invalidate()
@@ -179,7 +182,7 @@ class TestRouteTable:
 
     def test_unknown_endpoint(self):
         sim = Simulator()
-        fabric = build_cluster(sim)
+        fabric = build_fabric(sim, cluster_spec())
         table = RouteTable(fabric.graph)
         with pytest.raises(NoRouteError):
             table.route_bytes(node_key(0, 0), node_key(99, 0))
@@ -191,7 +194,7 @@ class TestPathMemo:
 
     @staticmethod
     def _manna_table():
-        fabric = build_power_manna_256(Simulator())
+        fabric = build_fabric(Simulator(), manna_spec())
         return RouteTable(fabric.graph)
 
     def test_repeat_lookups_hit_the_memo(self):
@@ -254,7 +257,7 @@ class TestNoRouteContext:
     """Satellite: NoRouteError must say which failures cut the route."""
 
     def test_error_carries_endpoints_and_failures(self):
-        fabric = build_cluster(Simulator(), n_nodes=4)
+        fabric = build_fabric(Simulator(), cluster_spec(n_nodes=4))
         table = RouteTable(fabric.graph)
         src, dst = node_key(0, 0), node_key(3, 0)
         table.mark_vertex_failed(xbar_key("plane0"))
@@ -270,7 +273,7 @@ class TestNoRouteContext:
         assert "plane0" in message
 
     def test_error_summarises_failed_edges(self):
-        fabric = build_cluster(Simulator(), n_nodes=2)
+        fabric = build_fabric(Simulator(), cluster_spec(n_nodes=2))
         table = RouteTable(fabric.graph)
         src, dst = node_key(0, 0), node_key(1, 0)
         table.mark_edge_failed(src, xbar_key("plane0"))
@@ -280,13 +283,13 @@ class TestNoRouteContext:
         assert "1 failed edge(s)" in str(exc.value)
 
     def test_pristine_graph_says_so(self):
-        fabric = build_cluster(Simulator())
+        fabric = build_fabric(Simulator(), cluster_spec())
         table = RouteTable(fabric.graph)
         with pytest.raises(NoRouteError, match="no failures marked"):
             table.path(node_key(0, 0), node_key(99, 0))
 
     def test_many_failures_truncate_with_count(self):
-        fabric = build_power_manna_256(Simulator())
+        fabric = build_fabric(Simulator(), manna_spec())
         table = RouteTable(fabric.graph)
         src = node_key(0, 0)
         for xbar in list(table.graph.nodes):

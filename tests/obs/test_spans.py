@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.bench.microbench import powermanna_point
+from repro.bench.microbench import topology_point
 from repro.msg.api import build_cluster_world
+from repro.network.topology import cluster_spec
 from repro.obs import observe
 from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
 
@@ -125,7 +126,8 @@ class TestMessagePathIntegration:
 
     def test_breakdown_sums_to_reported_latency(self):
         with observe() as session:
-            point = powermanna_point(self.NBYTES, "latency")
+            point = topology_point(cluster_spec().to_dict(), self.NBYTES,
+                                   "latency")
         latency_ns = point.latency_us * 1e3
         tracer = session.tracer
         mids = tracer.message_ids()
@@ -143,7 +145,8 @@ class TestMessagePathIntegration:
 
     def test_metrics_attributed_to_benchmark_cell(self):
         with observe() as session:
-            powermanna_point(self.NBYTES, "latency")
+            topology_point(cluster_spec().to_dict(), self.NBYTES,
+                           "latency")
         sent = session.metrics.series("driver.sent")
         assert sent
         for inst in sent:

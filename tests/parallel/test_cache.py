@@ -99,6 +99,8 @@ class TestFingerprint:
         lambda: fingerprint("s", ("n", 3), {"a": 1}, 7, "edited"),
         lambda: fingerprint("s", ("n", 3), {"a": 1}, 7, "digest",
                             capture=True),
+        lambda: fingerprint("s", ("n", 3), {"a": 1}, 7, "digest",
+                            sample_interval_ns=10.0),
     ])
     def test_every_ingredient_matters(self, mutation):
         base = fingerprint("s", ("n", 3), {"a": 1}, 7, "digest")

@@ -119,11 +119,14 @@ class TestCliSweep:
     def test_fig7_identical_across_jobs(self, capsys):
         from repro.cli import main
 
-        args = ["fig7", "--sizes", "8", "--no-cache"]
-        assert main(args + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+        cases = ((["fig7", "--sizes", "8"], 2),
+                 (["fig9", "--sizes", "8", "64",
+                   "--topology", "hypercube:dimensions=3"], 4))
+        for args, jobs in cases:
+            assert main(args + ["--no-cache", "--jobs", "1"]) == 0
+            serial = capsys.readouterr().out
+            assert main(args + ["--no-cache", "--jobs", str(jobs)]) == 0
+            assert capsys.readouterr().out == serial, args
 
     def test_fig7_warm_cache_is_identical_and_all_hits(self, tmp_path,
                                                        capsys):
@@ -136,6 +139,18 @@ class TestCliSweep:
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert "0 miss(es)" in warm.err  # zero recomputed points
+
+    def test_fig9_default_topology_shares_cache_with_cluster(self, tmp_path,
+                                                             capsys):
+        from repro.cli import main
+
+        args = ["fig9", "--sizes", "8", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        default = capsys.readouterr()
+        assert main(args + ["--topology", "cluster"]) == 0
+        cluster = capsys.readouterr()
+        assert cluster.out == default.out
+        assert "0 miss(es)" in cluster.err  # the same cache entries
 
 
 class TestMessageIdIsolation:

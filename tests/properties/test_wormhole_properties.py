@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.msg.api import build_cluster_world
 from repro.network.message import FlitKind
 from repro.network.routing import RouteTable
-from repro.network.topology import build_power_manna_256, node_key
+from repro.network.topo import build_fabric
+from repro.network.topology import manna_spec, node_key
 from repro.obs import observe
 from repro.sim.engine import Simulator
 
@@ -99,7 +100,7 @@ def test_crossbar_spans_route_before_forward_and_hold_the_circuit(
 @settings(max_examples=10, deadline=None)
 def test_route_length_equals_crossbars_on_path(pairs):
     sim = Simulator()
-    fabric = build_power_manna_256(sim)
+    fabric = build_fabric(sim, manna_spec())
     table = RouteTable(fabric.graph)
     for src, dst in pairs:
         if src == dst:

@@ -59,10 +59,11 @@ def _resume_log(monkeypatch, run):
 
 
 def _fig9():
-    from repro.bench.microbench import powermanna_point
+    from repro.bench.microbench import topology_point
+    from repro.network.topology import cluster_spec
 
     for nbytes in (8, 1024):
-        powermanna_point(nbytes, "latency")
+        topology_point(cluster_spec().to_dict(), nbytes, "latency")
 
 
 def _traffic_point(arbiter, seed):
