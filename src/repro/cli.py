@@ -872,6 +872,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     _add_supervise_options(parser)
 
 
+def _add_topology_option(parser: argparse.ArgumentParser,
+                         help: str) -> None:
+    """The --topology argument, read by :func:`_topology_spec`."""
+    parser.add_argument("--topology", metavar="NAME_OR_JSON",
+                        default="cluster", help=help)
+
+
 def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
     """The union of options the wrapped experiment commands read."""
     parser.add_argument("--scale", type=int, default=16)
@@ -915,22 +922,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject uniform link corruption at this "
                             "probability while measuring")
         _add_fault_options(p)
-        p.add_argument("--topology", metavar="NAME_OR_JSON",
-                       default="cluster",
-                       help="topology to measure on: a generator "
-                            "expression (hypercube:dimensions=8,"
-                            "fidelity=flow), inline spec JSON, or a spec "
-                            "file; the measured pair is the topology's "
-                            "far pair (default: the 8-node cluster)")
+        _add_topology_option(
+            p, "topology to measure on: a generator expression "
+               "(hypercube:dimensions=8,fidelity=flow), inline spec JSON, "
+               "or a spec file; the measured pair is the topology's far "
+               "pair (default: the 8-node cluster)")
         _add_sampling_options(p)
         _add_sweep_options(p)
 
     traffic = sub.add_parser(
         "traffic", help="offered-load patterns on any topology")
-    traffic.add_argument("--topology", metavar="NAME_OR_JSON",
-                         default="cluster",
-                         help="topology spec to drive (flit fidelity; "
-                              "default: the 8-node cluster)")
+    _add_topology_option(traffic, "topology spec to drive (flit fidelity; "
+                                  "default: the 8-node cluster)")
     traffic.add_argument("--patterns", nargs="*", default=None,
                          choices=("permutation", "random", "hotspot"),
                          help="patterns to run (default: all three)")
@@ -982,11 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault plan JSON (seed + fault specs)")
     chaos.add_argument("--seed", type=int, default=None,
                        help="override the plan's seed")
-    chaos.add_argument("--topology", metavar="NAME_OR_JSON",
-                       default="cluster",
-                       help="manna, grid (scaled-down Figure-5b "
-                            "systems) or any topology spec expression/"
-                            "JSON/file at flit fidelity")
+    _add_topology_option(chaos, "manna, grid (scaled-down Figure-5b "
+                                "systems) or any topology spec expression/"
+                                "JSON/file at flit fidelity")
     chaos.add_argument("--protocol", choices=("sliding", "stopwait"),
                        default="sliding")
     chaos.add_argument("--flows", type=int, default=4)
@@ -1085,8 +1086,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--plan", metavar="FILE", default=None)
     report.add_argument("--seed", type=int, default=None)
     report.add_argument("--seeds", type=int, default=0, metavar="N")
-    report.add_argument("--topology", metavar="NAME_OR_JSON",
-                        default="cluster")
+    _add_topology_option(report, "topology the wrapped comm figure or "
+                                 "chaos run uses (default: the 8-node "
+                                 "cluster)")
     report.add_argument("--protocol", choices=("sliding", "stopwait"),
                         default="sliding")
     report.add_argument("--flows", type=int, default=4)

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.memory import vec
 from repro.memory.cache import AccessType, Cache, MESIState
 from repro.memory.dram import InterleavedDram
 from repro.memory.hierarchy import HierarchyConfig, ServiceLevel
@@ -365,6 +364,8 @@ def replay_reference(memory: MultiprocessorMemory,
     must reproduce access for access.  ``start`` is as for
     :func:`run_interleaved`.
     """
+    from repro.memory import vec
+
     steps = [(TraceStep(compute_ns, addr, access)
               for addr, access in vec.iter_pairs(t)) for t in traces]
     return run_interleaved(memory, steps, stall_models, start)
@@ -401,6 +402,8 @@ def replay_traces(memory: MultiprocessorMemory,
     if len(traces) > memory.num_cpus:
         raise ValueError(
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
+    from repro.memory import vec
+
     if OBS.enabled:
         return replay_reference(memory, traces, compute_ns, stall_models)
     if len(traces) != 1:

@@ -11,18 +11,14 @@ stream as a structured ``(addr, is_write)`` numpy array (the
 the iterator.  The regular kernels build their arrays with broadcasting;
 the RNG-driven ones (:func:`random_array`, :func:`hint_sweep_array`)
 materialise the iterator so the random call order — and hence the exact
-address sequence — is preserved.
+address sequence — is preserved.  The array twins import numpy when
+called, so the iterators cost no numpy import.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterator, Tuple
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
 
 from repro.memory.cache import AccessType
 
@@ -153,9 +149,9 @@ def hint_sweep_trace(base: int, records: int, record_bytes: int,
 
 
 def _ref_array(size: int):
-    if np is None:  # pragma: no cover - numpy is a baked-in dependency
-        raise RuntimeError("array-native trace emitters require numpy")
+    import numpy as np
     from repro.memory.vec import REF_DTYPE
+
     return np.empty(size, dtype=REF_DTYPE)
 
 
@@ -163,6 +159,8 @@ def matmult_naive_array(base_a: int, base_b: int, base_c: int, n: int,
                         elem_bytes: int = 8,
                         row_range: range | None = None):
     """Array twin of :func:`matmult_naive_trace`."""
+    import numpy as np
+
     ld = odd_stride(n)
     rows = range(n) if row_range is None else row_range
     i_idx = np.asarray(list(rows), dtype=np.int64)
@@ -186,6 +184,8 @@ def matmult_naive_array(base_a: int, base_b: int, base_c: int, n: int,
 def transpose_array(base_src: int, base_dst: int, n: int,
                     elem_bytes: int = 8):
     """Array twin of :func:`transpose_trace`."""
+    import numpy as np
+
     ld = odd_stride(n)
     out = _ref_array(n * n * 2)
     addr = out["addr"].reshape(n, n, 2)
@@ -203,6 +203,8 @@ def matmult_transposed_array(base_a: int, base_bt: int, base_c: int, n: int,
                              elem_bytes: int = 8,
                              row_range: range | None = None):
     """Array twin of :func:`matmult_transposed_trace`."""
+    import numpy as np
+
     ld = odd_stride(n)
     rows = range(n) if row_range is None else row_range
     i_idx = np.asarray(list(rows), dtype=np.int64)
@@ -227,6 +229,8 @@ def stream_array(base: int, nbytes: int, elem_bytes: int = 8,
                  access: AccessType = AccessType.READ,
                  repeats: int = 1):
     """Array twin of :func:`stream_trace`."""
+    import numpy as np
+
     count = nbytes // elem_bytes
     out = _ref_array(count * repeats)
     addrs = base + np.arange(count, dtype=np.int64) * elem_bytes
@@ -238,6 +242,8 @@ def stream_array(base: int, nbytes: int, elem_bytes: int = 8,
 def stride_array(base: int, count: int, stride_bytes: int,
                  access: AccessType = AccessType.READ):
     """Array twin of :func:`stride_trace`."""
+    import numpy as np
+
     out = _ref_array(count)
     out["addr"] = base + np.arange(count, dtype=np.int64) * stride_bytes
     out["is_write"] = access == AccessType.WRITE

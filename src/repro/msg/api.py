@@ -16,7 +16,7 @@ from repro.network.link import LinkConfig
 from repro.network.crossbar import CrossbarConfig
 from repro.network.message import Message
 from repro.network.routing import RouteTable
-from repro.network.topology import Fabric, node_key
+from repro.network.topology import Fabric, far_pair, node_key
 from repro.ni.driver import DriverConfig, PioDriver
 from repro.ni.interface import LinkInterface, LinkInterfaceConfig
 from repro.obs import OBS
@@ -98,24 +98,8 @@ class CommWorld:
         return sorted(self.endpoints)
 
     def far_pair(self) -> Tuple[int, int]:
-        """The lowest node id and its most distant peer (same rule as
-        :meth:`repro.network.topo.flow.FlowWorld.far_pair`, so the two
-        fidelity tiers measure the same pair)."""
-        import networkx as nx
-
-        nodes = self.node_ids()
-        src = nodes[0]
-        lengths = nx.single_source_shortest_path_length(
-            self.fabric.graph, node_key(src, self.plane))
-        best, best_len = None, -1
-        for node in nodes[1:]:
-            length = lengths.get(node_key(node, self.plane))
-            if length is not None and length > best_len:
-                best, best_len = node, length
-        if best is None:
-            raise ValueError(f"node {src} reaches no peer on plane "
-                             f"{self.plane}")
-        return src, best
+        """See :func:`repro.network.topology.far_pair`."""
+        return far_pair(self.fabric.graph, self.node_ids(), self.plane)
 
     # -- process factories --------------------------------------------------------
 

@@ -18,7 +18,7 @@ signal for soft flow control.  Messages open a wormhole connection with one
 from repro.network.crossbar import Crossbar, CrossbarConfig
 from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.message import Flit, FlitKind, Message, build_wire_format
-from repro.network.routing import NoRouteError, RouteTable
+from repro.network.routing import NoRouteError, RouteTable, WiringGraph
 from repro.network.topology import Fabric
 
 __all__ = [
@@ -33,5 +33,6 @@ __all__ = [
     "Message",
     "NoRouteError",
     "RouteTable",
+    "WiringGraph",
     "build_wire_format",
 ]

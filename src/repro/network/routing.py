@@ -3,14 +3,192 @@
 PowerMANNA uses source routing: the sender prepends one route byte per
 crossbar on the path, each naming that crossbar's output channel.  The
 :class:`RouteTable` computes those bytes from the fabric's wiring graph
-(shortest path over a :mod:`networkx` digraph) and caches them.
+(a :class:`WiringGraph`, searched breadth first) and caches them.
+
+Among equally short paths the searches pick one by a fixed visiting
+order (insertion order of the graph's successor and predecessor maps),
+so every route, and every figure built on it, is reproducible;
+``tests/network/test_route_oracle.py`` pins that order to a reference
+graph library's unweighted searches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional, Set,
+                    Tuple)
 
-import networkx as nx
+Edge = Tuple[Hashable, Hashable]
+
+
+class _EdgeView:
+    """``graph.edges``: iterates ``(u, v)`` in insertion order, and
+    ``edges[u, v]`` is that edge's attribute dict."""
+
+    def __init__(self, succ: Dict[Hashable, Dict[Hashable, dict]]):
+        self._succ = succ
+
+    def __iter__(self) -> Iterator[Edge]:
+        for u, nbrs in self._succ.items():
+            for v in nbrs:
+                yield u, v
+
+    def __getitem__(self, edge: Edge) -> dict:
+        u, v = edge
+        return self._succ[u][v]
+
+
+class WiringGraph:
+    """A directed wiring graph: crossbars and node interfaces as
+    vertices, links as edges carrying port attributes.
+
+    ``succ[u][v]`` and ``pred[v][u]`` share one attribute dict per edge.
+    Vertices and edges keep insertion order, and re-adding an edge only
+    updates its attributes.
+    """
+
+    def __init__(self) -> None:
+        self.succ: Dict[Hashable, Dict[Hashable, dict]] = {}
+        self.pred: Dict[Hashable, Dict[Hashable, dict]] = {}
+        self.edges = _EdgeView(self.succ)
+
+    def add_node(self, v: Hashable) -> None:
+        if v not in self.succ:
+            self.succ[v] = {}
+            self.pred[v] = {}
+
+    def add_edge(self, u: Hashable, v: Hashable, **attrs) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        data = self.succ[u].get(v, {})
+        data.update(attrs)
+        self.succ[u][v] = data
+        self.pred[v][u] = data
+
+    @property
+    def nodes(self):
+        return self.succ.keys()
+
+    def __contains__(self, v: Hashable) -> bool:
+        return v in self.succ
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return v in self.succ.get(u, ())
+
+    def successors(self, u: Hashable) -> Iterator[Hashable]:
+        return iter(self.succ[u])
+
+    def out_edges(self, u: Hashable, data: bool = False) -> Iterator:
+        for v, attrs in self.succ[u].items():
+            yield (u, v, attrs) if data else (u, v)
+
+    def number_of_nodes(self) -> int:
+        return len(self.succ)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.succ.values()))
+
+
+VertexOk = Callable[[Hashable], bool]
+EdgeOk = Callable[[Hashable, Hashable], bool]
+
+
+def _meet(graph: WiringGraph, source: Hashable, target: Hashable,
+          vertex_ok: VertexOk, edge_ok: EdgeOk):
+    """Breadth first from both ends, a whole level at a time: grow the
+    smaller fringe (the forward one on a tie) and stop at the first
+    vertex both searches have reached.  Returns ``(pred, succ, meet)``,
+    the two search trees and that vertex, or ``None``."""
+    pred: Dict[Hashable, Optional[Hashable]] = {source: None}
+    succ: Dict[Hashable, Optional[Hashable]] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in graph.succ[v]:
+                    if vertex_ok(w) and edge_ok(v, w):
+                        if w not in pred:
+                            forward.append(w)
+                            pred[w] = v
+                        if w in succ:
+                            return pred, succ, w
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in graph.pred[v]:
+                    if vertex_ok(w) and edge_ok(w, v):
+                        if w not in succ:
+                            succ[w] = v
+                            reverse.append(w)
+                        if w in pred:
+                            return pred, succ, w
+    return None
+
+
+def bidirectional_shortest_path(graph: WiringGraph, source: Hashable,
+                                target: Hashable, vertex_ok: VertexOk,
+                                edge_ok: EdgeOk) -> Optional[List[Hashable]]:
+    """A shortest ``source`` -> ``target`` path over the vertices and
+    edges the filters accept, or ``None`` if there is none (or either
+    end is missing or rejected)."""
+    for end in (source, target):
+        if end not in graph.succ or not vertex_ok(end):
+            return None
+    if source == target:
+        return [source]
+    found = _meet(graph, source, target, vertex_ok, edge_ok)
+    if found is None:
+        return None
+    pred, succ, w = found
+    path: List[Hashable] = []
+    while w is not None:
+        path.append(w)
+        w = pred[w]
+    path.reverse()
+    w = succ[path[-1]]
+    while w is not None:
+        path.append(w)
+        w = succ[w]
+    return path
+
+
+def single_source_shortest_path(graph: WiringGraph, source: Hashable,
+                                vertex_ok: VertexOk, edge_ok: EdgeOk
+                                ) -> Dict[Hashable, List[Hashable]]:
+    """Shortest paths from ``source`` to every vertex it reaches through
+    accepted vertices and edges, found level by level in successor order.
+    ``source`` itself is not filtered."""
+    if source not in graph.succ:
+        return {}
+    paths = {source: [source]}
+    level = [source]
+    while level:
+        next_level = []
+        for v in level:
+            for w in graph.succ[v]:
+                if w not in paths and vertex_ok(w) and edge_ok(v, w):
+                    paths[w] = paths[v] + [w]
+                    next_level.append(w)
+        level = next_level
+    return paths
+
+
+def shortest_path_lengths(graph: WiringGraph,
+                          source: Hashable) -> Dict[Hashable, int]:
+    """Hop count from ``source`` to every vertex it reaches."""
+    lengths = {source: 0}
+    level = [source]
+    hops = 0
+    while level:
+        hops += 1
+        next_level = []
+        for v in level:
+            for w in graph.succ[v]:
+                if w not in lengths:
+                    lengths[w] = hops
+                    next_level.append(w)
+        level = next_level
+    return lengths
 
 
 class NoRouteError(RuntimeError):
@@ -54,7 +232,7 @@ class RouteTable:
     immediately reroutes all traffic that still has a surviving path.
     """
 
-    def __init__(self, graph: nx.DiGraph):
+    def __init__(self, graph: WiringGraph):
         self.graph = graph
         self._cache: Dict[Tuple[Hashable, Hashable], List[int]] = {}
         self._path_cache: Dict[Tuple[Hashable, Hashable],
@@ -116,12 +294,10 @@ class RouteTable:
                 return False
             return self._is_crossbar(vertex) or vertex in (src, dst)
 
-        view = nx.subgraph_view(self.graph, filter_node=allowed,
-                                filter_edge=self._edge_alive)
         self.searches += 1
-        try:
-            path = nx.shortest_path(view, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        path = bidirectional_shortest_path(self.graph, src, dst, allowed,
+                                           self._edge_alive)
+        if path is None:
             detail = ""
             if self._failed_edges:
                 detail += (f" with {len(self._failed_edges)} failed "
@@ -136,7 +312,7 @@ class RouteTable:
             raise NoRouteError(
                 f"no route from {src} to {dst}{detail}",
                 src=src, dst=dst, failed_edges=self._failed_edges,
-                failed_vertices=self._failed_vertices) from exc
+                failed_vertices=self._failed_vertices)
         self._path_cache[key] = path
         return list(path)
 
@@ -157,13 +333,10 @@ class RouteTable:
         """
         worst = 0
         crossbars = {v for v in self.graph.nodes if self._is_crossbar(v)}
-        endpoint_set = set(endpoints)
+        allowed = (crossbars | set(endpoints)) - self._failed_vertices
         for src in endpoints:
-            allowed = (crossbars | endpoint_set) - self._failed_vertices
-            view = nx.subgraph_view(self.graph,
-                                    filter_node=lambda v: v in allowed or v == src,
-                                    filter_edge=self._edge_alive)
-            paths = nx.single_source_shortest_path(view, src)
+            paths = single_source_shortest_path(
+                self.graph, src, allowed.__contains__, self._edge_alive)
             for dst in endpoints:
                 if dst == src:
                     continue

@@ -225,23 +225,10 @@ class FlowWorld:
         return self.routes.crossbars_on_path(self._key(a), self._key(b))
 
     def far_pair(self) -> Tuple[int, int]:
-        """The measurement pair: the lowest node id and the nearest of
-        its most distant peers — deterministic, and on a single-crossbar
-        topology it degenerates to ``(0, 1)``, the pair of Figures 9-12."""
-        import networkx as nx
+        """See :func:`repro.network.topology.far_pair`."""
+        from repro.network.topology import far_pair
 
-        src = self._node_ids[0]
-        lengths = nx.single_source_shortest_path_length(
-            self.graph, self._key(src))
-        best, best_len = None, -1
-        for node in self._node_ids[1:]:
-            length = lengths.get(self._key(node))
-            if length is not None and length > best_len:
-                best, best_len = node, length
-        if best is None:
-            raise ValueError(f"node {src} reaches no peer on plane "
-                             f"{self.plane}")
-        return src, best
+        return far_pair(self.graph, self._node_ids, self.plane)
 
     # -- the CommWorld measurement surface ----------------------------------
 

@@ -38,10 +38,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.network.link import LinkConfig
 from repro.network.crossbar import CrossbarConfig
+from repro.network.routing import WiringGraph
 from repro.network.topo.spec import TopologySpec, register_generator
 from repro.sim.engine import Simulator
 
@@ -421,7 +420,7 @@ def build_fabric(sim: Simulator, spec: TopologySpec,
     return fabric
 
 
-def build_graph(spec: TopologySpec, ports: int = 16) -> nx.DiGraph:
+def build_graph(spec: TopologySpec, ports: int = 16) -> WiringGraph:
     """Realise ``spec`` as a wiring digraph only — the flow tier's input.
 
     Vertex keys and ``in_port``/``out_port`` attributes match what a
@@ -433,7 +432,7 @@ def build_graph(spec: TopologySpec, ports: int = 16) -> nx.DiGraph:
     from repro.network.topology import node_key, xbar_key
 
     plan = blueprint(spec, ports)
-    graph = nx.DiGraph()
+    graph = WiringGraph()
     for op in plan.ops:
         if op[0] == OP_XBAR:
             graph.add_node(xbar_key(op[1]))

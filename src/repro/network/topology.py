@@ -3,7 +3,8 @@
 A :class:`Fabric` owns crossbars, the links between them, and node
 attachment points, and maintains the wiring graph used for source-route
 computation; :func:`node_key` and :func:`xbar_key` name that graph's
-vertices.  The Figure-5 machines are plain
+vertices, and :func:`far_pair` picks the pair a comm figure measures on
+it.  The Figure-5 machines are plain
 :class:`~repro.network.topo.spec.TopologySpec` values, realised like any
 other spec by :func:`repro.network.topo.build_fabric`:
 
@@ -23,12 +24,11 @@ other spec by :func:`repro.network.topo.build_fabric`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.crossbar import Crossbar, CrossbarConfig
 from repro.network.link import ByteFifo, Link, LinkConfig
+from repro.network.routing import WiringGraph, shortest_path_lengths
 from repro.network.transceiver import TransceiverConfig, make_async_link
 from repro.sim.engine import Simulator
 
@@ -42,6 +42,27 @@ def node_key(node_id: int, iface: int) -> NodeKey:
 
 def xbar_key(name: str) -> XbarKey:
     return ("xbar", name)
+
+
+def far_pair(graph: WiringGraph, node_ids: Sequence[int],
+             plane: int) -> Tuple[int, int]:
+    """The measurement pair on one plane: the lowest node id and the
+    nearest of its most distant peers (hop count over the wiring graph).
+
+    Deterministic, and on a single-crossbar topology it degenerates to
+    ``(0, 1)``, the pair of Figures 9-12.  Both fidelity tiers measure
+    this pair.
+    """
+    src = node_ids[0]
+    lengths = shortest_path_lengths(graph, node_key(src, plane))
+    best, best_len = None, -1
+    for node in node_ids[1:]:
+        length = lengths.get(node_key(node, plane))
+        if length is not None and length > best_len:
+            best, best_len = node, length
+    if best is None:
+        raise ValueError(f"node {src} reaches no peer on plane {plane}")
+    return src, best
 
 
 @dataclass
@@ -74,7 +95,7 @@ class Fabric:
         self.node_rx_fifo_bytes = node_rx_fifo_bytes
         self.crossbars: Dict[str, Crossbar] = {}
         self.attachments: Dict[Tuple[int, int], NodeAttachment] = {}
-        self.graph = nx.DiGraph()
+        self.graph = WiringGraph()
         self._port_claims: Dict[str, Dict[int, str]] = {}
 
     # -- construction -------------------------------------------------------

@@ -199,10 +199,10 @@ class TestReplayDispatch:
     @pytest.fixture
     def served(self, monkeypatch):
         """Which engine replays each piece of a trace, in order."""
-        from repro.memory import mp
+        from repro.memory import mp, vec
 
         log = []
-        for owner, name, label in ((mp.vec, "replay", "vec"),
+        for owner, name, label in ((vec, "replay", "vec"),
                                    (mp, "run_interleaved", "reference")):
             def spy(*args, engine=getattr(owner, name), label=label,
                     **kwargs):
@@ -299,7 +299,7 @@ class TestFig8RegimeEquivalence:
                                         version):
         from repro.bench import matmult
         from repro.core import specs
-        from repro.memory import mp
+        from repro.memory import mp, vec
         from repro.memory.trace_gen import transpose_trace
 
         spec = getattr(specs, spec_name)
@@ -326,13 +326,13 @@ class TestFig8RegimeEquivalence:
 
         ref, ref_mem = run(replay_reference)
         cpus_per_vec_call = []
-        vec_replay = mp.vec.replay
+        vec_replay = vec.replay
 
         def spy(memory, pieces, *args):
             cpus_per_vec_call.append(len(pieces))
             return vec_replay(memory, pieces, *args)
 
-        monkeypatch.setattr(mp.vec, "replay", spy)
+        monkeypatch.setattr(vec, "replay", spy)
         monkeypatch.setattr(mp, "run_interleaved", None)  # not reached
         fast, fast_mem = run(replay_traces)
         assert cpus_per_vec_call == [2] * len(ref)

@@ -19,7 +19,7 @@ class TestRunSweepOption:
     def test_backends_agree_and_jobs_levels_byte_identical(self,
                                                            monkeypatch):
         from repro.core.specs import POWERMANNA
-        from repro.memory import mp
+        from repro.memory import vec
 
         points = [((n,), {"spec": POWERMANNA, "n": n, "version": "naive",
                           "scale": 16}) for n in (8, 12, 16)]
@@ -32,6 +32,6 @@ class TestRunSweepOption:
         assert ([pickle.dumps(o.value) for o in serial]
                 == [pickle.dumps(o.value) for o in fanned])
         # vec ruled out for every node leaves the reference: same values
-        monkeypatch.setattr(mp.vec, "supported", lambda *args: False)
+        monkeypatch.setattr(vec, "supported", lambda *args: False)
         reference = run_sweep("mm", points, matmult_cell_task)
         assert [o.value for o in reference] == [o.value for o in serial]
