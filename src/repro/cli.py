@@ -90,11 +90,8 @@ def _emit(text: str) -> None:
     print()
 
 
-def _supervise_config(args) -> Optional[SuperviseConfig]:
-    """The shared --retries/--point-timeout/--journal/--resume surface;
-    ``None`` for commands without the supervised flags."""
-    if not hasattr(args, "retries"):
-        return None
+def _supervise_config(args) -> SuperviseConfig:
+    """The shared --retries/--point-timeout/--journal/--resume surface."""
     cache_dir = getattr(args, "cache_dir", None)
     return SuperviseConfig(
         retries=args.retries,
@@ -107,16 +104,11 @@ def _supervise_config(args) -> Optional[SuperviseConfig]:
 
 
 def _sweep_options(args) -> dict:
-    """The shared --jobs/--no-cache/--cache-dir surface as run_sweep
-    keywords; commands without the flags fall back to serial, uncached."""
-    cache = None
-    if hasattr(args, "no_cache") and not args.no_cache:
-        cache = ResultCache(getattr(args, "cache_dir", None))
-    options = {"jobs": getattr(args, "jobs", 1) or 1, "cache": cache}
-    supervise = _supervise_config(args)
-    if supervise is not None:
-        options["supervise"] = supervise
-    return options
+    """The shared --jobs/--no-cache/--cache-dir and supervision surface
+    as run_sweep keywords."""
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return {"jobs": args.jobs or 1, "cache": cache,
+            "supervise": _supervise_config(args)}
 
 
 def _report_cache(cache: Optional[ResultCache]) -> None:
@@ -126,13 +118,11 @@ def _report_cache(cache: Optional[ResultCache]) -> None:
         print(cache.stats_line(), file=sys.stderr)
 
 
-def _report_supervision(supervise: Optional[SuperviseConfig]) -> None:
+def _report_supervision(supervise: SuperviseConfig) -> None:
     """Supervision accounting also goes to stderr, and only when the
     supervisor actually had to do something — a clean run's streams are
     byte-identical with or without supervision."""
-    if supervise is None or supervise.stats is None:
-        return
-    if supervise.stats.any_events():
+    if supervise.stats is not None and supervise.stats.any_events():
         print(supervise.stats.summary_line(), file=sys.stderr)
 
 
@@ -278,7 +268,7 @@ def cmd_fig6(args) -> Optional[int]:
                 series, marks, "subintervals",
                 title=f"Figure 6 ({data_type.upper()}): QUIPS"))
         _report_cache(sweep["cache"])
-        _report_supervision(sweep.get("supervise"))
+        _report_supervision(sweep["supervise"])
 
     return _node_figure(args, body)
 
@@ -304,7 +294,7 @@ def cmd_fig7(args) -> Optional[int]:
             _emit(format_series(series, sizes, "N",
                                 title=f"Figure 7 ({version}): MFLOPS"))
         _report_cache(sweep["cache"])
-        _report_supervision(sweep.get("supervise"))
+        _report_supervision(sweep["supervise"])
 
     return _node_figure(args, body)
 
@@ -327,7 +317,7 @@ def cmd_fig8(args) -> Optional[int]:
         _emit(format_table(["machine", "version", "N", "speedup"], rows,
                            title="Figure 8: dual-processor speedup"))
         _report_cache(sweep["cache"])
-        _report_supervision(sweep.get("supervise"))
+        _report_supervision(sweep["supervise"])
 
     return _node_figure(args, body)
 
@@ -382,7 +372,7 @@ def _comm_figure(metric: str, title: str, args) -> Optional[int]:
 
     rc = _observed(args, run, show)
     _report_cache(options["cache"])
-    _report_supervision(options.get("supervise"))
+    _report_supervision(options["supervise"])
     return rc
 
 
@@ -474,7 +464,7 @@ def _chaos_campaign(plan, args) -> Optional[int]:
 
     rc = _observed(args, run, show)
     _report_cache(options["cache"])
-    _report_supervision(options.get("supervise"))
+    _report_supervision(options["supervise"])
     return rc
 
 
@@ -542,29 +532,8 @@ def cmd_bench(args) -> Optional[int]:
 
     repeats = 1 if args.quick else args.repeats
     supervise = _supervise_config(args)
-    if (supervise is not None and not supervise.enable_journal
-            and not supervise.resume_from
-            and (getattr(args, "jobs", 1) or 1) <= 1):
-        # --no-journal at jobs=1: the legacy measured loop, whose
-        # Ctrl-C path flushes a partial payload below.
-        supervise = None
-    from repro.perf.harness import BenchInterrupted
-
-    try:
-        results = run_bench(repeats=repeats, kernels=args.kernels or None,
-                            jobs=getattr(args, "jobs", 1) or 1,
-                            supervise=supervise)
-    except BenchInterrupted as exc:
-        if exc.results:
-            write_bench_json(out, exc.results, quick=args.quick,
-                             partial=True)
-            print(f"interrupted: wrote partial {out} "
-                  f"({len(exc.results)} kernel(s) finished)",
-                  file=sys.stderr)
-        else:
-            print("interrupted before any kernel finished",
-                  file=sys.stderr)
-        return 130
+    results = run_bench(repeats=repeats, kernels=args.kernels or None,
+                        jobs=args.jobs, supervise=supervise)
     _emit(format_bench_table(results))
     write_bench_json(out, results, quick=args.quick)
     print(f"wrote {out}: {len(results)} kernels, "
@@ -609,7 +578,7 @@ def _traffic_load(args, spec) -> Optional[int]:
         closed_loop=args.closed_loop, window=args.window,
         adaptive=adaptive, fault_plan=plan,
         jobs=options["jobs"], cache=options["cache"],
-        supervise=options.get("supervise"))
+        supervise=options["supervise"])
     rows = []
     for result in results:
         for cls in result["classes"]:
@@ -633,7 +602,7 @@ def _traffic_load(args, spec) -> Optional[int]:
                           + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     _report_cache(options["cache"])
-    _report_supervision(options.get("supervise"))
+    _report_supervision(options["supervise"])
     return 0
 
 

@@ -2,17 +2,17 @@
 
 The paper's evaluation is a family of independent sweeps (message sizes,
 matrix sizes, HINT machines, chaos seeds); this package farms those
-points over a process pool with strict ``jobs=N == jobs=1`` determinism
+points over worker processes with strict ``jobs=N == jobs=1`` determinism
 and never recomputes a point whose (source digest, config, seed)
 fingerprint already has a cached result.  See :mod:`repro.parallel.sweep`
 for the scheduler contract and :mod:`repro.parallel.cache` for the
 fingerprinting rules.
 
-Sweeps can additionally run *supervised*: :mod:`repro.parallel.journal`
-gives every run an append-only crash-safe record of its points, and
-:mod:`repro.parallel.supervise` retries crashed/hung workers, quarantines
-poison points, degrades to serial when the pool dies, and turns a
-journal back into a byte-identical ``--resume``.
+Every sweep runs *supervised*: :mod:`repro.parallel.supervise` retries
+failed points and crashed/hung workers, quarantines poison points, and
+degrades to serial when the pool dies; :mod:`repro.parallel.journal`
+gives a journaled run an append-only crash-safe record of its points and
+turns it back into a byte-identical ``--resume``.
 """
 
 from repro.parallel.cache import (

@@ -165,8 +165,7 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return False, None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except Exception:  # unreadable, or any pickle decode failure
             self.misses += 1
             self._quarantine(path)
             return False, None

@@ -1,9 +1,10 @@
 """Worker supervision: crash/hang detection, retries, quarantine, degrade.
 
-PR 4's pool was optimistic: ``pool.map`` assumes every worker survives
-every point.  This module replaces that execution strategy with a
-supervised one — the merge contract of :mod:`repro.parallel.sweep` is
-untouched, only *how* pending points get executed changes:
+This is the only executor of :mod:`repro.parallel.sweep`: every sweep's
+pending points run here, in-process at ``jobs=1``
+(:func:`run_serial_supervised`) and over :class:`WorkerSupervisor`
+processes above that.  The sweep's merge contract is untouched; this
+module decides only *how* pending points get executed:
 
 * each worker process runs a tiny task loop (own task queue, shared
   result queue) so the supervisor always knows **which** point a worker
@@ -250,6 +251,19 @@ def _worker_main(task_queue, result_queue) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pool_context():
+    """The worker start method: fork where available, spawn otherwise.
+
+    ``multiprocessing`` is imported here, not at module level, so a
+    serial sweep never loads it.
+    """
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
 class _Worker:
     __slots__ = ("process", "tasks", "index", "attempt", "started_at")
 
@@ -301,8 +315,6 @@ class WorkerSupervisor:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, tasks: List[Tuple[int, Dict[str, Any]]]) -> TaskResults:
-        from repro.parallel.sweep import _pool_context
-
         self._ctx = _pool_context()
         self._result_queue = self._ctx.Queue()
         self._pending: List[Tuple[int, int, float]] = []  # (idx, att, when)

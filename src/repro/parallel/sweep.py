@@ -2,8 +2,8 @@
 
 Every figure in the reproduction is a family of *independent* points —
 message sizes (Figs. 9-12), matrix sizes (Figs. 7-8), HINT machines
-(Fig. 6), chaos seeds — so :func:`run_sweep` farms them over a process
-pool and merges the results back as if they had run serially.  The
+(Fig. 6), chaos seeds — so :func:`run_sweep` farms them over worker
+processes and merges the results back as if they had run serially.  The
 contract is **strict determinism**: ``jobs=N`` must produce byte-identical
 output to ``jobs=1``.  Three mechanisms enforce it:
 
@@ -20,20 +20,21 @@ output to ``jobs=1``.  Three mechanisms enforce it:
   *submission* order (span ids reallocated, message ids offset per
   point), regardless of completion order.
 
-Workers are plain ``multiprocessing`` pool processes (fork where
-available, spawn otherwise); ``fn`` must therefore be a module-level
-callable and configs must pickle.  A :class:`~repro.parallel.cache.ResultCache`
-short-circuits any point whose fingerprint (source digest + config +
-seed) already has a stored result — including its captured metrics and
-spans, so a warm-cache ``--trace`` run still writes the full trace.
-
-Passing a :class:`~repro.parallel.supervise.SuperviseConfig` swaps the
-optimistic ``pool.map`` for the supervised executor: every run is
-journaled (:mod:`repro.parallel.journal`), worker crashes and hangs are
-retried with backoff, repeatedly-failing points are quarantined and
+Every sweep runs under one executor, the supervised one of
+:mod:`repro.parallel.supervise`: in-process at ``jobs=1`` and over
+:class:`~repro.parallel.supervise.WorkerSupervisor` processes (fork where
+available, spawn otherwise) above that, so ``fn`` must be a module-level
+callable and configs must pickle.  A point that raises, crashes or hangs
+is retried with backoff; one that keeps failing is quarantined and
 reported via :class:`~repro.parallel.supervise.PoisonedSweepError`
-*after* the healthy points finish, a dying pool degrades to in-process
-serial execution, SIGINT/SIGTERM stop cleanly at a point boundary, and
+*after* the healthy points finish; a dying pool degrades to in-process
+serial execution; and SIGINT/SIGTERM stop cleanly at a point boundary.
+
+A :class:`~repro.parallel.cache.ResultCache` short-circuits any point
+whose fingerprint (source digest + config + seed) already has a stored
+result — including its captured metrics and spans, so a warm-cache
+``--trace`` run still writes the full trace.  With journaling on (the
+CLI's default) every run is recorded (:mod:`repro.parallel.journal`) and
 ``resume_from`` replays a previous journal so only unfinished points
 recompute.  Because replayed payloads are byte-for-byte what the
 interrupted run produced and the merge is in submission order, a resumed
@@ -44,7 +45,6 @@ contract as ``jobs=N``.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -106,7 +106,7 @@ class PointOutcome:
 
 
 def _execute_point(payload: Dict[str, Any]) -> Tuple[Any, Any, Any, Any]:
-    """Run one point in isolation; module-level so pools can pickle it.
+    """Run one point in isolation; module-level so workers can pickle it.
 
     Returns ``(value, metrics_payload, spans_payload, timeline_payload)``
     — the payloads are ``None`` unless capture (and, for the timeline,
@@ -128,12 +128,6 @@ def _execute_point(payload: Dict[str, Any]) -> Tuple[Any, Any, Any, Any]:
                 timeline)
     with message_id_namespace():
         return fn(config, seed), None, None, None
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
 
 
 def _slot_blob(slot: Tuple[Any, Any, Any, Any, bool, int]) -> bytes:
@@ -172,9 +166,10 @@ def run_sweep(sweep_id: str,
             base seed).
         capture: capture per-point metrics/spans and merge them into the
             ambient observability session; defaults to ``OBS.enabled``.
-        supervise: run under the supervised executor — journaled,
-            crash/hang-tolerant, resumable.  ``None`` keeps the legacy
-            optimistic pool.
+        supervise: retry, timeout, journal and resume settings of the
+            supervised executor.  ``None`` means
+            ``SuperviseConfig(enable_journal=False)``: the CLI's defaults
+            without a journal file.
 
     Returns:
         One :class:`PointOutcome` per input point, in input order.
@@ -195,12 +190,11 @@ def run_sweep(sweep_id: str,
     # encoded series merge back like metrics and spans do.
     sample_interval = (OBS.timeline.sample_interval_ns
                        if capture and OBS.timeline.enabled else None)
-    stats: Optional[SupervisionStats] = None
-    journaling = False
-    if supervise is not None:
-        stats = SupervisionStats()
-        supervise.stats = stats
-        journaling = bool(supervise.enable_journal or supervise.resume_from)
+    if supervise is None:
+        supervise = SuperviseConfig(enable_journal=False)
+    stats = SupervisionStats()
+    supervise.stats = stats
+    journaling = bool(supervise.enable_journal or supervise.resume_from)
     need_fp = cache is not None or journaling
     digest = source_digest(modules) if need_fp else ""
 
@@ -230,7 +224,7 @@ def run_sweep(sweep_id: str,
     # (same code, config, seed, capture mode) replay their stored
     # payloads; anything stale, missing or digest-corrupt recomputes.
     resume_state = None
-    if supervise is not None and supervise.resume_from:
+    if supervise.resume_from:
         resume_state = load_journal(supervise.resume_from)
         if (resume_state.sweep_id is not None
                 and resume_state.sweep_id != sweep_id):
@@ -283,55 +277,33 @@ def run_sweep(sweep_id: str,
                                         _slot_blob(slot), cached=True)
 
         if pending:
-            payloads = [task for _, task in pending]
-            if supervise is None:
+            harness_plan = load_harness_plan()
+            with interrupt_guard() as flag:
                 if jobs > 1 and len(pending) > 1:
-                    with _pool_context().Pool(
-                            processes=min(jobs, len(pending))) as pool:
-                        # map() preserves input order whatever the
-                        # completion order; chunksize=1 keeps long points
-                        # load-balanced.
-                        produced = pool.map(_execute_point, payloads,
-                                            chunksize=1)
+                    sup = WorkerSupervisor(
+                        min(jobs, len(pending)), supervise, stats,
+                        journal=journal, fingerprints=prints,
+                        harness_plan=harness_plan, interrupt_flag=flag)
+                    results = sup.run(pending)
                 else:
-                    produced = [_execute_point(task) for task in payloads]
-                for (index, task), (value, metrics, spans, timeline) in zip(
-                        pending, produced):
+                    results = run_serial_supervised(
+                        pending, supervise, stats, journal=journal,
+                        fingerprints=prints, interrupt_flag=flag,
+                        harness_plan=harness_plan)
+            for index, task in pending:
+                status, body = results[index]
+                if status == "ok":
+                    value, metrics, spans, timeline = body
                     slots[index] = (value, metrics, spans, timeline, False,
                                     task["seed"])
                     if cache is not None:
                         cache.put(prints[index],
                                   {"value": value, "metrics": metrics,
                                    "spans": spans, "timeline": timeline})
-            else:
-                harness_plan = load_harness_plan()
-                with interrupt_guard() as flag:
-                    if jobs > 1 and len(pending) > 1:
-                        sup = WorkerSupervisor(
-                            min(jobs, len(pending)), supervise, stats,
-                            journal=journal, fingerprints=prints,
-                            harness_plan=harness_plan, interrupt_flag=flag)
-                        results = sup.run(pending)
-                    else:
-                        results = run_serial_supervised(
-                            pending, supervise, stats, journal=journal,
-                            fingerprints=prints, interrupt_flag=flag,
-                            harness_plan=harness_plan)
-                for index, task in pending:
-                    status, body = results[index]
-                    if status == "ok":
-                        value, metrics, spans, timeline = body
-                        slots[index] = (value, metrics, spans, timeline,
-                                        False, task["seed"])
-                        if cache is not None:
-                            cache.put(prints[index],
-                                      {"value": value, "metrics": metrics,
-                                       "spans": spans,
-                                       "timeline": timeline})
-                    else:
-                        errors[index] = body
-                        slots[index] = (None, None, None, None, False,
-                                        task["seed"])
+                else:
+                    errors[index] = body
+                    slots[index] = (None, None, None, None, False,
+                                    task["seed"])
 
         if journal is not None:
             journal.record_end(ok=not errors)
@@ -359,8 +331,7 @@ def run_sweep(sweep_id: str,
         outcomes.append(PointOutcome(key=key, value=value, seed=seed,
                                      cached=cached, failed=failed,
                                      error=errors.get(index)))
-    if stats is not None:
-        stats.publish()
+    stats.publish()
     if errors:
         poisoned = [PoisonPoint(index=index, key=points[index][0],
                                 attempts=supervise.retries + 1,

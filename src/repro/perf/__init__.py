@@ -19,7 +19,6 @@ from repro.perf.harness import (
     bench_payload,
     format_bench_table,
     run_bench,
-    run_kernel,
     write_bench_json,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "format_compare_table",
     "load_payload",
     "run_bench",
-    "run_kernel",
     "write_bench_json",
 ]

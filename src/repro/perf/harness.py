@@ -193,39 +193,12 @@ def _warm_imports() -> None:
     import repro.network.topo  # noqa: F401
 
 
-def run_kernel(name: str, repeats: int = 3) -> KernelResult:
-    """Time one kernel; the first run's work/check values are recorded
-    (they are deterministic, so later repeats must match)."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    _warm_imports()
-    fn = KERNELS[name]
-    best = float("inf")
-    total = 0.0
-    work, unit, check = 0, "", 0.0
-    for rep in range(repeats):
-        start = time.perf_counter()
-        w, unit, c = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-        if rep == 0:
-            work, check = w, c
-        elif (w, c) != (work, check):
-            raise AssertionError(
-                f"kernel {name} is nondeterministic: "
-                f"({w}, {c}) != ({work}, {check})")
-    return KernelResult(name=name, wall_s=best, mean_s=total / repeats,
-                        repeats=repeats, work=work, work_unit=unit,
-                        check=check)
-
-
 def _bench_unit(config: Dict[str, str], seed: int) -> Tuple[float, int, str,
                                                             float]:
     """One (kernel, repeat) timing unit as a sweep task (picklable).
 
-    ``_warm_imports`` runs before the clock starts; pool workers persist
-    across units, so each worker pays the import chain once.
+    ``_warm_imports`` runs before the clock starts; worker processes
+    persist across units, so each worker pays the import chain once.
     """
     _warm_imports()
     fn = KERNELS[config["kernel"]]
@@ -235,32 +208,25 @@ def _bench_unit(config: Dict[str, str], seed: int) -> Tuple[float, int, str,
     return elapsed, work, unit, check
 
 
-class BenchInterrupted(KeyboardInterrupt):
-    """Ctrl-C mid-bench; carries the kernels that did finish, so the CLI
-    can flush a ``"partial": true`` payload before exiting 130."""
-
-    def __init__(self, results: List[KernelResult]):
-        super().__init__("bench interrupted")
-        self.results = results
-
-
 def run_bench(repeats: int = 3,
               kernels: Optional[Sequence[str]] = None,
               jobs: int = 1,
               supervise=None) -> List[KernelResult]:
     """Time every kernel ``repeats`` times, optionally over ``jobs`` workers.
 
-    The (kernel, repeat) units fan out through the sweep scheduler; the
-    deterministic work/check values are identical at any jobs level (and
-    asserted to be), but wall times are host measurements — running
-    timing units concurrently trades timing fidelity for throughput, so
-    keep ``jobs=1`` when the walls themselves are the deliverable.
+    Each (kernel, repeat) unit is one point of a
+    :func:`~repro.parallel.sweep.run_sweep` sweep, in-process at
+    ``jobs=1``.  The deterministic work/check values are identical at
+    any jobs level (and asserted to be), but wall times are host
+    measurements — running timing units concurrently trades timing
+    fidelity for throughput, so keep ``jobs=1`` when the walls
+    themselves are the deliverable.
 
-    A :class:`~repro.parallel.supervise.SuperviseConfig` routes even
-    ``jobs=1`` through the sweep scheduler, which journals every
-    (kernel, repeat) unit and makes the bench resumable — note that
-    replayed units reuse the interrupted run's wall times, so a resumed
-    bench is *reproducible*, not re-measured.
+    ``supervise`` is the sweep's
+    :class:`~repro.parallel.supervise.SuperviseConfig`.  With a journal
+    every unit is recorded and the bench is resumable; replayed units
+    reuse the interrupted run's wall times, so a resumed bench is
+    *reproducible*, not re-measured.
     """
     names = list(kernels) if kernels else list(KERNELS)
     unknown = [n for n in names if n not in KERNELS]
@@ -268,14 +234,6 @@ def run_bench(repeats: int = 3,
         raise ValueError(f"unknown kernels {unknown}; have {list(KERNELS)}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if jobs <= 1 and supervise is None:
-        results: List[KernelResult] = []
-        try:
-            for name in names:
-                results.append(run_kernel(name, repeats=repeats))
-        except KeyboardInterrupt:
-            raise BenchInterrupted(results)
-        return results
 
     from repro.parallel import run_sweep
 
@@ -310,10 +268,8 @@ def run_bench(repeats: int = 3,
 
 
 def bench_payload(results: Sequence[KernelResult],
-                  quick: bool = False, partial: bool = False) -> dict:
-    """The ``BENCH_perf.json`` document.  ``partial`` marks a payload
-    flushed after an interrupt — some kernels are missing, and no tool
-    should treat it as a comparable baseline."""
+                  quick: bool = False) -> dict:
+    """The ``BENCH_perf.json`` document."""
     kernels = {}
     for r in results:
         entry = {
@@ -326,7 +282,7 @@ def bench_payload(results: Sequence[KernelResult],
             "check": r.check,
         }
         kernels[r.name] = entry
-    payload = {
+    return {
         "schema": SCHEMA,
         "created_unix": time.time(),
         "python": platform.python_version(),
@@ -334,16 +290,13 @@ def bench_payload(results: Sequence[KernelResult],
         "quick": quick,
         "kernels": kernels,
     }
-    if partial:
-        payload["partial"] = True
-    return payload
 
 
 def write_bench_json(path: str, results: Sequence[KernelResult],
-                     quick: bool = False, partial: bool = False) -> dict:
+                     quick: bool = False) -> dict:
     from repro.atomicio import atomic_write_text
 
-    payload = bench_payload(results, quick=quick, partial=partial)
+    payload = bench_payload(results, quick=quick)
     atomic_write_text(
         path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload

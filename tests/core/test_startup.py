@@ -3,8 +3,9 @@
 Routes come from the BFS searches in ``repro.network.routing`` and the
 vectorized replay engine loads numpy on its first replay, so a process
 that only builds fabrics and runs the DES never pays for either library.
-Each case runs in a fresh interpreter and reports ``sys.modules``; no
-timing is measured.
+Likewise only a sweep that starts worker processes loads
+``multiprocessing``.  Each case runs in a fresh interpreter and reports
+``sys.modules``; no timing is measured.
 """
 
 import json
@@ -29,10 +30,11 @@ FIG6 = ("from repro import cli; "
         "'--no-journal', '--jobs', '1'])")
 
 
-def loaded_after(code):
-    """Which of HEAVY a fresh interpreter holds after running ``code``."""
+def loaded_after(code, modules=HEAVY):
+    """Which of ``modules`` a fresh interpreter holds after ``code``."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} "
+             f"if m in sys.modules]))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -54,3 +56,9 @@ def test_comm_and_setup_paths_load_neither_library(code):
 
 def test_trace_replay_still_loads_numpy():
     assert loaded_after(FIG6) == ["numpy"]
+
+
+@pytest.mark.parametrize("code", ["import repro.cli", FIG9],
+                         ids=["import-cli", "fig9"])
+def test_serial_sweep_leaves_multiprocessing_unloaded(code):
+    assert loaded_after(code, ("multiprocessing",)) == []

@@ -115,15 +115,23 @@ class TestSamplingFlags:
         assert payload["samples_taken"] > 0
         assert "Figure 9" in capsys.readouterr().out
 
-    def test_jobs_4_timeline_is_byte_identical_to_jobs_1(self, tmp_path):
-        one = str(tmp_path / "j1.json")
-        four = str(tmp_path / "j4.json")
-        assert main(["fig9", "--sizes", "8", "64", "--sample-interval",
-                     "1000", "--timeline-out", one, "--no-cache"]) == 0
-        assert main(["fig9", "--sizes", "8", "64", "--sample-interval",
-                     "1000", "--timeline-out", four, "--no-cache",
-                     "--jobs", "4"]) == 0
-        assert open(one, "rb").read() == open(four, "rb").read()
+    def test_jobs_4_timeline_is_byte_identical_to_jobs_1(self, tmp_path,
+                                                         capsys):
+        timeline = str(tmp_path / "tl.json")
+        trace = str(tmp_path / "t.json")
+        metrics = str(tmp_path / "m.json")
+        cases = ((["--sizes", "8", "64", "--sample-interval", "1000",
+                   "--timeline-out", timeline], [timeline]),
+                 (["--sizes", "8", "64", "512", "--trace", trace,
+                   "--metrics-out", metrics], [trace, metrics]))
+        for flags, files in cases:
+            runs = []
+            for jobs in ("1", "4"):
+                assert main(["fig9", "--no-cache", "--jobs", jobs]
+                            + flags) == 0
+                runs.append((capsys.readouterr().out,
+                             [open(path, "rb").read() for path in files]))
+            assert runs[0] == runs[1], flags
 
     def test_health_gate_exit_codes(self, tmp_path, capsys):
         passing = tmp_path / "pass.json"

@@ -53,12 +53,17 @@ class TestResultCache:
 
 
 class TestCacheHardening:
-    def test_corrupt_entry_is_quarantined(self, tmp_path):
+    @pytest.mark.parametrize("blob", [
+        b"garbage",
+        b"\x80\x09",  # unsupported pickle protocol: ValueError
+        b"\x80\x04X\x03\x00\x00\x00\xff\xfe\xfd.",  # UnicodeDecodeError
+    ], ids=["garbage", "bad-protocol", "bad-utf8"])
+    def test_corrupt_entry_is_quarantined(self, tmp_path, blob):
         cache = ResultCache(str(tmp_path))
         fp = "ee" * 32
         cache.put(fp, {"value": 1})
         with open(cache.path_for(fp), "wb") as handle:
-            handle.write(b"garbage")
+            handle.write(blob)
         hit, value = cache.get(fp)
         assert (hit, value) == (False, None)
         assert cache.quarantined == 1

@@ -59,12 +59,16 @@ class TestCampaignCli:
     ARGS = ["chaos", "--link-error-rate", "0.05", "--seed", "11",
             "--seeds", "2", "--flows", "2", "--messages", "2", "--no-cache"]
 
-    def test_campaign_stdout_identical_across_jobs(self, capsys):
-        assert main(self.ARGS + ["--jobs", "1"]) == 0
+    def test_campaign_stdout_identical_across_jobs(self, tmp_path, capsys):
+        out = tmp_path / "campaign.json"
+        args = self.ARGS + ["--report-out", str(out)]
+        assert main(args + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
-        assert main(self.ARGS + ["--jobs", "2"]) == 0
+        serial_report = out.read_bytes()
+        assert main(args + ["--jobs", "2"]) == 0
         fanned = capsys.readouterr().out
         assert serial == fanned
+        assert out.read_bytes() == serial_report
         assert "Chaos campaign: 2 seeds" in serial
 
     def test_report_out_is_valid_json(self, tmp_path, capsys):

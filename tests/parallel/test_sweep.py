@@ -1,9 +1,17 @@
 """The sweep scheduler: determinism, fan-out, observability merge."""
 
+import os
+
 import pytest
 
 from repro.obs import OBS, observe
-from repro.parallel import PointOutcome, derive_seed, run_sweep, sweep_values
+from repro.parallel import (
+    JOURNAL_ENV,
+    PointOutcome,
+    derive_seed,
+    run_sweep,
+    sweep_values,
+)
 
 # Point functions live at module level so pool workers can pickle them.
 
@@ -69,6 +77,15 @@ class TestRunSweep:
     def test_empty_sweep(self):
         assert run_sweep("sq", [], square_task) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_sweep_writes_no_journal(self, monkeypatch, tmp_path,
+                                             jobs):
+        # No ``supervise`` means the supervised executor without a journal.
+        monkeypatch.setenv(JOURNAL_ENV, str(tmp_path))
+        outcomes = run_sweep("sq", _points([1, 2]), square_task, jobs=jobs)
+        assert sweep_values(outcomes) == [1, 4]
+        assert os.listdir(tmp_path) == []
+
 
 class TestObservabilityMerge:
     def _run(self, jobs):
@@ -132,13 +149,15 @@ class TestCliSweep:
                                                        capsys):
         from repro.cli import main
 
-        args = ["fig7", "--sizes", "8", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        cold = capsys.readouterr()
-        assert main(args) == 0
-        warm = capsys.readouterr()
-        assert warm.out == cold.out
-        assert "0 miss(es)" in warm.err  # zero recomputed points
+        for args in (["fig7", "--sizes", "8"],
+                     ["fig11", "--sizes", "8", "64", "512"]):
+            args = args + ["--cache-dir", str(tmp_path)]
+            assert main(args) == 0
+            cold = capsys.readouterr()
+            assert main(args) == 0
+            warm = capsys.readouterr()
+            assert warm.out == cold.out, args
+            assert "0 miss(es)" in warm.err, args  # zero recomputed points
 
     def test_fig9_default_topology_shares_cache_with_cluster(self, tmp_path,
                                                              capsys):

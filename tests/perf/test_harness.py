@@ -3,21 +3,23 @@
 The actual kernels are too slow for unit tests; these tests patch tiny
 stand-ins into ``KERNELS`` and check everything around them — best/mean
 selection, determinism enforcement, payload schema and the file round
-trip.
+trip.  ``run_bench`` at ``jobs=1`` runs its units in-process, so the
+patched kernels are the ones timed.
 """
 
 import json
+import os
 
 import pytest
 
 import repro.perf.harness as harness
+from repro.faults import HARNESS_FAULTS_ENV
 from repro.perf import (
     KERNELS,
     KernelResult,
     SCHEMA,
     bench_payload,
     run_bench,
-    run_kernel,
     write_bench_json,
 )
 
@@ -36,9 +38,9 @@ def tiny_kernel(monkeypatch):
     return calls
 
 
-class TestRunKernel:
+class TestRunBench:
     def test_repeats_and_result_fields(self, tiny_kernel):
-        result = run_kernel("tiny", repeats=4)
+        [result] = run_bench(repeats=4, kernels=["tiny"])
         assert len(tiny_kernel) == 4
         assert result.name == "tiny"
         assert result.repeats == 4
@@ -50,7 +52,7 @@ class TestRunKernel:
 
     def test_zero_repeats_rejected(self, tiny_kernel):
         with pytest.raises(ValueError, match="repeats"):
-            run_kernel("tiny", repeats=0)
+            run_bench(repeats=0, kernels=["tiny"])
 
     def test_nondeterministic_kernel_rejected(self, monkeypatch):
         ticks = iter(range(100))
@@ -61,10 +63,8 @@ class TestRunKernel:
         monkeypatch.setitem(harness.KERNELS, "flaky", flaky)
         monkeypatch.setattr(harness, "_warm_imports", lambda: None)
         with pytest.raises(AssertionError, match="nondeterministic"):
-            run_kernel("flaky", repeats=2)
+            run_bench(repeats=2, kernels=["flaky"])
 
-
-class TestRunBench:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernels"):
             run_bench(kernels=["no_such_kernel"])
@@ -77,6 +77,46 @@ class TestRunBench:
         assert set(KERNELS) == {
             "fig6_hint", "fig7_matmult", "fig8_smp", "fig9_pingpong",
             "fig11_unidir", "traffic_incast", "topo_hypercube_1k"}
+
+
+class TestBenchCli:
+    def test_interrupted_bench_resumes_to_the_same_payload(
+            self, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+
+        for name, work, check in (("tiny_a", 1000, 42.5),
+                                  ("tiny_b", 7, 1.25)):
+            monkeypatch.setitem(harness.KERNELS, name,
+                                lambda w=work, c=check: (w, "events", c))
+        monkeypatch.setattr(harness, "_warm_imports", lambda: None)
+        monkeypatch.delenv(HARNESS_FAULTS_ENV, raising=False)
+        args = ["bench", "--kernels", "tiny_a", "tiny_b", "--repeats", "2"]
+        clean = tmp_path / "clean.json"
+        resumed = tmp_path / "resumed.json"
+        journal = str(tmp_path / "bench.jsonl")
+
+        assert main(args + ["--no-journal", "--out", str(clean)]) == 0
+        capsys.readouterr()
+
+        monkeypatch.setenv(HARNESS_FAULTS_ENV, json.dumps({"faults": [
+            {"kind": "run_interrupt", "after_points": 2}]}))
+        assert main(args + ["--journal", journal,
+                            "--out", str(resumed)]) == 130
+        assert f"--resume {journal}" in capsys.readouterr().err
+        assert not os.path.exists(resumed)
+
+        monkeypatch.delenv(HARNESS_FAULTS_ENV)
+        assert main(args + ["--resume", journal,
+                            "--out", str(resumed)]) == 0
+        assert "resumed from journal" in capsys.readouterr().err
+
+        def outputs(path):
+            kernels = json.loads(path.read_text())["kernels"]
+            return {name: (entry["work"], entry["check"])
+                    for name, entry in kernels.items()}
+
+        assert outputs(resumed) == outputs(clean) == {
+            "tiny_a": (1000, 42.5), "tiny_b": (7, 1.25)}
 
 
 class TestPayload:

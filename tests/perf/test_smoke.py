@@ -1,11 +1,13 @@
 """End-to-end smoke gates, kept out of the default run.
 
-These time real replays, so they are slow and host-sensitive; CI's
-perf-smoke job runs them, and so can anyone locally::
+These time real replays and kernels, so they are slow and
+host-sensitive; CI's perf-smoke job runs them, and so can anyone
+locally::
 
     PYTHONPATH=src python -m pytest -m smoke
 """
 
+import json
 import time
 
 import pytest
@@ -15,8 +17,11 @@ from repro.bench.matmult import (
     _per_access_compute_ns,
     _product_trace,
 )
+from repro.cli import main
 from repro.core.specs import POWERMANNA
 from repro.memory.mp import replay_reference, replay_traces
+from repro.parallel import JOURNAL_ENV
+from repro.perf import KERNELS, SCHEMA
 
 from ..memory.test_replay_equivalence import snapshot
 
@@ -52,3 +57,18 @@ def test_vec_measurably_faster_than_reference():
     assert snapshot(vec_memory) == snapshot(ref_memory)
     ratio = ref_wall / vec_wall
     assert ratio >= 11.5, f"vectorized speedup collapsed: {ratio:.2f}x"
+
+
+def test_bench_quick_writes_a_complete_payload(monkeypatch, tmp_path):
+    """``bench --quick`` runs every kernel once, at full size, through the
+    sweep executor and writes a payload ``bench --compare`` accepts."""
+    monkeypatch.setenv(JOURNAL_ENV, str(tmp_path / "journals"))
+    out = tmp_path / "BENCH_perf.quick.json"
+    assert main(["bench", "--quick", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == SCHEMA
+    assert payload["quick"] is True
+    assert set(payload["kernels"]) == set(KERNELS)
+    for name, entry in payload["kernels"].items():
+        assert entry["wall_s"] > 0, (name, entry)
+        assert entry["work"] > 0, (name, entry)
