@@ -1104,11 +1104,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
         return 3
     except SweepInterrupted as exc:
-        print("interrupted: journal flushed, workers shut down",
-              file=sys.stderr)
         if exc.journal_path:
+            print("interrupted: journal flushed, workers shut down",
+                  file=sys.stderr)
             print(f"resume with: --resume {exc.journal_path}",
                   file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
         return 130
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -1,10 +1,13 @@
 """The PowerMANNA link: byte-parallel pipe with stop-signal flow control.
 
 Physically each link direction is a 9-bit channel (8 data + 1 control) at
-60 MHz — 60 Mbyte/s — plus a *stop* wire back from the receiver.  The model
-is a process that serialises flits at the link rate and delivers them into
-the receiver's FIFO; when that FIFO is full the process blocks, which is
-exactly the stop signal asserting.
+60 MHz — 60 Mbyte/s — plus a *stop* wire back from the receiver.  The
+model is a fixed-delay pipe driven by event callbacks, not a process: a
+flit's serialisation (its bytes at the link rate) and its flight down the
+cable are one pooled timeout each, and the flit then lands in the
+receiver's FIFO.  When that FIFO is full the flit waits at the receiver
+and the cable behind it fills; once the cable is full the sender stalls,
+which is exactly the stop signal asserting.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from repro.network.message import Flit, FlitKind
 from repro.obs import OBS
 from repro.sim.clock import Clock
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.resources import FifoStore
 from repro.sim.stats import Counter
 
 
@@ -72,29 +74,12 @@ class ByteFifo:
             raise SimulationError(
                 f"flit of {nbytes} B can never fit FIFO {self.name!r} "
                 f"of {self.capacity_bytes} B")
-        if not self._putters and nbytes <= self.capacity_bytes - self.level_bytes:
-            # Accepted immediately — same trigger order as _settle (put
-            # event first, then the getter it satisfies, if any).
-            self.items.append(flit)
-            level = self.level_bytes + nbytes
-            self.level_bytes = level
-            self.total_bytes_in += nbytes
-            if level > self.high_water_bytes:
-                self.high_water_bytes = level
-            # Inline event.trigger(flit): the event is fresh, so the
-            # double-trigger check cannot fire.
+        if self.try_put(flit):
+            # Accepted at once.  Inline event.trigger(flit): the event is
+            # fresh, so the double-trigger check cannot fire.
             event._triggered = True
             event._value = flit
             self.sim._ready.append(event)
-            getters = self._getters
-            if getters:
-                gev = getters.popleft()
-                item = self.items.popleft()
-                self.level_bytes -= item.nbytes
-                self.total_bytes_out += item.nbytes
-                gev.trigger(item)
-                if getters and self.items:
-                    self._settle()
             return event
         # Queued behind other putters, or too big right now.  No match is
         # possible (the head putter still does not fit, and a waiting
@@ -137,14 +122,29 @@ class ByteFifo:
             return False
 
     def try_put(self, flit: Flit) -> bool:
-        """Non-blocking put; returns False when the flit does not fit."""
-        if flit.nbytes > self.free_bytes:
+        """Non-blocking put, with no event: accept ``flit`` now if it fits
+        and no blocked put is queued ahead of it, handing a waiting getter
+        the head flit; else return False.  :meth:`put` accepts through
+        here before it queues."""
+        nbytes = flit.nbytes
+        if self._putters or nbytes > self.capacity_bytes - self.level_bytes:
             return False
-        self.items.append(flit)
-        self.level_bytes += flit.nbytes
-        self.total_bytes_in += flit.nbytes
-        self.high_water_bytes = max(self.high_water_bytes, self.level_bytes)
-        self._settle()
+        items = self.items
+        items.append(flit)
+        level = self.level_bytes + nbytes
+        self.level_bytes = level
+        self.total_bytes_in += nbytes
+        if level > self.high_water_bytes:
+            self.high_water_bytes = level
+        getters = self._getters
+        if getters:
+            gev = getters.popleft()
+            item = items.popleft()
+            self.level_bytes -= item.nbytes
+            self.total_bytes_out += item.nbytes
+            gev.trigger(item)
+            if getters and items:
+                self._settle()
         return True
 
     def try_get(self) -> tuple[bool, Optional[Flit]]:
@@ -154,7 +154,10 @@ class ByteFifo:
         flit = self.items.popleft()
         self.level_bytes -= flit.nbytes
         self.total_bytes_out += flit.nbytes
-        self._settle()
+        # Waiting getters imply an empty FIFO, so only a putter can be
+        # matched now.
+        if self._putters:
+            self._settle()
         return True, flit
 
     def _settle(self) -> None:
@@ -212,11 +215,21 @@ class LinkConfig:
 
 
 class Link:
-    """One direction of a point-to-point link.
+    """One direction of a point-to-point link, as a callback state machine.
 
-    ``tx`` is the sender-side staging FIFO; a pump process serialises each
-    flit (``nbytes`` link cycles), then delivers it into the receiver FIFO
-    ``rx`` — blocking while ``rx`` is full, i.e. honouring the stop signal.
+    ``tx`` is the sender-side staging FIFO.  The serializer takes a flit
+    from it, holds the line for ``nbytes`` link cycles (one pooled
+    timeout), and puts the flit on the cable with its arrival time.  The
+    receiver end takes flits off the cable in order, waits out each one's
+    flight (a second pooled timeout) and accepts it into ``rx``.  An
+    uncontended flit-hop is those two kernel events; no process runs.
+
+    The stop signal: when ``rx`` is full the arriving flit waits at the
+    receiver on a put event, and the cable behind it fills.  The cable
+    holds ``wire_slots`` flits (as many as fit its flight time), so the
+    sender may run ``wire_slots`` flits plus the one held at the receiver
+    ahead of a stalled ``rx``; the next flit to finish serialising waits
+    for a slot, and the serializer stalls with it.
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig, rx: ByteFifo,
@@ -228,26 +241,36 @@ class Link:
         self.tx = ByteFifo(sim, tx_capacity_bytes, name=f"{name}.tx")
         self.stats = Counter(name)
         self.busy_ns = 0.0
-        # Flits in flight on the cable: (flit, arrival_time).  Propagation
-        # pipelines — a long cable adds latency, never costs bandwidth —
-        # but the cable only holds as many bytes as fit its flight time,
-        # so a stalled receiver still backpressures the sender (the stop
-        # signal) after at most that much slack.
-        wire_slots = max(1, int(config.propagation_ns / config.byte_ns) + 1)
-        self._in_flight = FifoStore(sim, capacity=wire_slots,
-                                    name=f"{name}.wire")
+        self._byte_ns = config.byte_ns
+        self._propagation_ns = config.propagation_ns
+        # Propagation pipelines (a long cable adds latency, never costs
+        # bandwidth), but the cable only holds as many flits as fit its
+        # flight time, so a stalled receiver still backpressures the
+        # sender after at most that much slack.
+        self.wire_slots = max(1, int(config.propagation_ns / config.byte_ns) + 1)
+        # (flit, arrival time) on the cable behind the receiver's flit.
+        self._cable: Deque[tuple[Flit, float]] = deque()
+        # The flit at the receiver end (in flight or held by the stop
+        # signal), and a serialised flit waiting for a cable slot.
+        self._head: Optional[Flit] = None
+        self._stalled: Optional[tuple[Flit, float]] = None
+        self._serial_start = 0.0
         # message_id -> open "link.transmit" span (wormhole routing keeps
-        # one message on the wire at a time, but the span starts in the
-        # serializer process and ends in the deliverer process).
+        # one message on the wire at a time; the span opens when its first
+        # flit starts serialising and closes as its close flit lands).
         self._spans: dict[int, int] = {}
-        self._serializer = sim.process(self._serialize())
-        self._deliverer = sim.process(self._deliver())
+        # Callbacks bound once; each rides one pooled event.
+        self._on_tx = self._tx_ready
+        self._on_serialized = self._serialized
+        self._on_arrival = self._arrival
+        self._on_accepted = self._accepted
+        self.tx.get_pooled().callbacks.append(self._on_tx)
         if OBS.enabled and OBS.timeline.enabled:
             probe = OBS.timeline.probe
             probe(sim, "link.tx_bytes",
                   lambda: float(self.tx.level_bytes), link=name)
             probe(sim, "link.flits_in_flight",
-                  lambda: float(self._in_flight.level), link=name)
+                  lambda: float(len(self._cable)), link=name)
             # Occupancy per interval: busy_ns is cumulative, so each
             # sample reports the busy fraction since the previous one.
             interval = OBS.timeline.sample_interval_ns
@@ -265,68 +288,109 @@ class Link:
         """Stage a flit for transmission; fires when accepted into tx."""
         return self.tx.put(flit)
 
-    def _serialize(self):
-        sim = self.sim
-        tx_get = self.tx.get_pooled
-        pooled_timeout = sim.pooled_timeout
-        serialize_ns = self.config.serialize_ns
-        propagation_ns = self.config.propagation_ns
-        wire_put = self._in_flight.put_pooled
-        while True:
-            flit = yield tx_get()
-            if OBS.enabled and flit.message_id not in self._spans:
-                self._spans[flit.message_id] = OBS.tracer.begin(
-                    "link.transmit", self.name, sim.now,
-                    category="network", message=flit.message_id)
-            start = sim.now
-            yield pooled_timeout(serialize_ns(flit.nbytes))
-            self.busy_ns += sim.now - start
-            arrival = sim.now + propagation_ns
-            yield wire_put((flit, arrival))
+    # -- serializer ---------------------------------------------------------
 
-    def _deliver(self):
+    def _tx_ready(self, event: Event) -> None:
+        self._serialize(event._value)
+
+    def _serialize(self, flit: Flit) -> None:
         sim = self.sim
-        wire_get = self._in_flight.get_pooled
-        pooled_timeout = sim.pooled_timeout
-        rx_put = self.rx.put_pooled
-        stats_incr = self.stats.incr
-        data_kind = FlitKind.DATA
-        close_kind = FlitKind.CLOSE
-        while True:
-            flit, arrival = yield wire_get()
-            wait = arrival - sim.now
-            if wait > 0:
-                yield pooled_timeout(wait)
-            if FAULTS.enabled:
-                # A dropped DATA flit shortens the payload; the receiving
-                # driver flags the message as corrupt (the CRC covers the
-                # whole message, so a hole fails the check like a flip).
-                if flit.kind == data_kind and FAULTS.engine.fires(
-                        "flit_drop", self.name, sim.now):
-                    stats_incr("dropped_flits")
-                    if OBS.enabled:
-                        OBS.metrics.incr("faults.dropped_flits",
-                                         link=self.name)
-                    continue
-                # Bit-error bursts: one corruption draw per message per
-                # link, taken as the message's tail crosses.
-                if flit.kind == close_kind and FAULTS.engine.fires(
-                        "link_corrupt", self.name, sim.now):
-                    FAULTS.engine.mark_corrupt(flit.message_id)
-                    stats_incr("corrupted_messages")
-                    if OBS.enabled:
-                        OBS.metrics.incr("faults.corrupted_messages",
-                                         link=self.name)
-            # Blocking here *is* the stop signal: the wire stalls until the
-            # receiver FIFO has room for the flit.
-            yield rx_put(flit)
-            stats_incr("flits")
-            stats_incr("bytes", flit.nbytes)
-            if self._spans and flit.kind == close_kind:
-                span = self._spans.pop(flit.message_id, 0)
+        if OBS.enabled and flit.message_id not in self._spans:
+            self._spans[flit.message_id] = OBS.tracer.begin(
+                "link.transmit", self.name, sim.now,
+                category="network", message=flit.message_id)
+        self._serial_start = sim.now
+        sim.pooled_timeout(flit.nbytes * self._byte_ns,
+                           flit).callbacks.append(self._on_serialized)
+
+    def _serialized(self, event: Event) -> None:
+        now = self.sim.now
+        self.busy_ns += now - self._serial_start
+        flit = event._value
+        arrival = now + self._propagation_ns
+        if self._head is None:
+            self._take(flit, arrival)
+        elif len(self._cable) < self.wire_slots:
+            self._cable.append((flit, arrival))
+        else:
+            self._stalled = (flit, arrival)
+            return
+        self._next_tx()
+
+    def _next_tx(self) -> None:
+        ok, flit = self.tx.try_get()
+        if ok:
+            self._serialize(flit)
+        else:
+            self.tx.get_pooled().callbacks.append(self._on_tx)
+
+    # -- receiver end -------------------------------------------------------
+
+    def _take(self, flit: Flit, arrival: float) -> None:
+        """Move ``flit`` to the receiver end; deliver it on arrival."""
+        self._head = flit
+        wait = arrival - self.sim.now
+        if wait > 0:
+            self.sim.pooled_timeout(wait).callbacks.append(self._on_arrival)
+        else:
+            self._arrival(None)
+
+    def _arrival(self, _event: Optional[Event]) -> None:
+        flit = self._head
+        sim = self.sim
+        if FAULTS.enabled:
+            # A dropped DATA flit shortens the payload; the receiving
+            # driver flags the message as corrupt (the CRC covers the
+            # whole message, so a hole fails the check like a flip).
+            if flit.kind == FlitKind.DATA and FAULTS.engine.fires(
+                    "flit_drop", self.name, sim.now):
+                self.stats.incr("dropped_flits")
                 if OBS.enabled:
-                    OBS.tracer.end(span, sim.now)
-                    OBS.metrics.incr("link.messages", link=self.name)
+                    OBS.metrics.incr("faults.dropped_flits", link=self.name)
+                self._free()
+                return
+            # Bit-error bursts: one corruption draw per message per
+            # link, taken as the message's tail crosses.
+            if flit.kind == FlitKind.CLOSE and FAULTS.engine.fires(
+                    "link_corrupt", self.name, sim.now):
+                FAULTS.engine.mark_corrupt(flit.message_id)
+                self.stats.incr("corrupted_messages")
+                if OBS.enabled:
+                    OBS.metrics.incr("faults.corrupted_messages",
+                                     link=self.name)
+        if self.rx.try_put(flit):
+            self._accepted(None)
+        else:
+            # The stop signal: hold the flit until rx has room.
+            self.rx.put_pooled(flit).callbacks.append(self._on_accepted)
+
+    def _accepted(self, _event: Optional[Event]) -> None:
+        flit = self._head
+        stats_incr = self.stats.incr
+        stats_incr("flits")
+        stats_incr("bytes", flit.nbytes)
+        if self._spans and flit.kind == FlitKind.CLOSE:
+            span = self._spans.pop(flit.message_id, 0)
+            if OBS.enabled:
+                OBS.tracer.end(span, self.sim.now)
+                OBS.metrics.incr("link.messages", link=self.name)
+        self._free()
+
+    def _free(self) -> None:
+        """The receiver end is free: take the next flit off the cable,
+        which frees a slot for a stalled serializer."""
+        cable = self._cable
+        if not cable:
+            self._head = None
+            return
+        flit, arrival = cable.popleft()
+        stalled = self._stalled
+        if stalled is not None:
+            self._stalled = None
+            cable.append(stalled)
+        self._take(flit, arrival)
+        if stalled is not None:
+            self._next_tx()
 
     def utilization(self, elapsed_ns: Optional[float] = None) -> float:
         elapsed = self.sim.now if elapsed_ns is None else elapsed_ns
@@ -338,8 +402,8 @@ class DuplexLink:
 
     The full-duplex protocol "improves not only the overall bandwidth but
     also simplifies the communication protocols by excluding deadlocks" —
-    in the model, each direction has its own pump and FIFOs, so opposite
-    traffic never shares a resource.
+    in the model, each direction has its own serializer and FIFOs, so
+    opposite traffic never shares a resource.
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig,

@@ -189,6 +189,7 @@ def _warm_imports() -> None:
     import repro.bench.matmult  # noqa: F401
     import repro.bench.traffic  # noqa: F401
     import repro.core.specs  # noqa: F401
+    import repro.memory.vec  # noqa: F401  (numpy, loaded on first replay)
     import repro.msg.api  # noqa: F401
     import repro.network.topo  # noqa: F401
 

@@ -25,8 +25,9 @@ seq order.  While a run is in progress no heap entry is due at ``now``.
 The event loop is the hot path of every network figure, so the kernel
 also keeps allocation off the per-event path: events with a single
 waiter (the dominant case — one process blocked on one FIFO slot or
-timeout) dispatch without building a fresh callback list, and the
-link/crossbar/driver processes draw their events and delays from a
+timeout, or one component callback) dispatch without building a fresh
+callback list, and the crossbar and driver processes and the link's
+callbacks draw their events and delays from a
 :meth:`Simulator.pooled_timeout` free list instead of allocating a new
 :class:`Timeout` per flit.
 """
@@ -227,12 +228,16 @@ class Simulator:
         """A :class:`Timeout` drawn from a free list.
 
         Once processed, the timeout is recycled for a later call, so hot
-        process loops (link pumps, drivers, the crossbar) do not allocate
-        a fresh object per flit.  Callers must drop their reference after
-        the timeout fires — i.e. use it only as ``yield
-        sim.pooled_timeout(...)`` — because the object is reused; code
-        that stores a timeout and inspects it later (``timer in fired``)
-        must use :meth:`timeout`.
+        loops (drivers, the crossbar, the link) do not allocate a fresh
+        object per flit.  Callers must drop their reference after the
+        timeout fires, because the object is reused.  Two uses qualify:
+        ``yield sim.pooled_timeout(...)`` in a process, and a component
+        that attaches exactly one callback and keeps no reference
+        (``sim.pooled_timeout(ns, flit).callbacks.append(self._done)``,
+        as the link does).  The callback runs before the object is
+        recycled and may read ``event.value`` there, but must not keep the
+        event.  Code that stores a timeout and inspects it later (``timer
+        in fired``) must use :meth:`timeout`.
         """
         pool = self._timeout_pool
         if not pool:
@@ -260,9 +265,10 @@ class Simulator:
         """An :class:`Event` drawn from the same free list.
 
         The same caveat as :meth:`pooled_timeout` applies: use only at
-        call sites that ``yield`` the event immediately and never touch it
-        again afterwards (FIFO put/get in the link, NI and crossbar pumps).
-        Code that stores the event — combinators, ``cancel_get`` watchdog
+        call sites that ``yield`` the event immediately, or that attach
+        one callback and drop the reference (the link's tx get and its
+        stop-signal rx put), and never touch it again afterwards.  Code
+        that stores the event — combinators, ``cancel_get`` watchdog
         patterns, tests reading ``.value`` after the run — must use
         :meth:`event`.
         """

@@ -105,6 +105,30 @@ class TestByteFifo:
         sim.run()
         assert done == [100.0]
 
+    def test_try_put_wakes_a_getter_and_keeps_putters_in_order(self, sim):
+        fifo = ByteFifo(sim, 8)
+        got = []
+
+        def consumer():
+            got.append((yield fifo.get()).seq)
+
+        sim.process(consumer())
+        sim.run()
+        # A waiting getter is handed the flit; nothing is left.
+        assert fifo.try_put(data_flit(8, seq=1))
+        assert fifo.level_bytes == 0
+        sim.run()
+        assert got == [1]
+        # Full: refused.  Room again but a putter queued first: refused,
+        # so a try_put never overtakes a blocked put.
+        assert fifo.try_put(data_flit(8, seq=2))
+        queued = fifo.put(data_flit(4, seq=3))
+        assert not fifo.try_put(data_flit(4, seq=4))
+        fifo.try_get()
+        assert queued.triggered
+        assert not fifo.try_put(data_flit(8, seq=5))
+        assert [flit.seq for flit in fifo.items] == [3]
+
     def test_oversize_flit_rejected_eagerly(self, sim):
         fifo = ByteFifo(sim, 4)
         with pytest.raises(SimulationError, match="never fit"):

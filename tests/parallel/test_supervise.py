@@ -274,6 +274,25 @@ class TestCliSupervision:
         with open(reference, "rb") as ref, open(resumed, "rb") as res:
             assert ref.read() == res.read()
 
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["no-journal", "journal"])
+    def test_interrupt_message_names_the_journal_only_if_one_exists(
+            self, monkeypatch, tmp_path, capsys, journaled):
+        from repro.cli import main
+
+        argv = ["fig9", "--sizes", "8", "64", "--no-cache", "--jobs", "1"]
+        journal = str(tmp_path / "fig9.jsonl")
+        argv += ["--journal", journal] if journaled else ["--no-journal"]
+        monkeypatch.setenv(HARNESS_FAULTS_ENV, _faults(
+            {"kind": "run_interrupt", "after_points": 1}))
+        assert main(argv) == 130
+        err = capsys.readouterr().err.splitlines()
+        if journaled:
+            assert err == ["interrupted: journal flushed, workers shut down",
+                           f"resume with: --resume {journal}"]
+        else:
+            assert err == ["interrupted"]
+
     def test_poisoned_sweep_exits_3(self, monkeypatch, tmp_path, capsys):
         from repro.cli import main
 
