@@ -5,7 +5,8 @@ the plan, schedules the hard faults through a :class:`FaultController`,
 drives a deterministic traffic pattern over a reliable protocol (sliding
 window by default, stop-and-wait for comparison) and reports goodput,
 latency and recovery behaviour.  Same plan + same seed => bit-identical
-report and metrics — the property the ``chaos-smoke`` CI job asserts.
+report and metrics — the property ``tests/faults/test_chaos_smoke.py``
+asserts.
 
 The module imports the topology and protocol layers, so it must *not* be
 imported from ``repro.faults.__init__`` (the injection hooks live below

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.memory.address import is_power_of_two
-from repro.obs import OBS
 from repro.sim.stats import Counter
 
 
@@ -186,10 +185,6 @@ class Cache:
             self.stats.incr("write_hit" if is_write else "read_hit")
             if upgraded:
                 self.stats.incr("upgrade")
-            if OBS.enabled:
-                OBS.metrics.incr("cache.hit", cache=self.name,
-                                 level=self.level,
-                                 op="write" if is_write else "read")
             return AccessResult(hit=True, state=_MESI_MEMBERS[state],
                                 upgraded=upgraded)
 
@@ -208,12 +203,6 @@ class Cache:
         new_state = int(MESIState.MODIFIED) if is_write else int(fill_state)
         line_set[tag] = new_state
         self.stats.incr("write_miss" if is_write else "read_miss")
-        if OBS.enabled:
-            OBS.metrics.incr("cache.miss", cache=self.name, level=self.level,
-                             op="write" if is_write else "read")
-            if writeback is not None:
-                OBS.metrics.incr("cache.writeback", cache=self.name,
-                                 level=self.level)
         return AccessResult(hit=False, state=_MESI_MEMBERS[new_state],
                             writeback=writeback, evicted=evicted)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.memory.cache import AccessType, Cache, MESIState
-from repro.obs import OBS
 from repro.sim.stats import Counter
 
 
@@ -102,9 +101,6 @@ class CoherenceDomain:
                     invalidated.append(other_idx)
             result = cache.access(addr, access)
             self.stats.incr("upgrade")
-            if OBS.enabled:
-                OBS.metrics.incr("coherence.bus_op", op=BusOp.UPGRADE.value,
-                                 cpu=cpu)
             return CoherenceOutcome(
                 hit_local=True, bus_op=BusOp.UPGRADE,
                 invalidated=tuple(i for i in invalidated),
@@ -154,10 +150,6 @@ class CoherenceDomain:
         self.stats.incr("miss")
         if supplied_by is not None:
             self.stats.incr("cache_to_cache")
-        if OBS.enabled:
-            OBS.metrics.incr("coherence.bus_op", op=bus_op.value, cpu=cpu)
-            if supplied_by is not None:
-                OBS.metrics.incr("coherence.cache_to_cache", cpu=cpu)
         outcome = CoherenceOutcome(
             hit_local=False, bus_op=bus_op, supplied_by=supplied_by,
             invalidated=tuple(invalidated), writebacks=tuple(writebacks),

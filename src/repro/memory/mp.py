@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -335,10 +336,6 @@ def run_interleaved(memory: MultiprocessorMemory,
     while heap:
         issue, cpu, step = heapq.heappop(heap)
         outcome = memory.access(cpu, issue, step.addr, step.access)
-        if OBS.enabled:
-            OBS.metrics.observe("mem.access_ns", outcome.latency_ns,
-                                node=memory.name,
-                                level=outcome.level.name.lower())
         stall = stall_models[cpu](outcome.latency_ns, step.compute_ns)
         local[cpu] = issue + stall
         res = results[cpu]
@@ -371,6 +368,52 @@ def replay_reference(memory: MultiprocessorMemory,
     return run_interleaved(memory, steps, stall_models, start)
 
 
+# The component counters published into ``OBS.metrics``, per kind: the
+# counter key, the metric it feeds, and the labels the metric adds to
+# its component's.  Caches and TLBs publish their hits, misses and
+# writebacks; the coherence domain and the node every counter they keep.
+_PUBLISHED = {
+    "cache": (("read_hit", "cache.hit", {"op": "read"}),
+              ("write_hit", "cache.hit", {"op": "write"}),
+              ("read_miss", "cache.miss", {"op": "read"}),
+              ("write_miss", "cache.miss", {"op": "write"}),
+              ("writeback", "cache.writeback", {})),
+    "tlb": (("hits", "tlb.hit", {}), ("misses", "tlb.miss", {})),
+    "coherence": tuple((key, f"coherence.{key}", {}) for key in
+                       ("hit", "miss", "upgrade", "cache_to_cache")),
+    "node": tuple((key, f"mem.{key}", {}) for key in
+                  ("l1_hits", "l2_hits", "upgrades", "c2c_transfers",
+                   "memory_accesses", "writebacks", "tlb_misses")),
+}
+
+
+@contextmanager
+def _published(memory: MultiprocessorMemory) -> Iterator[None]:
+    """Publish the block's component counter deltas into ``OBS.metrics``.
+
+    Both engines leave identical counters, so what is published does not
+    depend on the engine that ran, and nothing records per access.  The
+    series carry the caller's ambient labels (matmult's ``machine``,
+    ``n``, ``version`` and ``phase``).
+    """
+    if not OBS.enabled:
+        yield
+        return
+    node = {"node": memory.name}
+    counters = ([(c.stats, "cache", {"cache": c.name, "level": c.level})
+                 for c in memory.l1s + memory.l2s]
+                + [(t.stats, "tlb", {"tlb": t.name}) for t in memory.tlbs]
+                + [(memory.domain.stats, "coherence", node),
+                   (memory.stats, "node", node)])
+    before = [counter.as_dict() for counter, _, _ in counters]
+    yield
+    for (counter, kind, labels), was in zip(counters, before):
+        for key, metric, extra in _PUBLISHED[kind]:
+            delta = counter[key] - was.get(key, 0)
+            if delta:
+                OBS.metrics.incr(metric, delta, **labels, **extra)
+
+
 def replay_traces(memory: MultiprocessorMemory,
                   traces: Sequence[Iterable[Tuple[int, AccessType]]],
                   compute_ns: float,
@@ -394,8 +437,9 @@ def replay_traces(memory: MultiprocessorMemory,
     The vectorized engine requires pure, non-negative stall models.  A
     trace is an iterable of pairs, a structured ``(addr, is_write)``
     array, or an iterable of such arrays (one long trace in pieces).
-    ``OBS.enabled`` forces the reference so per-access metric streams
-    are preserved.
+    Under observation the replay's counter deltas are published as the
+    ``cache.*``, ``tlb.*``, ``coherence.*`` and ``mem.*`` metrics, the
+    same whichever engine ran.
     """
     if len(traces) != len(stall_models):
         raise ValueError("need one stall model per trace")
@@ -404,27 +448,28 @@ def replay_traces(memory: MultiprocessorMemory,
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
     from repro.memory import vec
 
-    if OBS.enabled:
-        return replay_reference(memory, traces, compute_ns, stall_models)
-    if len(traces) != 1:
-        pieces = [list(vec.segments(t)) for t in traces]
-        if not vec.supported(memory, pieces, vec.node_lines(memory)):
-            return replay_reference(
-                memory, [itertools.chain.from_iterable(map(vec.iter_pairs, p))
-                         for p in pieces], compute_ns, stall_models)
-        states = [CpuRunResult(0.0, 0, 0.0, 0.0, 0.0) for _ in traces]
-        vec.replay(memory, pieces, compute_ns, stall_models, states)
-        return states
-    state = CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)
-    # Vec moves only CPU 0's lines, to ones just found disjoint from its
-    # siblings', so ``lines`` goes stale only after the reference.
-    lines = vec.node_lines(memory)
-    for piece in vec.segments(traces[0]):
-        if vec.supported(memory, [[piece]], lines):
-            vec.replay(memory, [[piece]], compute_ns, stall_models, [state])
-        else:
-            state, = replay_reference(memory, [piece], compute_ns,
-                                      stall_models, start=[state])
-            # Its lines may now be ones the engine cannot take.
-            lines = vec.node_lines(memory)
-    return [state]
+    with _published(memory):
+        if len(traces) != 1:
+            pieces = [list(vec.segments(t)) for t in traces]
+            if not vec.supported(memory, pieces, vec.node_lines(memory)):
+                return replay_reference(
+                    memory,
+                    [itertools.chain.from_iterable(map(vec.iter_pairs, p))
+                     for p in pieces], compute_ns, stall_models)
+            states = [CpuRunResult(0.0, 0, 0.0, 0.0, 0.0) for _ in traces]
+            vec.replay(memory, pieces, compute_ns, stall_models, states)
+            return states
+        state = CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)
+        # Vec moves only CPU 0's lines, to ones just found disjoint from
+        # its siblings', so ``lines`` goes stale only after the reference.
+        lines = vec.node_lines(memory)
+        for piece in vec.segments(traces[0]):
+            if vec.supported(memory, [[piece]], lines):
+                vec.replay(memory, [[piece]], compute_ns, stall_models,
+                           [state])
+            else:
+                state, = replay_reference(memory, [piece], compute_ns,
+                                          stall_models, start=[state])
+                # Its lines may now be ones the engine cannot take.
+                lines = vec.node_lines(memory)
+        return [state]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.memory.address import is_power_of_two
-from repro.obs import OBS
 from repro.sim.stats import Counter
 
 
@@ -82,8 +81,6 @@ class Tlb:
             del self._entries[page]     # refresh LRU position
             self._entries[page] = None
             self.stats.incr("hits")
-            if OBS.enabled:
-                OBS.metrics.incr("tlb.hit", tlb=self.name)
             return True
         if len(self._entries) >= self.config.entries:
             oldest = next(iter(self._entries))
@@ -91,8 +88,6 @@ class Tlb:
             self.stats.incr("evictions")
         self._entries[page] = None
         self.stats.incr("misses")
-        if OBS.enabled:
-            OBS.metrics.incr("tlb.miss", tlb=self.name)
         return False
 
     def contains(self, addr: int) -> bool:

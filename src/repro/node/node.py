@@ -65,10 +65,12 @@ class NodeModel:
         timed sections of one program.
 
         :func:`repro.memory.mp.replay_traces` picks the engine from the
-        input: a single trace, or several whose CPUs touch disjoint lines
-        (fig8's per-CPU matrices), runs vectorized, identically to the
-        reference path; overlapping traces run through the reference
-        itself.  Traces may be iterables or the structured arrays of the
+        input alone: a single trace, or several whose CPUs touch disjoint
+        lines (fig8's per-CPU matrices), runs vectorized, identically to
+        the reference path; overlapping traces run through the reference
+        itself.  Under observation the replay publishes its cache, TLB,
+        coherence and node counter deltas as metrics, with either
+        engine.  Traces may be iterables or the structured arrays of the
         ``trace_gen`` array emitters.
         """
         self.memory.reset_timing()

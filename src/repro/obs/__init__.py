@@ -1,16 +1,19 @@
 """repro.obs — the unified observability layer.
 
 One ambient :data:`OBS` context object is shared by every instrumented
-component in the library (caches, TLBs, coherence, links, crossbars, link
-interfaces, drivers, dispatcher, messaging, EARTH).  It is *disabled* by
-default: every instrumentation site is written as ::
+component in the library (links, crossbars, link interfaces, drivers,
+dispatcher, messaging, EARTH).  It is *disabled* by default: every
+instrumentation site is written as ::
 
     from repro.obs import OBS
     ...
     if OBS.enabled:
-        OBS.metrics.incr("cache.miss", cache=self.name, level=self.level)
+        OBS.metrics.incr("xbar.collisions", xbar=self.name)
 
 so an uninstrumented run pays exactly one attribute test per call site.
+The node's caches, TLBs and coherence domain record nothing per access:
+each trace replay publishes their counter deltas once, at its end
+(:func:`repro.memory.mp.replay_traces`).
 Enabling is scoped::
 
     from repro.obs import observe

@@ -250,6 +250,7 @@ class Simulator:
         timeout._triggered = True
         timeout._processed = False
         timeout._value = value
+        timeout.name = "timeout"
         timeout.delay = delay
         if timeout.callbacks:
             timeout.callbacks.clear()

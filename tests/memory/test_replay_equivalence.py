@@ -360,6 +360,60 @@ class TestFig8RegimeEquivalence:
                      "--no-cache", "--no-journal"]) in (0, None)
         assert "Figure 8" in capsys.readouterr().out
 
+    def test_metrics_fig8_command_stays_in_vec(self, monkeypatch, capsys):
+        """Observing fig8 does not switch the engine: ``metrics fig8``
+        replays through vec too, and still reports the cache counters."""
+        from repro.cli import main
+        from repro.memory import mp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("left the vectorized engine")
+
+        monkeypatch.setattr(mp, "run_interleaved", forbidden)
+        monkeypatch.setattr(MultiprocessorMemory, "access", forbidden)
+        assert main(["metrics", "fig8", "--sizes", "16", "24", "--jobs", "1",
+                     "--no-cache", "--no-journal", "--top", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "cache.miss{" in out and "tlb.hit{" in out
+
+
+class TestObservedReplayEquivalence:
+    """The published node metrics do not depend on the engine: an
+    observed replay gives the same metrics snapshot through vec as
+    through the reference."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_vec_and_reference_publish_identical_metrics(self, monkeypatch,
+                                                         cpus):
+        from repro.memory import mp, vec
+        from repro.obs import OBS, observe
+
+        rng = random.Random(cpus)
+        traces = [relocate(random_trace(rng, 2000), cpu)
+                  for cpu in range(cpus)]
+        stalls = [lambda latency, compute: latency] * cpus
+
+        def observed():
+            memory = make_memory(cpus)
+            with observe() as session:
+                with OBS.label_scope(phase="product"):
+                    for _ in range(2):  # cold, then warm: deltas add up
+                        replay_traces(memory, traces, 5.0, stalls)
+            return session.metrics.snapshot()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mp, "run_interleaved", None)  # vec only
+            via_vec = observed()
+        monkeypatch.setattr(vec, "supported", lambda *args: False)
+        via_reference = observed()
+        assert dict(via_vec.items()) == dict(via_reference.items())
+        names = {name for name, _ in dict(via_vec.items())}
+        assert {"cache.hit", "cache.miss", "cache.writeback", "tlb.hit",
+                "tlb.miss", "coherence.hit", "coherence.miss",
+                "mem.l1_hits", "mem.memory_accesses"} <= names
+        assert all(("phase", "product") in labels
+                   for _, labels in dict(via_vec.items()))
+
 
 class TestReferencePathMesiBreach:
     @pytest.mark.xfail(strict=True, raises=CoherenceError, reason=(

@@ -180,6 +180,14 @@ class TestPooledRecycling:
         assert timeout is event
         assert sim.run() == 3.0
 
+    def test_recycled_timeout_drops_the_event_name(self, sim):
+        event = sim.pooled_event("fifo.put")
+        event.trigger(None)
+        sim.run()
+        timeout = sim.pooled_timeout(1.0)
+        assert timeout is event
+        assert timeout.name == "timeout"
+
 
 class TestKernelInvariants:
     def test_unsampled_run_keeps_due_now_events_off_the_heap(
