@@ -88,6 +88,10 @@ class FaultEngine:
         """A link corrupted this message; the receiving NI's CRC will see it."""
         self._corrupt_ids.add(message_id)
 
+    def is_corrupt(self, message_id: int) -> bool:
+        """Whether a link corrupted this message and no CRC consumed it."""
+        return message_id in self._corrupt_ids
+
     def consume_corrupt(self, message_id: int) -> bool:
         """CRC check at the receiver: True exactly once per corruption."""
         if message_id in self._corrupt_ids:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from repro.memory.hierarchy import HierarchyConfig, ServiceLevel
 from repro.memory.mesi import BusOp, CoherenceDomain
 from repro.memory.snoop import AddressPhaseSequencer, SnoopConfig
 from repro.memory.tlb import Tlb
-from repro.obs import OBS
+from repro.obs import published
 from repro.sim.stats import Counter
 
 
@@ -368,52 +367,6 @@ def replay_reference(memory: MultiprocessorMemory,
     return run_interleaved(memory, steps, stall_models, start)
 
 
-# The component counters published into ``OBS.metrics``, per kind: the
-# counter key, the metric it feeds, and the labels the metric adds to
-# its component's.  Caches and TLBs publish their hits, misses and
-# writebacks; the coherence domain and the node every counter they keep.
-_PUBLISHED = {
-    "cache": (("read_hit", "cache.hit", {"op": "read"}),
-              ("write_hit", "cache.hit", {"op": "write"}),
-              ("read_miss", "cache.miss", {"op": "read"}),
-              ("write_miss", "cache.miss", {"op": "write"}),
-              ("writeback", "cache.writeback", {})),
-    "tlb": (("hits", "tlb.hit", {}), ("misses", "tlb.miss", {})),
-    "coherence": tuple((key, f"coherence.{key}", {}) for key in
-                       ("hit", "miss", "upgrade", "cache_to_cache")),
-    "node": tuple((key, f"mem.{key}", {}) for key in
-                  ("l1_hits", "l2_hits", "upgrades", "c2c_transfers",
-                   "memory_accesses", "writebacks", "tlb_misses")),
-}
-
-
-@contextmanager
-def _published(memory: MultiprocessorMemory) -> Iterator[None]:
-    """Publish the block's component counter deltas into ``OBS.metrics``.
-
-    Both engines leave identical counters, so what is published does not
-    depend on the engine that ran, and nothing records per access.  The
-    series carry the caller's ambient labels (matmult's ``machine``,
-    ``n``, ``version`` and ``phase``).
-    """
-    if not OBS.enabled:
-        yield
-        return
-    node = {"node": memory.name}
-    counters = ([(c.stats, "cache", {"cache": c.name, "level": c.level})
-                 for c in memory.l1s + memory.l2s]
-                + [(t.stats, "tlb", {"tlb": t.name}) for t in memory.tlbs]
-                + [(memory.domain.stats, "coherence", node),
-                   (memory.stats, "node", node)])
-    before = [counter.as_dict() for counter, _, _ in counters]
-    yield
-    for (counter, kind, labels), was in zip(counters, before):
-        for key, metric, extra in _PUBLISHED[kind]:
-            delta = counter[key] - was.get(key, 0)
-            if delta:
-                OBS.metrics.incr(metric, delta, **labels, **extra)
-
-
 def replay_traces(memory: MultiprocessorMemory,
                   traces: Sequence[Iterable[Tuple[int, AccessType]]],
                   compute_ns: float,
@@ -448,7 +401,12 @@ def replay_traces(memory: MultiprocessorMemory,
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
     from repro.memory import vec
 
-    with _published(memory):
+    node = {"node": memory.name}
+    with published([(c.stats, "cache", {"cache": c.name, "level": c.level})
+                    for c in memory.l1s + memory.l2s]
+                   + [(t.stats, "tlb", {"tlb": t.name}) for t in memory.tlbs]
+                   + [(memory.domain.stats, "coherence", node),
+                      (memory.stats, "node", node)]):
         if len(traces) != 1:
             pieces = [list(vec.segments(t)) for t in traces]
             if not vec.supported(memory, pieces, vec.node_lines(memory)):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.msg.api import CommWorld
-from repro.obs import OBS
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.process import Process
 from repro.sim.resources import FifoStore
@@ -94,6 +93,7 @@ class ReliableChannel:
         # not perturb the forward-path fault sequence of a given seed.
         self._ack_rng = random.Random(config.seed ^ 0x5DEECE66D)
         self.stats = Counter("reliable")
+        self.sim.counters.append((self.stats, "reliable", {}))
         # Per node: application-facing delivery queue + ack wakeups.
         self._deliveries: Dict[int, FifoStore] = {}
         self._ack_events: Dict[Tuple[int, int, int], Event] = {}
@@ -130,14 +130,10 @@ class ReliableChannel:
             message = self.world.make_message(src, dst, nbytes, tag=tag)
             yield self.sim.process(driver.send_message(message))
             self.stats.incr("transmissions")
-            if OBS.enabled:
-                OBS.metrics.incr("reliable.transmissions")
-                if attempt:
-                    OBS.metrics.incr("reliable.retransmissions")
+            if attempt:
+                self.stats.incr("retransmissions")
             if corrupted:
                 self.stats.incr("corrupted")
-                if OBS.enabled:
-                    OBS.metrics.incr("reliable.corrupted")
 
             ack_key = (src, dst, sequence)
             ack_event = Event(self.sim, name=f"ack{ack_key}")
@@ -151,13 +147,9 @@ class ReliableChannel:
             fired = yield self.sim.any_of([ack_event, timeout])
             if ack_event in fired:
                 self.stats.incr("acked")
-                if OBS.enabled:
-                    OBS.metrics.incr("reliable.acked")
                 return sequence
             self._ack_events.pop(ack_key, None)
             self.stats.incr("timeouts")
-            if OBS.enabled:
-                OBS.metrics.incr("reliable.timeouts")
         raise DeliveryError(
             f"{src}->{dst} seq {sequence}: no ack after "
             f"{self.config.max_retries} attempts")
@@ -177,8 +169,6 @@ class ReliableChannel:
                     # message; the sender retransmits and the receiver's
                     # duplicate suppression absorbs the replay.
                     self.stats.incr("acks_discarded")
-                    if OBS.enabled:
-                        OBS.metrics.incr("reliable.acks_discarded")
                     continue
                 event = self._ack_events.pop(
                     (meta["src"], meta["dst"], meta["seq"]), None)
@@ -193,8 +183,6 @@ class ReliableChannel:
                 # The CRC flags it; the receiver discards silently and the
                 # sender's timeout drives the retransmission.
                 self.stats.incr("discarded")
-                if OBS.enabled:
-                    OBS.metrics.incr("reliable.discarded")
                 continue
             src, sequence = meta["src"], meta["seq"]
             expected = self._expected.get((src, node), 0)
@@ -205,8 +193,6 @@ class ReliableChannel:
                     sequence=sequence,
                     delivered_at=message.delivered_at or self.sim.now))
                 self.stats.incr("delivered")
-                if OBS.enabled:
-                    OBS.metrics.incr("reliable.delivered")
             else:
                 # Duplicate of an already-delivered message (our ack was
                 # lost or late): re-ack, do not re-deliver.
@@ -220,8 +206,6 @@ class ReliableChannel:
             self.stats.incr("acks_sent")
             if ack_corrupt:
                 self.stats.incr("acks_corrupted")
-                if OBS.enabled:
-                    OBS.metrics.incr("reliable.acks_corrupted")
             # Fire-and-forget: the sender's timeout covers a lost ack.
             self.sim.process(
                 self.world.endpoint(node).driver.send_message(ack))

@@ -100,6 +100,7 @@ class Crossbar:
             ]
         self._failed_outputs: Set[int] = set()
         self.stats = Counter(name)
+        sim.counters.append((self.stats, "xbar", {"xbar": name}))
         for i in range(config.ports):
             sim.process(self._input_channel(i))
         if OBS.enabled and OBS.timeline.enabled:
@@ -140,8 +141,6 @@ class Crossbar:
         self._check_port(port)
         self._failed_outputs.add(port)
         self.stats.incr("failed_outputs")
-        if OBS.enabled:
-            OBS.metrics.incr("faults.xbar_ports_down", xbar=self.name)
 
     def output_failed(self, port: int) -> bool:
         self._check_port(port)
@@ -205,13 +204,6 @@ class Crossbar:
                 waited = yield arbiter.acquire()
             if waited > 0:
                 stats_incr("collisions")
-                if OBS.enabled:
-                    if classed:
-                        OBS.metrics.incr(
-                            "xbar.collisions", xbar=self.name,
-                            cls=self.config.qos.classes[sclass].name)
-                    else:
-                        OBS.metrics.incr("xbar.collisions", xbar=self.name)
             # Collision-free through-routing costs route_setup_ns; the route
             # byte is consumed here and never forwarded.
             yield pooled_timeout(route_setup_ns)
@@ -220,7 +212,6 @@ class Crossbar:
             if OBS.enabled:
                 OBS.tracer.end(arb_span, self.sim.now,
                                collided=waited > 0)
-                OBS.metrics.incr("xbar.connections", xbar=self.name)
                 fwd_span = OBS.tracer.begin(
                     "xbar.forward", self.name, self.sim.now,
                     category="network", message=flit.message_id,
@@ -241,7 +232,7 @@ class Crossbar:
                         # Watchdog: the upstream of this wormhole died (a
                         # failed port blackholed its tail); tear down the
                         # connection instead of holding the output forever.
-                        self._note_teardown()
+                        self.stats.incr("torn_down")
                         resync = True
                         break
                     if out_port in failed:
@@ -283,11 +274,6 @@ class Crossbar:
         fifo.cancel_get(get_event)
         return None
 
-    def _note_teardown(self) -> None:
-        self.stats.incr("torn_down")
-        if OBS.enabled:
-            OBS.metrics.incr("faults.wormhole_teardowns", xbar=self.name)
-
     def _blackhole(self, in_port: int, first: Optional[Flit] = None):
         """Consume a wormhole's flits up to CLOSE without forwarding.
 
@@ -295,13 +281,11 @@ class Crossbar:
         before sending CLOSE), in which case the caller must resync.
         """
         self.stats.incr("blackholed")
-        if OBS.enabled:
-            OBS.metrics.incr("faults.blackholed", xbar=self.name)
         flit = first
         while flit is None or flit.kind != FlitKind.CLOSE:
             flit = yield from self._guarded_get(self.inputs[in_port])
             if flit is None:
-                self._note_teardown()
+                self.stats.incr("torn_down")
                 return True
         return False
 

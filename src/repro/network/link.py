@@ -240,6 +240,7 @@ class Link:
         self.rx = rx
         self.tx = ByteFifo(sim, tx_capacity_bytes, name=f"{name}.tx")
         self.stats = Counter(name)
+        sim.counters.append((self.stats, "link", {"link": name}))
         self.busy_ns = 0.0
         self._byte_ns = config.byte_ns
         self._propagation_ns = config.propagation_ns
@@ -345,8 +346,6 @@ class Link:
             if flit.kind == FlitKind.DATA and FAULTS.engine.fires(
                     "flit_drop", self.name, sim.now):
                 self.stats.incr("dropped_flits")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.dropped_flits", link=self.name)
                 self._free()
                 return
             # Bit-error bursts: one corruption draw per message per
@@ -355,9 +354,6 @@ class Link:
                     "link_corrupt", self.name, sim.now):
                 FAULTS.engine.mark_corrupt(flit.message_id)
                 self.stats.incr("corrupted_messages")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.corrupted_messages",
-                                     link=self.name)
         if self.rx.try_put(flit):
             self._accepted(None)
         else:
@@ -369,11 +365,12 @@ class Link:
         stats_incr = self.stats.incr
         stats_incr("flits")
         stats_incr("bytes", flit.nbytes)
-        if self._spans and flit.kind == FlitKind.CLOSE:
-            span = self._spans.pop(flit.message_id, 0)
-            if OBS.enabled:
-                OBS.tracer.end(span, self.sim.now)
-                OBS.metrics.incr("link.messages", link=self.name)
+        if flit.kind == FlitKind.CLOSE:
+            stats_incr("messages")
+            if self._spans:
+                span = self._spans.pop(flit.message_id, 0)
+                if OBS.enabled:
+                    OBS.tracer.end(span, self.sim.now)
         self._free()
 
     def _free(self) -> None:

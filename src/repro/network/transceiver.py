@@ -16,6 +16,7 @@ from repro.network.link import ByteFifo, Link, LinkConfig
 from repro.network.message import FlitKind
 from repro.obs import OBS
 from repro.sim.engine import Simulator
+from repro.sim.stats import Counter
 
 SPEED_OF_LIGHT_NS_PER_M = 5.0  # signal propagation in copper, ~0.2 m/ns
 
@@ -61,6 +62,8 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
         + xcvr.resync_ns)
     buffer_fifo = ByteFifo(sim, xcvr.fifo_bytes, name=f"{name}.xcvr_fifo")
     link = Link(sim, cfg, buffer_fifo, name=name)
+    stats = Counter(f"{name}.xcvr")
+    sim.counters.append((stats, "xcvr", {"xcvr": name}))
 
     def drain():
         # The transceiver forwards into the downstream FIFO at link rate;
@@ -79,17 +82,17 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
                 # the 2-KB FIFO exactly as the stop signal would.
                 stall = FAULTS.engine.stall_ns("xcvr_stall", name, sim.now)
                 if stall > 0:
+                    stats.incr("stalls")
                     if OBS.enabled:
-                        OBS.metrics.incr("faults.xcvr_stalls", xcvr=name)
                         OBS.metrics.observe("faults.xcvr_stall_ns", stall,
                                             xcvr=name)
                     yield sim.pooled_timeout(stall)
             yield sim.pooled_timeout(cfg.serialize_ns(flit.nbytes))
             yield rx.put_pooled(flit)
             if flit.kind == FlitKind.CLOSE:
+                stats.incr("messages")
                 if OBS.enabled:
                     OBS.tracer.end(relay_span, sim.now)
-                    OBS.metrics.incr("xcvr.messages", xcvr=name)
                 relay_span = 0
 
     sim.process(drain())

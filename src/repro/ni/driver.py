@@ -24,7 +24,7 @@ from repro.ni.interface import LinkInterface
 from repro.obs import OBS
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
-from repro.sim.stats import Counter, Histogram
+from repro.sim.stats import Counter
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class PioDriver:
         self.registry = registry
         self.name = name
         self.stats = Counter(name)
-        self.send_times = Histogram(f"{name}.send_ns")
+        sim.counters.append((self.stats, "driver", {"driver": name}))
         self._batch = config.batch_bytes or ni.config.fifo_bytes
         # One CPU runs the driver: concurrent send (or receive) requests
         # serialise, and a message's flits never interleave on the wire.
@@ -122,7 +122,6 @@ class PioDriver:
                     "driver.send", self.name, start, category="driver",
                     message=message.message_id)
             self.registry[message.message_id] = message
-            self.ni.register_crc(message)
             if FAULTS.enabled:
                 yield from self._maybe_hang()
             pooled_timeout = self.sim.pooled_timeout
@@ -143,12 +142,8 @@ class PioDriver:
                 yield pooled_timeout(copy_out_ns(pending))
             self.stats.incr("sent")
             self.stats.incr("sent_bytes", message.payload_bytes)
-            self.send_times.add(self.sim.now - start)
             if OBS.enabled:
                 OBS.tracer.end(send_span, self.sim.now)
-                OBS.metrics.incr("driver.sent", driver=self.name)
-                OBS.metrics.incr("driver.sent_bytes",
-                                 message.payload_bytes, driver=self.name)
             return message
         finally:
             self._send_lock.release()
@@ -158,8 +153,6 @@ class PioDriver:
         stall = FAULTS.engine.stall_ns("node_hang", self.name, self.sim.now)
         if stall > 0:
             self.stats.incr("hangs")
-            if OBS.enabled:
-                OBS.metrics.incr("faults.driver_hangs", driver=self.name)
             yield self.sim.pooled_timeout(stall)
 
     # -- unidirectional receive ------------------------------------------------
@@ -221,9 +214,7 @@ class PioDriver:
                 # the CRC over the full message cannot match.  Deliver as
                 # corrupt and let the reliable protocol retransmit.
                 self.stats.incr("short_messages")
-                self.ni.stats.incr("crc_errors")
-                if OBS.enabled:
-                    OBS.metrics.incr("ni.crc_errors", ni=self.ni.name)
+                self.ni.fail_crc(message)
                 message.crc_ok = False
             else:
                 raise AssertionError(
@@ -237,9 +228,6 @@ class PioDriver:
         if OBS.enabled:
             OBS.tracer.end(drain_span, self.sim.now)
             OBS.tracer.end_message(message.message_id, self.sim.now)
-            OBS.metrics.incr("driver.received", driver=self.name)
-            OBS.metrics.incr("driver.received_bytes", payload,
-                             driver=self.name)
         self._last_received = message
         return message
 
@@ -276,7 +264,6 @@ class PioDriver:
                 "driver.exchange", self.name, self.sim.now,
                 category="driver", message=outgoing.message_id)
         self.registry[outgoing.message_id] = outgoing
-        self.ni.register_crc(outgoing)
         yield self.sim.pooled_timeout(cfg.send_setup_ns)
 
         out_flits = build_wire_format(outgoing)
@@ -335,5 +322,4 @@ class PioDriver:
         if OBS.enabled:
             OBS.tracer.end(exchange_span, self.sim.now)
             OBS.tracer.end_message(inbound.message_id, self.sim.now)
-            OBS.metrics.incr("driver.exchanges", driver=self.name)
         return inbound

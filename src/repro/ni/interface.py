@@ -9,7 +9,7 @@ duplex).  The chip also stamps/validates a CRC per message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.faults import FAULTS
 from repro.network.link import ByteFifo, Link
@@ -17,7 +17,6 @@ from repro.network.message import Flit, FlitKind, Message, build_wire_format
 from repro.ni.crc import message_checksum
 from repro.obs import OBS
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.resources import Signal
 from repro.sim.stats import Counter
 
 
@@ -76,8 +75,7 @@ class LinkInterface:
         self.rx_fifo = rx_fifo
         self.send_fifo = ByteFifo(sim, config.fifo_bytes, name=f"{name}.sendfifo")
         self.stats = Counter(name)
-        self.message_sent = Signal(sim, name=f"{name}.sent")
-        self._crc_by_message: Dict[int, int] = {}
+        sim.counters.append((self.stats, "ni", {"ni": name}))
         sim.process(self._drain_send_fifo())
         if OBS.enabled and OBS.timeline.enabled:
             probe = OBS.timeline.probe
@@ -95,12 +93,6 @@ class LinkInterface:
     def send_space_bytes(self) -> int:
         """Status-register view of free send-FIFO space."""
         return self.send_fifo.free_bytes
-
-    def register_crc(self, message: Message) -> None:
-        """The chip computes the CRC as the message streams out."""
-        self._crc_by_message[message.message_id] = message_checksum(
-            message.message_id, message.payload_bytes, message.source,
-            message.dest)
 
     def _drain_send_fifo(self):
         sim = self.sim
@@ -122,8 +114,6 @@ class LinkInterface:
                 # Send-FIFO overflow: a word is lost before it reaches the
                 # wire.  The receiver sees a short payload and fails CRC.
                 stats_incr("dropped_flits")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.ni_dropped_flits", ni=self.name)
                 continue
             yield link_send(flit)
             stats_incr("tx_bytes", flit.nbytes)
@@ -131,7 +121,6 @@ class LinkInterface:
                 stats_incr("tx_messages")
                 if OBS.enabled:
                     OBS.tracer.end(inject_span, sim.now)
-                    OBS.metrics.incr("ni.tx_messages", ni=self.name)
                 inject_span = 0
 
     # -- receive side -----------------------------------------------------------
@@ -153,24 +142,26 @@ class LinkInterface:
         A stamped-CRC mismatch (tests forging ``message.tag['crc']``)
         still raises :class:`CrcError`, as a protocol violation would.
         """
-        if FAULTS.enabled and FAULTS.engine.consume_corrupt(
-                message.message_id):
-            self.stats.incr("crc_errors")
-            if OBS.enabled:
-                OBS.metrics.incr("ni.crc_errors", ni=self.name)
+        if FAULTS.enabled and FAULTS.engine.is_corrupt(message.message_id):
+            self.fail_crc(message)
             return False
         expected = message_checksum(message.message_id, message.payload_bytes,
                                     message.source, message.dest)
         stamped = self._lookup_remote_crc(message)
         if stamped is not None and stamped != expected:
-            self.stats.incr("crc_errors")
-            if OBS.enabled:
-                OBS.metrics.incr("ni.crc_errors", ni=self.name)
+            self.fail_crc(message)
             raise CrcError(
                 f"{self.name}: CRC mismatch on message {message.message_id}: "
                 f"stamped {stamped:#010x}, computed {expected:#010x}")
         self.stats.incr("crc_checked")
         return True
+
+    def fail_crc(self, message: Message) -> None:
+        """``message`` failed its CRC, whatever caught it: count it, and
+        consume the fault engine's corrupt mark on it if there is one."""
+        if FAULTS.enabled:
+            FAULTS.engine.consume_corrupt(message.message_id)
+        self.stats.incr("crc_errors")
 
     def _lookup_remote_crc(self, message: Message) -> Optional[int]:
         # In hardware the CRC travels with the message; the simulator keeps

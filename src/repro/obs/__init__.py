@@ -2,18 +2,20 @@
 
 One ambient :data:`OBS` context object is shared by every instrumented
 component in the library (links, crossbars, link interfaces, drivers,
-dispatcher, messaging, EARTH).  It is *disabled* by default: every
-instrumentation site is written as ::
+dispatcher, messaging, EARTH).  It is *disabled* by default.  Spans,
+gauge probes and per-event samples are written as ::
 
     from repro.obs import OBS
     ...
     if OBS.enabled:
-        OBS.metrics.incr("xbar.collisions", xbar=self.name)
+        OBS.metrics.observe("faults.xcvr_stall_ns", stall, xcvr=name)
 
-so an uninstrumented run pays exactly one attribute test per call site.
-The node's caches, TLBs and coherence domain record nothing per access:
-each trace replay publishes their counter deltas once, at its end
-(:func:`repro.memory.mp.replay_traces`).
+so an uninstrumented run pays one attribute test per call site.  Counts
+cost nothing per event: components keep them in their own ``Counter``,
+and :func:`published` turns a block's deltas into metrics once, at its
+end, through the one :data:`PUBLISHED` table.  Trace replays publish the
+node (:func:`repro.memory.mp.replay_traces`), simulator runs the comm
+components registered with them (:meth:`repro.sim.engine.Simulator.run`).
 Enabling is scoped::
 
     from repro.obs import observe
@@ -27,11 +29,10 @@ The context object is a stable singleton whose *backends* are swapped, so
 components may safely cache a reference to ``OBS`` itself (never to
 ``OBS.metrics``/``OBS.tracer``) at import or construction time.
 """
-
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -54,6 +55,7 @@ from repro.obs.timeline import (
     TimeSeries,
     Timeline,
 )
+from repro.sim.stats import Counter
 
 
 class Observability:
@@ -88,6 +90,73 @@ class Observability:
 
 
 OBS = Observability()
+
+
+# The component counters published into ``OBS.metrics``, per kind: the
+# counter key, the metric it feeds, and the labels the metric adds to
+# its component's.
+PUBLISHED = {
+    "cache": (("read_hit", "cache.hit", {"op": "read"}),
+              ("write_hit", "cache.hit", {"op": "write"}),
+              ("read_miss", "cache.miss", {"op": "read"}),
+              ("write_miss", "cache.miss", {"op": "write"}),
+              ("writeback", "cache.writeback", {})),
+    "tlb": (("hits", "tlb.hit", {}), ("misses", "tlb.miss", {})),
+    "coherence": tuple((key, f"coherence.{key}", {}) for key in
+                       ("hit", "miss", "upgrade", "cache_to_cache")),
+    "node": tuple((key, f"mem.{key}", {}) for key in
+                  ("l1_hits", "l2_hits", "upgrades", "c2c_transfers",
+                   "memory_accesses", "writebacks", "tlb_misses")),
+    "link": (("messages", "link.messages", {}),
+             ("dropped_flits", "faults.dropped_flits", {}),
+             ("corrupted_messages", "faults.corrupted_messages", {})),
+    "xbar": (("connections", "xbar.connections", {}),
+             ("collisions", "xbar.collisions", {}),
+             ("failed_outputs", "faults.xbar_ports_down", {}),
+             ("torn_down", "faults.wormhole_teardowns", {}),
+             ("blackholed", "faults.blackholed", {})),
+    "xcvr": (("messages", "xcvr.messages", {}),
+             ("stalls", "faults.xcvr_stalls", {})),
+    "ni": (("tx_messages", "ni.tx_messages", {}),
+           ("crc_errors", "ni.crc_errors", {}),
+           ("dropped_flits", "faults.ni_dropped_flits", {})),
+    "driver": tuple((key, f"driver.{key}", {}) for key in
+                    ("sent", "sent_bytes", "received", "received_bytes",
+                     "exchanges")) + (("hangs", "faults.driver_hangs", {}),),
+    "reliable": tuple((key, f"reliable.{key}", {}) for key in
+                      ("transmissions", "retransmissions", "corrupted",
+                       "acked", "timeouts", "discarded", "delivered",
+                       "acks_discarded", "acks_corrupted")),
+}
+
+
+@contextmanager
+def published(counters: Sequence[Tuple[Counter, str, Dict[str, str]]]
+              ) -> Iterator[None]:
+    """Under observation, publish the block's counter deltas on exit.
+
+    Each ``(counter, kind, labels)`` entry adds the delta of every
+    :data:`PUBLISHED` ``[kind]`` key that moved to its metric, with the
+    entry's labels; an entry appended in the block publishes all it
+    counted.  A block that raises publishes too.  The series carry the
+    ambient labels at exit, which equals labelling each event because
+    no simulation process or replay enters a ``label_scope``: its only
+    users (``msg/api.py``, ``bench/microbench.py``, ``bench/matmult.py``)
+    wrap whole runs.
+    """
+    if not OBS.enabled:
+        yield
+        return
+    before = [counter.as_dict() for counter, _, _ in counters]
+    try:
+        yield
+    finally:
+        for index, (counter, kind, labels) in enumerate(counters):
+            was = before[index] if index < len(before) else {}
+            for key, metric, extra in PUBLISHED[kind]:
+                delta = counter[key] - was.get(key, 0)
+                if delta:
+                    OBS.metrics.incr(metric, delta, **labels, **extra)
 
 
 class ObservationSession:
@@ -169,6 +238,8 @@ __all__ = [
     "SpanTracer",
     "TimeSeries",
     "Timeline",
+    "PUBLISHED",
     "format_series",
     "observe",
+    "published",
 ]

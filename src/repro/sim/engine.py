@@ -199,6 +199,9 @@ class Simulator:
         self._running = False
         self._timeout_pool: list[Timeout] = []
         self.events_processed = 0
+        # ``(counter, kind, labels)`` of the components built on this
+        # simulator, for each run to publish (repro.obs.published).
+        self.counters: list = []
         # Periodic telemetry sampling (repro.obs.timeline).  With no
         # sampler attached ``_sample_due`` stays at +inf, so the run
         # loops pay one float compare per clock advance and nothing
@@ -357,8 +360,15 @@ class Simulator:
         Returns the final simulation time.  ``max_events`` is a runaway
         backstop: the loop processes at most ``max_events`` events and
         raises :class:`SimulationError` the moment more work would exceed
-        that budget.
+        that budget.  Under observation the run publishes the deltas of
+        :attr:`counters` when it ends, also when it raises.
         """
+        from repro.obs import published
+
+        with published(self.counters):
+            return self._run(until, max_events)
+
+    def _run(self, until: Optional[float], max_events: int) -> float:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
@@ -423,7 +433,14 @@ class Simulator:
         Unlike :meth:`run`, this stops as soon as the process finishes, so
         it works in the presence of perpetual background processes (OS
         noise, daemons) that would keep the event queue busy forever.
+        It publishes :attr:`counters` as :meth:`run` does.
         """
+        from repro.obs import published
+
+        with published(self.counters):
+            return self._run_until_complete(process, max_events)
+
+    def _run_until_complete(self, process: "Process", max_events: int) -> Any:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True

@@ -65,7 +65,6 @@ class TestLinkInterface:
         sim = Simulator()
         ni = loopback_interface(sim)
         message = Message(source=0, dest=1, payload_bytes=64)
-        ni.register_crc(message)
         ni.check_crc(message)
         assert ni.stats["crc_checked"] == 1
 
@@ -74,7 +73,6 @@ class TestLinkInterface:
         ni = loopback_interface(sim)
         message = Message(source=0, dest=1, payload_bytes=64,
                           tag={"crc": 0xDEADBEEF})
-        ni.register_crc(message)
         with pytest.raises(CrcError):
             ni.check_crc(message)
         assert ni.stats["crc_errors"] == 1

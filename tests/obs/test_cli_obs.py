@@ -1,6 +1,7 @@
 """End-to-end tests of the observability CLI surface."""
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,9 @@ from repro import cli
 from repro.cli import main
 from repro.obs.export import validate_trace_file
 from repro.obs.report import validate_report_file
+
+HEALTH_SPECS = os.path.join(os.path.dirname(__file__), "..", "..",
+                            "benchmarks", "health_specs")
 
 
 class TestTraceCommand:
@@ -143,22 +147,32 @@ class TestSamplingFlags:
                              [open(path, "rb").read() for path in files]))
             assert runs[0] == runs[1], flags
 
-    def test_health_gate_exit_codes(self, tmp_path, capsys):
-        passing = tmp_path / "pass.json"
-        passing.write_text(json.dumps({"rules": [
-            {"series": "des.pending_events", "stat": "mean",
-             "op": ">", "value": 0.0},
-        ]}))
-        failing = tmp_path / "fail.json"
-        failing.write_text(json.dumps({"rules": [
-            {"series": "des.pending_events", "stat": "mean",
-             "op": "<", "value": 0.0},
-        ]}))
-        assert main(["fig9", "--sizes", "8", "--health", str(passing),
-                     "--no-cache"]) == 0
-        assert "healthy" in capsys.readouterr().out
-        assert main(["fig9", "--sizes", "8", "--health", str(failing),
-                     "--no-cache"]) == 1
+    @pytest.mark.parametrize("passing, failing, sizes", [
+        ({"op": ">"}, {"op": "<"}, ["8"]),
+        ("fig9.json", "fig9_strict.json", ["8", "64"]),
+    ], ids=["inline", "committed"])
+    def test_health_gate_exit_codes(self, passing, failing, sizes,
+                                    tmp_path, capsys):
+        def spec_path(spec, name):
+            if not isinstance(spec, dict):
+                return os.path.join(HEALTH_SPECS, spec)
+            path = tmp_path / name
+            path.write_text(json.dumps({"rules": [
+                {"series": "des.pending_events", "stat": "mean",
+                 "value": 0.0, **spec}]}))
+            return str(path)
+
+        assert main(["fig9", "--sizes", *sizes, "--health",
+                     spec_path(passing, "pass.json"), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "healthy" in out
+        # A metric gate the run does not feed would pass vacuously; only
+        # the opt-in supervision gates may observe nothing.
+        for line in out.splitlines():
+            if "(observed missing)" in line:
+                assert "supervision." in line, line
+        assert main(["fig9", "--sizes", *sizes, "--health",
+                     spec_path(failing, "fail.json"), "--no-cache"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
     def test_sampling_leaves_instrumentation_disabled_after(self, tmp_path):
@@ -170,9 +184,12 @@ class TestSamplingFlags:
 
 
 class TestReportCommand:
-    def test_report_fig9_renders_valid_dashboard(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sizes", [["8"], ["8", "64"]],
+                             ids=["8", "8-64"])
+    def test_report_fig9_renders_valid_dashboard(self, sizes, tmp_path,
+                                                 capsys):
         out = str(tmp_path / "report.html")
-        assert main(["report", "fig9", "--sizes", "8", "--out", out,
+        assert main(["report", "fig9", "--sizes", *sizes, "--out", out,
                      "--no-cache"]) == 0
         assert validate_report_file(out) > 0
         page = open(out).read()

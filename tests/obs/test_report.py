@@ -1,5 +1,5 @@
 """The HTML dashboard: payload assembly, rendering, embedded-JSON
-extraction and schema validation (what the CI report-smoke job runs)."""
+extraction and schema validation (what ``validate_report_file`` runs)."""
 
 import json
 
