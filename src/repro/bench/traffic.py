@@ -558,7 +558,8 @@ def run_load(world: CommWorld, qos: Optional[QosConfig] = None,
             latency_mean_ns=(sum(samples) / len(samples)
                              if samples else 0.0),
             rate_stalls=rate_stalls[index]))
-    router = world.router
+    # Only an AdaptiveRouter reroutes; a plain RouteTable counts nothing.
+    routing = getattr(world.router, "stats", None)
     return LoadResult(
         arbiter=(qos.arbiter if world.fabric.crossbars and
                  next(iter(world.fabric.crossbars.values()))._classed
@@ -566,8 +567,8 @@ def run_load(world: CommWorld, qos: Optional[QosConfig] = None,
         load=load, nodes=len(nodes), message_bytes=message_bytes,
         messages=len(plan), elapsed_ns=elapsed,
         collisions=_crossbar_collisions(world) - collisions_before,
-        reroutes=getattr(router, "reroutes", 0),
-        fallbacks=getattr(router, "fallbacks", 0),
+        reroutes=routing["reroutes"] if routing else 0,
+        fallbacks=routing["fallbacks"] if routing else 0,
         classes=tuple(class_results))
 
 

@@ -76,6 +76,7 @@ class EarthNode:
         self.ready = FifoStore(self.sim, name=f"earth{node_id}.ready")
         self.outbox = FifoStore(self.sim, name=f"earth{node_id}.outbox")
         self.stats = Counter(f"earth{node_id}")
+        self.sim.counters.append((self.stats, "earth", {"node": node_id}))
         self.fiber_latency = Histogram(f"earth{node_id}.fiber_ns")
         self.sim.process(self._execution_unit())
         self.sim.process(self._outbox_pump())
@@ -118,7 +119,6 @@ class EarthNode:
             self.fiber_latency.add(self.sim.now - started)
             if OBS.enabled:
                 OBS.tracer.end(fiber_span, self.sim.now)
-                OBS.metrics.incr("earth.fibers_run", node=self.node_id)
                 OBS.metrics.observe("earth.fiber_ns", self.sim.now - started,
                                     node=self.node_id)
 
@@ -159,8 +159,6 @@ class EarthNode:
                     f"{message.message_id} on the EARTH plane")
             self._apply(op)
             self.stats.incr("messages_handled")
-            if OBS.enabled:
-                OBS.metrics.incr("earth.messages_handled", node=self.node_id)
 
     # -- operation semantics ----------------------------------------------------------
 

@@ -79,7 +79,7 @@ class CommWorld:
 
         Future :meth:`make_message` calls route around output ports the
         :class:`~repro.network.qos.AdaptiveRouter` judges congested.
-        Returns the router (for its ``reroutes``/``fallbacks`` counters).
+        Returns the router (its ``stats`` counts ``reroutes``/``fallbacks``).
         """
         from repro.network.qos import AdaptiveConfig, AdaptiveRouter
 

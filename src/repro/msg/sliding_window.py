@@ -142,6 +142,8 @@ class _Flow:
     rto_ns: float = 0.0
     last_route: Optional[Tuple[int, ...]] = None
     failed: bool = False
+    #: The flow's reroutes, link-down verdicts and failures.
+    stats: Counter = field(default_factory=lambda: Counter("slw.flow"))
 
 
 class SlidingWindowChannel:
@@ -154,13 +156,18 @@ class SlidingWindowChannel:
         self.config = config
         self._rng = random.Random(config.seed)
         self._ack_rng = random.Random(config.seed ^ 0x5DEECE66D)
-        self.stats = Counter("sliding")
+        self.counts = Counter("sliding")
+        self.sim.counters.append((self.counts, "sliding", {}))
         self._flows: Dict[Tuple[int, int], _Flow] = {}
         self._expected: Dict[Tuple[int, int], int] = {}
         self._deliveries: Dict[int, FifoStore] = {}
+        self.node_stats: Dict[int, Counter] = {}
         for node in world.fabric.node_ids():
             self._deliveries[node] = FifoStore(self.sim,
                                                name=f"slw{node}.deliveries")
+            self.node_stats[node] = Counter(f"slw{node}")
+            self.sim.counters.append((self.node_stats[node], "sliding_node",
+                                      {"node": node}))
             self.sim.process(self._pump(node))
         if OBS.enabled and OBS.timeline.enabled:
             probe = OBS.timeline.probe
@@ -170,6 +177,17 @@ class SlidingWindowChannel:
             probe(self.sim, "sliding.rto_ns",
                   lambda: max((f.rto_ns for f in self._flows.values()),
                               default=0.0))
+
+    @property
+    def stats(self) -> Counter:
+        """Channel-wide totals: :attr:`counts`, which no metric labels,
+        plus the per-flow and per-receiving-node counters."""
+        total = Counter("sliding")
+        for counter in (self.counts, *self.node_stats.values(),
+                        *(flow.stats for flow in self._flows.values())):
+            for key, value in counter.as_dict().items():
+                total.incr(key, value)
+        return total
 
     # -- application API ----------------------------------------------------
 
@@ -220,6 +238,8 @@ class SlidingWindowChannel:
                          ack_signal=Signal(self.sim, name=f"slw{key}.ack"))
             flow.rto_ns = self.config.initial_rto_ns
             self._flows[key] = flow
+            self.sim.counters.append((flow.stats, "sliding_flow",
+                                      {"flow": f"{src}->{dst}"}))
             self.sim.process(self._flow_proc(flow))
         return flow
 
@@ -253,9 +273,7 @@ class SlidingWindowChannel:
 
             # Timeout on the oldest unacked message.
             flow.retries += 1
-            self.stats.incr("timeouts")
-            if OBS.enabled:
-                OBS.metrics.incr("sliding.timeouts")
+            self.counts.incr("timeouts")
             if flow.retries > cfg.max_retries:
                 self._fail_flow(flow, DeliveryError(
                     f"{flow.src}->{flow.dst} seq {flow.base}: no ack after "
@@ -265,10 +283,7 @@ class SlidingWindowChannel:
                 # The path looks dead: drop cached routes so the coming
                 # retransmissions recompute against current failure state.
                 self.world.routes.invalidate()
-                self.stats.incr("link_down")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.link_down",
-                                     flow=f"{flow.src}->{flow.dst}")
+                flow.stats.incr("link_down")
             # Go-back-N: retransmit the whole outstanding window in order.
             for entry in list(flow.inflight):
                 if not self._transmit(flow, entry, retransmit=True):
@@ -291,10 +306,8 @@ class SlidingWindowChannel:
             return False
         route = tuple(message.route)
         if flow.last_route is not None and route != flow.last_route:
-            self.stats.incr("reroutes")
+            flow.stats.incr("reroutes")
             if OBS.enabled:
-                OBS.metrics.incr("faults.reroutes",
-                                 flow=f"{flow.src}->{flow.dst}")
                 span = OBS.tracer.begin(
                     "faults.reroute", f"n{flow.src}", self.sim.now,
                     category="faults", message=message.message_id,
@@ -303,22 +316,17 @@ class SlidingWindowChannel:
         flow.last_route = route
         entry.sent_at = self.sim.now
         entry.retransmitted = entry.retransmitted or retransmit
-        self.stats.incr("transmissions")
+        self.counts.incr("transmissions")
         if retransmit:
-            self.stats.incr("retransmissions")
-        if corrupted:
-            self.stats.incr("corrupted")
-        if OBS.enabled:
-            OBS.metrics.incr("sliding.transmissions")
-            if retransmit:
-                OBS.metrics.incr("sliding.retransmissions")
+            self.counts.incr("retransmissions")
+            if OBS.enabled:
                 span = OBS.tracer.begin(
                     "faults.retransmit", f"n{flow.src}", self.sim.now,
                     category="faults", message=message.message_id,
                     seq=entry.seq, attempt=flow.retries)
                 OBS.tracer.end(span, self.sim.now)
-            if corrupted:
-                OBS.metrics.incr("sliding.corrupted")
+        if corrupted:
+            self.counts.incr("corrupted")
         driver = self.world.endpoint(flow.src).driver
         self.sim.process(driver.send_message(message))
         return True
@@ -338,15 +346,12 @@ class SlidingWindowChannel:
         return min(jittered, cfg.max_rto_ns)
 
     def _fail_flow(self, flow: _Flow, error: DeliveryError) -> None:
-        self.stats.incr("failed_flows")
-        if OBS.enabled:
-            OBS.metrics.incr("sliding.failed_flows",
-                             flow=f"{flow.src}->{flow.dst}")
+        flow.stats.incr("failed_flows")
         for entry in flow.inflight:
-            self.stats.incr("undeliverable")
+            self.counts.incr("undeliverable")
             entry.request.done.trigger(error)
         for request in flow.pending:
-            self.stats.incr("undeliverable")
+            self.counts.incr("undeliverable")
             request.done.trigger(error)
         flow.inflight.clear()
         flow.pending.clear()
@@ -359,9 +364,7 @@ class SlidingWindowChannel:
         while flow.inflight and flow.inflight[0].seq <= upto:
             entry = flow.inflight.popleft()
             progressed = True
-            self.stats.incr("acked")
-            if OBS.enabled:
-                OBS.metrics.incr("sliding.acked")
+            self.counts.incr("acked")
             if not entry.retransmitted:
                 # Karn's rule: only first-transmission acks sample the RTT.
                 sample = self.sim.now - entry.sent_at
@@ -398,9 +401,7 @@ class SlidingWindowChannel:
             if meta["kind"] == "ack":
                 if corrupt:
                     # The CRC flags the ack; the sender's timeout recovers.
-                    self.stats.incr("acks_discarded")
-                    if OBS.enabled:
-                        OBS.metrics.incr("sliding.acks_discarded")
+                    self.counts.incr("acks_discarded")
                     continue
                 flow = self._flows.get((meta["src"], meta["dst"]))
                 if flow is not None:
@@ -412,14 +413,10 @@ class SlidingWindowChannel:
             if FAULTS.enabled and FAULTS.engine.node_down(node):
                 # Crashed node: the hardware drains, software is gone —
                 # nothing is delivered and nothing is acknowledged.
-                self.stats.incr("dropped_at_crashed_node")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.crashed_node_drops", node=node)
+                self.node_stats[node].incr("dropped_at_crashed_node")
                 continue
             if corrupt:
-                self.stats.incr("discarded")
-                if OBS.enabled:
-                    OBS.metrics.incr("sliding.discarded")
+                self.counts.incr("discarded")
                 continue
             key = (src, node)
             expected = self._expected.get(key, 0)
@@ -428,17 +425,13 @@ class SlidingWindowChannel:
                 self._deliveries[node].try_put(Delivery(
                     source=src, nbytes=message.payload_bytes, sequence=seq,
                     delivered_at=message.delivered_at or self.sim.now))
-                self.stats.incr("delivered")
-                if OBS.enabled:
-                    OBS.metrics.incr("sliding.delivered")
+                self.counts.incr("delivered")
             elif seq < expected:
-                self.stats.incr("duplicates")
+                self.counts.incr("duplicates")
             else:
                 # Go-back-N: a gap means an earlier message was lost; the
                 # cumulative ack below tells the sender where to resume.
-                self.stats.incr("out_of_order")
-                if OBS.enabled:
-                    OBS.metrics.incr("sliding.out_of_order")
+                self.counts.incr("out_of_order")
             upto = self._expected.get(key, 0) - 1
             if upto >= 0:
                 self._send_ack(node, src, upto)
@@ -451,11 +444,11 @@ class SlidingWindowChannel:
         try:
             ack = self.world.make_message(node, src, cfg.ack_bytes, tag=tag)
         except NoRouteError:
-            self.stats.incr("acks_unroutable")
+            self.counts.incr("acks_unroutable")
             return
-        self.stats.incr("acks_sent")
+        self.counts.incr("acks_sent")
         if corrupted:
-            self.stats.incr("acks_corrupted")
+            self.counts.incr("acks_corrupted")
         self.sim.process(
             self.world.endpoint(node).driver.send_message(ack))
 

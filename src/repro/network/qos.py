@@ -33,8 +33,8 @@ from typing import Any, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from collections import deque
 
-from repro.obs import OBS
 from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.stats import Counter
 
 ARBITER_POLICIES = ("fifo", "priority", "wdrr")
 
@@ -405,8 +405,10 @@ class AdaptiveRouter:
         self.routes = routes
         self.fabric = fabric
         self.config = config
-        self.reroutes = 0    # congestion-set changes to a non-empty set
-        self.fallbacks = 0   # pairs forced back onto a congested path
+        # reroutes: congestion-set changes to a non-empty set;
+        # fallbacks: pairs forced back onto a congested path.
+        self.stats = Counter("qos")
+        fabric.sim.counters.append((self.stats, "qos", {}))
         self.scans = 0
         self._last_scan = -float("inf")
         self._last_wait: Dict[Tuple[str, int], Tuple[float, float]] = {}
@@ -435,9 +437,7 @@ class AdaptiveRouter:
                 raise
             # Avoidance left this pair unreachable: better a congested
             # path than no path.
-            self.fallbacks += 1
-            if OBS.enabled:
-                OBS.metrics.incr("qos.route_fallbacks")
+            self.stats.incr("fallbacks")
             self.routes.set_congested_edges(set())
             return self.routes.route_bytes(src, dst)
 
@@ -446,9 +446,7 @@ class AdaptiveRouter:
         self._last_scan = now
         changed = self.routes.set_congested_edges(congested)
         if changed and congested:
-            self.reroutes += 1
-            if OBS.enabled:
-                OBS.metrics.incr("qos.reroutes")
+            self.stats.incr("reroutes")
 
     def _scan(self, now: float) -> Set[Tuple[Hashable, Hashable]]:
         self.scans += 1

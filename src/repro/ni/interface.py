@@ -9,7 +9,6 @@ duplex).  The chip also stamps/validates a CRC per message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.faults import FAULTS
 from repro.network.link import ByteFifo, Link
@@ -145,14 +144,18 @@ class LinkInterface:
         if FAULTS.enabled and FAULTS.engine.is_corrupt(message.message_id):
             self.fail_crc(message)
             return False
-        expected = message_checksum(message.message_id, message.payload_bytes,
-                                    message.source, message.dest)
-        stamped = self._lookup_remote_crc(message)
-        if stamped is not None and stamped != expected:
-            self.fail_crc(message)
-            raise CrcError(
-                f"{self.name}: CRC mismatch on message {message.message_id}: "
-                f"stamped {stamped:#010x}, computed {expected:#010x}")
+        stamped = (message.tag.get("crc") if isinstance(message.tag, dict)
+                   else None)
+        if stamped is not None:
+            expected = message_checksum(message.message_id,
+                                        message.payload_bytes,
+                                        message.source, message.dest)
+            if stamped != expected:
+                self.fail_crc(message)
+                raise CrcError(
+                    f"{self.name}: CRC mismatch on message "
+                    f"{message.message_id}: stamped {stamped:#010x}, "
+                    f"computed {expected:#010x}")
         self.stats.incr("crc_checked")
         return True
 
@@ -162,15 +165,6 @@ class LinkInterface:
         if FAULTS.enabled:
             FAULTS.engine.consume_corrupt(message.message_id)
         self.stats.incr("crc_errors")
-
-    def _lookup_remote_crc(self, message: Message) -> Optional[int]:
-        # In hardware the CRC travels with the message; the simulator keeps
-        # it in the message registry (see repro.msg.api).  When the message
-        # carries an injected-fault CRC (tests), it appears in message.tag.
-        if isinstance(message.tag, dict) and "crc" in message.tag:
-            return message.tag["crc"]
-        return message_checksum(message.message_id, message.payload_bytes,
-                                message.source, message.dest)
 
 
 def wire_flits(message: Message) -> list[Flit]:

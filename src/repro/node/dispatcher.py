@@ -91,6 +91,7 @@ class Dispatcher:
         self.io_access_ns = io_access_ns
         self.name = name
         self.stats = Counter(name)
+        sim.counters.append((self.stats, "dispatcher", {"dispatcher": name}))
         self.latencies = Histogram(f"{name}.latency_ns")
         self.completed_tags: list[int] = []
         self._device_gates: Dict[str, Resource] = {}
@@ -125,9 +126,6 @@ class Dispatcher:
                                            self.sim.now)
             if stall > 0:
                 self.stats.incr("hangs")
-                if OBS.enabled:
-                    OBS.metrics.incr("faults.dispatcher_hangs",
-                                     dispatcher=self.name)
                 yield self.sim.pooled_timeout(stall)
         # 1. Address phase: serialised across all masters (snoop protocol).
         #    The sequencer's conservative-time accounting composes with the
@@ -161,12 +159,10 @@ class Dispatcher:
 
         txn.completed_at = self.sim.now
         self.completed_tags.append(txn.tag)
-        self.stats.incr("completed")
+        self.stats.incr(f"completed_{txn.kind.value}")
         self.latencies.add(txn.latency_ns)
         if OBS.enabled:
             OBS.tracer.end(txn_span, self.sim.now)
-            OBS.metrics.incr("bus.completed", dispatcher=self.name,
-                             kind=txn.kind.value)
             OBS.metrics.observe("bus.latency_ns", txn.latency_ns,
                                 dispatcher=self.name)
         return txn

@@ -14,9 +14,10 @@ so an uninstrumented run pays one attribute test per call site.  Counts
 cost nothing per event: components keep them in their own ``Counter``,
 and :func:`published` turns a block's deltas into metrics once, at its
 end, through the one :data:`PUBLISHED` table.  Trace replays publish the
-node (:func:`repro.memory.mp.replay_traces`), simulator runs the comm
-components registered with them (:meth:`repro.sim.engine.Simulator.run`).
-Enabling is scoped::
+node (:func:`repro.memory.mp.replay_traces`), simulator runs every
+component registered with them (:meth:`repro.sim.engine.Simulator.run`).
+Only the per-fault records ``faults.injected`` and ``faults.node_crashes``
+still count as they happen.  Enabling is scoped::
 
     from repro.obs import observe
 
@@ -127,6 +128,22 @@ PUBLISHED = {
                       ("transmissions", "retransmissions", "corrupted",
                        "acked", "timeouts", "discarded", "delivered",
                        "acks_discarded", "acks_corrupted")),
+    "sliding": tuple((key, f"sliding.{key}", {}) for key in
+                     ("transmissions", "retransmissions", "corrupted",
+                      "acked", "timeouts", "discarded", "delivered",
+                      "acks_discarded", "out_of_order")),
+    "sliding_flow": (("reroutes", "faults.reroutes", {}),
+                     ("link_down", "faults.link_down", {}),
+                     ("failed_flows", "sliding.failed_flows", {})),
+    "sliding_node": (("dropped_at_crashed_node",
+                      "faults.crashed_node_drops", {}),),
+    "qos": (("reroutes", "qos.reroutes", {}),
+            ("fallbacks", "qos.route_fallbacks", {})),
+    "earth": (("fibers_run", "earth.fibers_run", {}),
+              ("messages_handled", "earth.messages_handled", {})),
+    "dispatcher": (("hangs", "faults.dispatcher_hangs", {}),) + tuple(
+        (f"completed_{kind}", "bus.completed", {"kind": kind}) for kind in
+        ("read", "write", "rwitm", "intervention", "io")),
 }
 
 
@@ -137,8 +154,8 @@ def published(counters: Sequence[Tuple[Counter, str, Dict[str, str]]]
 
     Each ``(counter, kind, labels)`` entry adds the delta of every
     :data:`PUBLISHED` ``[kind]`` key that moved to its metric, with the
-    entry's labels; an entry appended in the block publishes all it
-    counted.  A block that raises publishes too.  The series carry the
+    entry's labels; an entry appended in the block (a new sliding-window
+    flow) publishes all it counted.  A block that raises publishes too.  The series carry the
     ambient labels at exit, which equals labelling each event because
     no simulation process or replay enters a ``label_scope``: its only
     users (``msg/api.py``, ``bench/microbench.py``, ``bench/matmult.py``)

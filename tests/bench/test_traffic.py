@@ -1,5 +1,8 @@
 """Tests for the traffic-pattern and offered-load harnesses."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +23,13 @@ from repro.bench.traffic import (
     run_pattern,
     traffic_point_task,
 )
+from repro.cli import main
 from repro.msg.api import build_cluster_world
 from repro.network.message import Message
 from repro.network.qos import QosConfig, TrafficClass
+
+GOLDENS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks",
+                       "goldens")
 
 
 class TestDestinationPlans:
@@ -287,14 +294,62 @@ class TestLoadSweep:
     def test_cli_default_traffic_matches_golden(self, capsys):
         """The default (legacy fifo) traffic table is byte-identical to
         the pre-QoS golden capture."""
-        import os
-
-        from repro.cli import main
-
-        golden = os.path.join(os.path.dirname(__file__), "..", "..",
-                              "benchmarks", "goldens",
-                              "traffic_default.txt")
         assert main(["traffic"]) in (0, None)
         out = capsys.readouterr().out
-        with open(golden, "r", encoding="utf-8") as handle:
+        with open(os.path.join(GOLDENS, "traffic_default.txt"),
+                  encoding="utf-8") as handle:
             assert out == handle.read()
+
+#: Two classes sharing the fabric: sparse urgent incast from odd nodes
+#: over bulk hotspot traffic from even nodes.
+MIXED = ["--classes", "urgent:prio=0:weight=4,bulk:prio=1:weight=1",
+         "--pattern-mix", "urgent=incast:0.2:odd,bulk=hotspot:0.8:even",
+         "--seed", "11", "--no-cache", "--no-journal"]
+
+
+def _traffic_json(tmp_path, capsys, *args):
+    """Run ``traffic ARGS --json-out``; the table and the JSON points."""
+    path = tmp_path / "traffic.json"
+    assert main(["traffic", *args, "--json-out", str(path)]) in (0, None)
+    table = capsys.readouterr().out
+    return table, path.read_text()
+
+
+class TestTrafficCli:
+    def test_fig9_default_path_matches_golden(self, capsys):
+        assert main(["fig9", "--sizes", "8", "64", "--no-cache",
+                     "--no-journal"]) in (0, None)
+        out = capsys.readouterr().out
+        with open(os.path.join(GOLDENS, "fig9_8_64.txt"),
+                  encoding="utf-8") as handle:
+            assert out == handle.read()
+
+    def test_load_sweep_table_and_json_equal_at_any_jobs(self, tmp_path,
+                                                         capsys):
+        args = ["--arbiter", "wdrr", *MIXED, "--load", "0.3,0.5,0.7",
+                "--messages", "16"]
+        serial = _traffic_json(tmp_path, capsys, *args, "--jobs", "1")
+        fanned = _traffic_json(tmp_path, capsys, *args, "--jobs", "4")
+        assert fanned == serial
+
+    def test_hotspot_goodput_is_bounded_by_the_victim_link(self, tmp_path,
+                                                           capsys):
+        """One 60 MB/s link (and its receive FIFO) bounds the hotspot; it
+        must neither exceed the line rate nor collapse."""
+        _, points = _traffic_json(
+            tmp_path, capsys, "--load", "0.9", "--messages", "16",
+            "--pattern-mix", "best-effort=hotspot", "--no-cache",
+            "--no-journal")
+        goodput = json.loads(points)[0]["goodput_mb_s"]
+        assert 20.0 < goodput <= 60.0
+
+    def test_priority_beats_fifo_on_urgent_p99_under_incast(self, tmp_path,
+                                                            capsys):
+        def urgent_p99(arbiter):
+            _, points = _traffic_json(tmp_path, capsys, *MIXED, "--load",
+                                      "0.8", "--messages", "24",
+                                      "--arbiter", arbiter)
+            classes = {c["name"]: c for c in json.loads(points)[0]["classes"]}
+            return classes["urgent"]["latency_p99_ns"]
+
+        assert urgent_p99("priority") < urgent_p99("fifo") * 0.75

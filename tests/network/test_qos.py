@@ -258,7 +258,7 @@ class TestAdaptiveRouting:
         world.routes.set_congested_edges({edge})
         route = router.route_bytes(("node", 0, 0), ("node", 1, 0))
         assert route  # delivered a usable route
-        assert router.fallbacks >= 1
+        assert router.stats["fallbacks"] >= 1
         assert world.routes.congested_edges == set()
 
     def test_reroutes_under_hotspot_load(self):
@@ -268,8 +268,8 @@ class TestAdaptiveRouting:
                           mix={"best-effort": ClassTraffic("hotspot")},
                           load=0.9, messages=24, seed=5)
         assert router.scans > 0
-        assert result.reroutes == router.reroutes
-        assert result.fallbacks == router.fallbacks
+        assert result.reroutes == router.stats["reroutes"]
+        assert result.fallbacks == router.stats["fallbacks"]
 
     def test_scan_is_rate_limited(self):
         world, router = self.build(depth=1, check_interval_ns=1e9)

@@ -77,6 +77,24 @@ class TestLinkInterface:
             ni.check_crc(message)
         assert ni.stats["crc_errors"] == 1
 
+    def test_clean_delivery_computes_no_checksum(self, monkeypatch):
+        """Only a CRC stamped into the tag is recomputed: a clean
+        delivery's CRC cannot mismatch, so it costs no checksum."""
+        import repro.ni.interface as interface
+
+        calls = []
+        checksum = interface.message_checksum
+
+        def counting(*args):
+            calls.append(args)
+            return checksum(*args)
+
+        monkeypatch.setattr(interface, "message_checksum", counting)
+        _, world = build_cluster_world()
+        world.ping_pong(0, 1, 64)
+        assert world.endpoint(1).ni.stats["crc_checked"] == 5
+        assert calls == []
+
 
 class TestDriverConfig:
     def test_batch_defaults_to_fifo_size(self):

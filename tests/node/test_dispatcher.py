@@ -112,4 +112,4 @@ class TestSplitTransactions:
                                              i * 64, 64))
         sim.run()
         assert dispatcher.latencies.count == 8
-        assert dispatcher.stats["completed"] == 8
+        assert dispatcher.stats["completed_read"] == 8

@@ -1,37 +1,56 @@
-"""Comm components count once, and every simulator run publishes them.
+"""Components count once, and every simulator run publishes them.
 
-Links, crossbars, transceivers, link interfaces, drivers and the
-stop-and-wait channel count into their own ``Counter`` and register it
-with their simulator; ``Simulator.run``/``run_until_complete`` publish
-the counters' deltas into ``OBS.metrics`` when they end
-(:func:`repro.obs.published`).  These tests check that what a run
-publishes adds up to the components' counters exactly, under the labels
-in force when each run ended, and that the ``--metrics-out`` of a chaos
-run firing every fault kind is the one recorded before publishing moved
-to run end.
+Links, crossbars, transceivers, link interfaces, drivers, both reliable
+channels, the QoS router, the EARTH nodes and the dispatcher count into
+their own ``Counter`` and register it with their simulator (the
+sliding-window channel one per channel, per flow and per receiving
+node); ``Simulator.run``/``run_until_complete`` publish the counters'
+deltas into ``OBS.metrics`` when they end (:func:`repro.obs.published`).
+These tests check that what a run publishes adds up to the components'
+counters exactly, series by series under the labels in force when each
+run ended; that the artifacts of chaos runs and the metrics of EARTH,
+dispatcher and QoS runs are the ones recorded while those events were
+still recorded into the registry as they happened; and that no other
+per-event count is left.
 """
 
+import ast
 import hashlib
 import json
 import os
+from collections import Counter as CountOf
 
 import pytest
 
 from repro.bench.microbench import measure_point
+from repro.bench.traffic import ClassTraffic, run_load
 from repro.cli import main
-from repro.faults import FaultPlan
+from repro.earth.fibers import Fiber, SyncSlot
+from repro.earth.operations import DataSync, Spawn
+from repro.earth.runtime import EarthMachine
+from repro.faults import FaultPlan, inject
 from repro.faults.chaos import build_chaos_world, run_chaos
-from repro.msg.api import build_cluster_world
+from repro.memory.dram import DramConfig, InterleavedDram
+from repro.memory.snoop import SnoopConfig
+from repro.msg.api import build_cluster_world, build_topology_world
 from repro.msg.reliable import ReliableChannel
+from repro.msg.sliding_window import SlidingWindowChannel
+from repro.network.qos import AdaptiveConfig, QosConfig
+from repro.network.topo import parse_topology
+from repro.node.adsp import AdspSwitch
+from repro.node.dispatcher import BusTransaction, Dispatcher, TransactionKind
 from repro.obs import OBS, PUBLISHED, observe
+from repro.obs.export import metrics_json
+from repro.sim.clock import Clock
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stats import Counter
 
 PLANS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks",
                      "fault_plans")
-COMM_KINDS = ("link", "xbar", "xcvr", "ni", "driver", "reliable")
-COMM_METRICS = sorted({metric for kind in COMM_KINDS
-                       for _, metric, _ in PUBLISHED[kind]})
+#: The component kinds that register with a Simulator (the others are
+#: the node replay's, published by ``replay_traces``).
+SIM_KINDS = ("link", "xbar", "xcvr", "ni", "driver", "reliable", "sliding",
+             "sliding_flow", "sliding_node", "qos", "earth", "dispatcher")
 
 
 @pytest.fixture
@@ -48,21 +67,50 @@ def simulators(monkeypatch):
     return made
 
 
-def component_totals(sims):
-    """Per comm metric, the sum of the counter keys that feed it."""
-    totals = dict.fromkeys(COMM_METRICS, 0)
+def _series(metric, labels):
+    return metric, frozenset((key, str(value))
+                             for key, value in labels.items())
+
+
+def component_series(sims):
+    """Per published series, the sum of the counter keys that feed it,
+    and per metric the label names its components give it."""
+    series = CountOf()
+    names = {}
     for sim in sims:
-        for counter, kind, _ in sim.counters:
-            for key, metric, _ in PUBLISHED[kind]:
-                totals[metric] += counter[key]
-    return totals
+        for counter, kind, labels in sim.counters:
+            for key, metric, extra in PUBLISHED[kind]:
+                own = {**labels, **extra}
+                names[metric] = set(own)
+                series[_series(metric, own)] += counter[key]
+    return +series, names
+
+
+def published_series(metrics, names):
+    """The registry's series of those metrics, with the ambient labels
+    of the run (``bench``, ``nbytes``, ...) summed away."""
+    series = CountOf()
+    for (metric, labels), value in metrics.snapshot().items():
+        if metric in names:
+            series[_series(metric, {key: value for key, value in labels
+                                    if key in names[metric]})] += value
+    return series
 
 
 def test_every_comm_component_registers_its_counter():
     sim, world = build_chaos_world("manna")
     channel = ReliableChannel(world)
+    sliding = SlidingWindowChannel(world)
+    sliding.send(0, 8, 64)
+    router = world.enable_adaptive()
+    machine = EarthMachine(world=world, sim=sim)
+    dispatcher = _dispatcher(sim)
     fabric = world.fabric
-    expected = {id(channel.stats)}
+    expected = {id(channel.stats), id(sliding.counts), id(router.stats),
+                id(dispatcher.stats)}
+    expected.update(id(counter) for counter in sliding.node_stats.values())
+    expected.add(id(sliding._flows[0, 8].stats))
+    expected.update(id(node.stats) for node in machine.nodes)
     for xbar in fabric.crossbars.values():
         expected.add(id(xbar.stats))
         expected.update(id(link.stats) for link in xbar.output_links
@@ -75,7 +123,15 @@ def test_every_comm_component_registers_its_counter():
     registered = {id(counter) for counter, _, _ in sim.counters}
     assert expected <= registered
     # The inter-cabinet links of manna add a transceiver counter each.
-    assert {kind for _, kind, _ in sim.counters} == set(COMM_KINDS)
+    assert {kind for _, kind, _ in sim.counters} == set(SIM_KINDS)
+    assert set(SIM_KINDS) <= set(PUBLISHED)
+    # The dispatcher publishes bus.completed for every transaction kind.
+    assert {extra["kind"] for _, metric, extra in PUBLISHED["dispatcher"]
+            if metric == "bus.completed"} == {
+                kind.value for kind in TransactionKind}
+
+
+CRASH = {"kind": "node_crash", "at_ns": 5000.0, "site": "*"}
 
 
 def _smoke(**options):
@@ -83,17 +139,94 @@ def _smoke(**options):
                      **options)
 
 
-#: A run, and the comm metrics it must publish besides link.messages
-#: and xbar.connections.
+def _crash(node):
+    return lambda: run_chaos(FaultPlan.from_dict(
+        {"seed": 1, "faults": [dict(CRASH, node=node)]}), messages=4)
+
+
+def _earth_fib(n=8):
+    """fib(n) spread over the 8 EARTH nodes, children two hops apart."""
+    machine = EarthMachine()
+
+    def make(n, reply_node, frame, key, slot):
+        def start(node, mine):
+            if n < 2:
+                return [DataSync(node=reply_node, frame=frame, key=key,
+                                 value=n, slot=slot)]
+
+            def combine(node_, done):
+                return [DataSync(node=reply_node, frame=frame, key=key,
+                                 value=done["l"] + done["r"], slot=slot)]
+
+            sync = SyncSlot(2, Fiber(combine, frame=mine, label="sync"))
+            here = node.node_id
+            return [Spawn(node=(here + 1) % 8,
+                          fiber=make(n - 1, here, mine, "l", sync)),
+                    Spawn(node=(here + 2) % 8,
+                          fiber=make(n - 2, here, mine, "r", sync))]
+
+        return Fiber(start, frame={}, label=f"fib({n})")
+
+    result = {}
+    machine.spawn(0, make(n, 0, result, "v",
+                          SyncSlot(1, Fiber(lambda node, frame: []))))
+    machine.run()
+    assert result["v"] == 21
+
+
+def _dispatcher(sim):
+    """The dispatcher of tests/node/test_dispatcher.py."""
+    switch = AdspSwitch(sim)
+    for device in ("cpu0", "cpu1", "link0"):
+        switch.register(device)
+    dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
+                                      access_ns=60.0, bandwidth_mb_s=640.0))
+    snoop = SnoopConfig(bus_clock=Clock(60.0), phase_cycles=3.0,
+                        queue_depth=4)
+    return Dispatcher(sim, switch, dram, snoop)
+
+
+def _dispatcher_reads():
+    """The 8-read workload of tests/node/test_dispatcher.py."""
+    sim = Simulator()
+    dispatcher = _dispatcher(sim)
+    for i in range(8):
+        dispatcher.submit(BusTransaction("cpu0", TransactionKind.READ,
+                                         i * 64, 64))
+    sim.run()
+
+
+def _dispatcher_hangs():
+    """The same reads under a plan that hangs the dispatcher."""
+    with inject(FaultPlan.from_dict({"seed": 2, "faults": [
+            {"kind": "node_hang", "site": "*", "probability": 0.3,
+             "stall_ns": 500.0}]})):
+        _dispatcher_reads()
+
+
+def _qos_hotspot():
+    """tests/network/test_qos.py::test_reroutes_under_hotspot_load."""
+    _, world = build_topology_world(parse_topology("cluster"))
+    world.enable_adaptive(AdaptiveConfig(depth_threshold=2,
+                                         check_interval_ns=500.0))
+    run_load(world, qos=QosConfig(),
+             mix={"best-effort": ClassTraffic("hotspot")},
+             load=0.9, messages=24, seed=5)
+
+
+#: A run, and the metrics it must publish.
 RUNS = {
     "fig9_latency": (lambda: measure_point(
         build_cluster_world()[1], 0, 1, 64, "latency"),
-        ("driver.sent", "driver.received_bytes", "ni.tx_messages")),
+        ("link.messages", "xbar.connections", "driver.sent",
+         "driver.received_bytes", "ni.tx_messages")),
     "fig12_bidir": (lambda: measure_point(
         build_cluster_world()[1], 0, 1, 4096, "bidir"),
-        ("driver.exchanges",)),
+        ("link.messages", "xbar.connections", "driver.exchanges")),
     "chaos_smoke": (_smoke, ("faults.dropped_flits",
-                             "faults.corrupted_messages", "ni.crc_errors")),
+                             "faults.corrupted_messages", "ni.crc_errors",
+                             "sliding.transmissions", "sliding.acked",
+                             "sliding.discarded", "sliding.out_of_order")),
     "chaos_smoke_stopwait": (lambda: _smoke(protocol="stopwait"),
                              ("reliable.retransmissions",
                               "reliable.delivered", "ni.crc_errors")),
@@ -101,7 +234,20 @@ RUNS = {
         FaultPlan.load(f"{PLANS}/port_down.json"), topology="manna",
         messages=6),
         ("faults.xbar_ports_down", "faults.blackholed",
-         "faults.wormhole_teardowns", "xcvr.messages")),
+         "faults.wormhole_teardowns", "xcvr.messages", "faults.reroutes")),
+    "grid_storm": (lambda: run_chaos(
+        FaultPlan.load(f"{PLANS}/grid_storm.json"), topology="grid",
+        messages=8),
+        ("faults.link_down", "faults.xcvr_stalls", "sliding.timeouts")),
+    "crash_source": (_crash(1), ("sliding.failed_flows",)),
+    "crash_sink": (_crash(4), ("faults.crashed_node_drops",
+                               "sliding.failed_flows")),
+    "earth_fib": (_earth_fib, ("earth.fibers_run", "earth.messages_handled",
+                               "link.messages")),
+    "dispatcher_hangs": (_dispatcher_hangs, ("bus.completed",
+                                             "faults.dispatcher_hangs")),
+    "qos_hotspot": (_qos_hotspot, ("qos.reroutes", "qos.route_fallbacks",
+                                   "xbar.collisions")),
 }
 
 
@@ -110,12 +256,10 @@ def test_published_totals_equal_component_counters(run, simulators):
     execute, required = RUNS[run]
     with observe() as session:
         execute()
-    expected = component_totals(simulators)
-    published = {metric: session.metrics.total(metric)
-                 for metric in COMM_METRICS}
-    assert published == expected
-    for metric in ("link.messages", "xbar.connections") + required:
-        assert expected[metric] > 0, metric
+    expected, names = component_series(simulators)
+    assert published_series(session.metrics, names) == expected
+    present = {metric for metric, _ in expected}
+    assert set(required) <= present, set(required) - present
 
 
 def test_each_run_publishes_its_deltas_under_its_own_labels():
@@ -222,3 +366,113 @@ def test_every_fault_kind_metrics_match_recorded_digest(protocol, tmp_path):
     assert set(fired) == {spec["kind"] for spec in EVERY_KIND["faults"]}
     digest = hashlib.sha256(metrics.read_bytes()).hexdigest()
     assert digest == EVERY_KIND_DIGESTS[protocol]
+
+
+#: Chaos runs whose ``--metrics-out`` and ``--report-out`` (sha256) were
+#: recorded while the sliding-window channel still recorded its series
+#: as they happened: a plan (a file under ``benchmarks/fault_plans`` or
+#: an inline plan), the extra CLI arguments, and the two digests.
+CHAOS_DIGESTS = {
+    "smoke": ("smoke.json", ["--messages", "4"],
+              "a9e77a5806a7de82e1f936621397f33af9e8d9c08e5323059816f72cc1511675",
+              "d8d6f80ff78aa848349bf060767b51c7fb5976f07237de997d7c5f7279b1b913"),
+    "port_down": ("port_down.json",
+                  ["--topology", "manna", "--messages", "6"],
+                  "33c7b8bf233bf40a7d72208138e1dd242353368620c6ae43d21178bdf7bc2e48",
+                  "d948bec3baeed02ac9cecf91b6d36048f0ea0c31d64543daf8cad5ac1f9da383"),
+    "grid_storm": ("grid_storm.json",
+                   ["--topology", "grid", "--messages", "8"],
+                   "b3d0129f3284dbc8271dc95454dca650ca97e539162a07d63e420f51874d8068",
+                   "0bfa2c87d4873c2c6a67bac16b039b967d4ec532df46738f7d9c003b0c1733a2"),
+    # Node 1 sends flow 1->5: the flow fails when its route goes.
+    "crash_source": ({"seed": 1, "faults": [dict(CRASH, node=1)]},
+                     ["--messages", "4"],
+                     "c741899c5da3bae3afae5e3307bc8925517c08370d3a95954a4e6a93aff58085",
+                     "bc727524aa8db015ae7e06a7e42e84094b8843ec79d8999cbc8a545e990077f1"),
+    # Node 4 receives flow 0->4: in-flight data drops at the dead node.
+    "crash_sink": ({"seed": 1, "faults": [dict(CRASH, node=4)]},
+                   ["--messages", "4"],
+                   "2c045a8d26d185d97393f1dc654ce5a453143755d5d64e0a68fb9ca0dc25123d",
+                   "55339e6a02ae5f340ff3bc1833eb25e9cd6d77d3a2024e04ba892fee2957967f"),
+}
+
+
+def _chaos_artifacts(name, tmp_path):
+    plan, args, _, _ = CHAOS_DIGESTS[name]
+    if isinstance(plan, dict):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        plan = str(path)
+    else:
+        plan = f"{PLANS}/{plan}"
+    metrics = tmp_path / "metrics.json"
+    report = tmp_path / "report.json"
+    assert main(["chaos", "--plan", plan, *args, "--no-cache",
+                 "--no-journal", "--metrics-out", str(metrics),
+                 "--report-out", str(report)]) == 0
+    return metrics.read_bytes(), report.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_DIGESTS))
+def test_chaos_artifacts_match_recorded_digests(name, tmp_path):
+    metrics, report = _chaos_artifacts(name, tmp_path)
+    assert (hashlib.sha256(metrics).hexdigest(),
+            hashlib.sha256(report).hexdigest()) == CHAOS_DIGESTS[name][2:]
+
+
+#: sha256 of the metrics JSON each run leaves under ``observe()``,
+#: recorded while EARTH, the dispatcher and the QoS router still
+#: recorded their series as they happened.
+OBSERVED = {
+    "earth_fib": (_earth_fib, "2e257ab3d5fb0013239468e1076e7042"
+                              "2360e1f30c18c08e814bb8e39e9a432b"),
+    "dispatcher": (_dispatcher_reads, "df4fb49ecf5fe7c294014db1ff84ffed"
+                                      "a520c4cf8965238f19e411ba5c63c306"),
+    "dispatcher_hangs": (_dispatcher_hangs,
+                         "f2ac9eead3d3cc96a441b777f0a8fbf8"
+                         "3a2d9b36d1c86393df143868408282b5"),
+    "qos_hotspot": (_qos_hotspot, "8dae4cd795d469023ea65e4be0e3e293"
+                                  "cc5b6f6437e21b812f11beda9d5b37b2"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(OBSERVED))
+def test_observed_metrics_match_recorded_digest(run):
+    execute, digest = OBSERVED[run]
+    with observe() as session:
+        execute()
+    payload = metrics_json(session.metrics).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+#: The per-event ``OBS.metrics.incr`` calls that stay: the supervisor's
+#: sweep tallies, and the two records fired once per injected fault
+#: (no component counter keys their site).
+PER_EVENT_INCR = {("parallel/supervise.py", None),
+                  ("faults/engine.py", "faults.injected"),
+                  ("faults/controller.py", "faults.node_crashes")}
+
+
+def test_no_metric_is_counted_per_event_outside_obs():
+    found = []
+    for root, _, files in os.walk(SRC):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+            if rel.startswith("obs/"):
+                continue
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "OBS.metrics.incr"):
+                    continue
+                first = node.args[0] if node.args else None
+                metric = (first.value if isinstance(first, ast.Constant)
+                          else None)
+                if (rel, metric) not in PER_EVENT_INCR:
+                    found.append(f"{rel}:{node.lineno} {metric}")
+    assert found == []
