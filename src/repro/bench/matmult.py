@@ -29,7 +29,7 @@ from repro.memory.trace_gen import (
     odd_stride,
     transpose_array,
 )
-from repro.node.node import NodeModel
+from repro.node.node import NodeModel, run_nodes
 from repro.obs import OBS
 
 VERSIONS = ("naive", "transposed")
@@ -120,51 +120,74 @@ def run_matmult(node: NodeModel, n: int, version: str = "naive",
     since each CPU's matrices are its own: no access takes the slower
     reference path.
     """
+    return _run_matmults([(node, cpus)], n, version, sample_rows,
+                         machine_key or node.name)[0]
+
+
+def _run_matmults(runs: Sequence[Tuple[NodeModel, int]], n: int,
+                  version: str, sample_rows: Optional[Tuple[int, int]],
+                  machine: str) -> List[MatMultResult]:
+    """:func:`run_matmult` on each ``(node, cpus)`` of ``runs``, the nodes
+    driven through every phase together.  CPU ``c`` multiplies the same
+    matrices on every node, so ``run_nodes`` plans each of its trace
+    segments once for all of them."""
     if n < 2:
         raise ValueError(f"matrix size must be >= 2, got {n}")
-    if cpus < 1 or cpus > node.num_cpus:
-        raise ValueError(f"cpus must be in 1..{node.num_cpus}, got {cpus}")
-    node.reset()
-    bases = [_alloc_matrices(cpu, n) for cpu in range(cpus)]
-    compute_ns = _per_access_compute_ns(node, n, version)
+    for node, cpus in runs:
+        if cpus < 1 or cpus > node.num_cpus:
+            raise ValueError(
+                f"cpus must be in 1..{node.num_cpus}, got {cpus}")
+    for node, _ in runs:
+        node.reset()
+    bases = [_alloc_matrices(cpu, n)
+             for cpu in range(max(cpus for _, cpus in runs))]
+    compute_ns = [_per_access_compute_ns(node, n, version)
+                  for node, _ in runs]
     flops = 2.0 * n * n * n
 
-    with OBS.label_scope(machine=machine_key or node.name, n=n,
-                         version=version):
-        transpose_ns = 0.0
+    def product(rows: Optional[range]) -> List[float]:
+        """Each node's elapsed time over the product rows ``rows``."""
+        return [result.elapsed_ns for result in run_nodes([
+            (node, [_product_trace(version, b, n, rows)
+                    for b in bases[:cpus]], compute)
+            for (node, cpus), compute in zip(runs, compute_ns)])]
+
+    with OBS.label_scope(machine=machine, n=n, version=version):
+        transpose_ns = [0.0] * len(runs)
         if version == "transposed":
             with OBS.label_scope(phase="transpose"):
                 traces = [transpose_array(b[1], b[2], n) for b in bases]
-                transpose_ns = node.run_traces(
-                    traces, _transpose_compute_ns(node)).elapsed_ns
+                transpose_ns = [result.elapsed_ns for result in run_nodes([
+                    (node, traces[:cpus], _transpose_compute_ns(node))
+                    for node, cpus in runs])]
+                del traces
 
         with OBS.label_scope(phase="product"):
             if sample_rows is None or sample_rows[0] + sample_rows[1] >= n:
-                traces = [_product_trace(version, b, n, None) for b in bases]
-                product_ns = node.run_traces(traces, compute_ns).elapsed_ns
+                product_ns = product(None)
                 sampled = False
             else:
                 warmup, window = sample_rows
                 if warmup < 1 or window < 1:
                     raise ValueError("sample_rows counts must be >= 1")
-                warm = [_product_trace(version, b, n, range(warmup))
-                        for b in bases]
-                warm_ns = node.run_traces(warm, compute_ns).elapsed_ns
-                measured = [_product_trace(version, b, n,
-                                           range(warmup, warmup + window))
-                            for b in bases]
-                window_ns = node.run_traces(measured, compute_ns).elapsed_ns
-                per_row_ns = window_ns / window
+                warm_ns = product(range(warmup))
+                window_ns = product(range(warmup, warmup + window))
                 # Cold rows are charged at the warmup rate, the rest at
                 # steady state.
-                product_ns = warm_ns + per_row_ns * (n - warmup)
+                product_ns = [warm + window_total / window * (n - warmup)
+                              for warm, window_total in zip(warm_ns,
+                                                            window_ns)]
                 sampled = True
 
-    elapsed = transpose_ns + product_ns
-    mflops = flops / elapsed * 1e3 if elapsed > 0 else 0.0
-    return MatMultResult(machine=machine_key or node.name, n=n,
-                         version=version, cpus=cpus, mflops=mflops,
-                         elapsed_ns=elapsed, sampled=sampled)
+    results = []
+    for (node, cpus), transposed, multiplied in zip(runs, transpose_ns,
+                                                     product_ns):
+        elapsed = transposed + multiplied
+        mflops = flops / elapsed * 1e3 if elapsed > 0 else 0.0
+        results.append(MatMultResult(machine=machine, n=n, version=version,
+                                     cpus=cpus, mflops=mflops,
+                                     elapsed_ns=elapsed, sampled=sampled))
+    return results
 
 
 DEFAULT_SAMPLE = (2, 3)
@@ -214,11 +237,10 @@ def smp_speedup(spec: MachineSpec, n: int, version: str = "naive",
     ``cpus * T(1 CPU) / T(all CPUs)`` — 2.0 means no memory contention.
     """
     sample = DEFAULT_SAMPLE if n > sample_threshold else None
-    single = run_matmult(spec.node(scale=scale), n, version=version, cpus=1,
-                         sample_rows=sample, machine_key=spec.key)
     cpus = spec.num_cpus
-    dual = run_matmult(spec.node(scale=scale), n, version=version, cpus=cpus,
-                       sample_rows=sample, machine_key=spec.key)
+    single, dual = _run_matmults(
+        [(spec.node(scale=scale), 1), (spec.node(scale=scale), cpus)],
+        n, version, sample, spec.key)
     if dual.elapsed_ns <= 0:
         raise ArithmeticError("dual-CPU run reported zero time")
     return cpus * single.elapsed_ns / dual.elapsed_ns

@@ -78,6 +78,8 @@ class EarthNode:
         self.stats = Counter(f"earth{node_id}")
         self.sim.counters.append((self.stats, "earth", {"node": node_id}))
         self.fiber_latency = Histogram(f"earth{node_id}.fiber_ns")
+        self.sim.counters.append((self.fiber_latency, "earth_fiber",
+                                  {"node": node_id}))
         self.sim.process(self._execution_unit())
         self.sim.process(self._outbox_pump())
         self.sim.process(self._synchronization_unit())
@@ -119,8 +121,6 @@ class EarthNode:
             self.fiber_latency.add(self.sim.now - started)
             if OBS.enabled:
                 OBS.tracer.end(fiber_span, self.sim.now)
-                OBS.metrics.observe("earth.fiber_ns", self.sim.now - started,
-                                    node=self.node_id)
 
     def _issue(self, op: Operation) -> None:
         if isinstance(op, LocalSignal):

@@ -394,40 +394,94 @@ def replay_traces(memory: MultiprocessorMemory,
     ``cache.*``, ``tlb.*``, ``coherence.*`` and ``mem.*`` metrics, the
     same whichever engine ran.
     """
-    if len(traces) != len(stall_models):
-        raise ValueError("need one stall model per trace")
-    if len(traces) > memory.num_cpus:
-        raise ValueError(
-            f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
+    return replay_nodes([(memory, traces, compute_ns, stall_models)])[0]
+
+
+def replay_nodes(runs: Sequence[Tuple[MultiprocessorMemory, Sequence,
+                                      float, Sequence[StallModel]]],
+                 ) -> List[List[CpuRunResult]]:
+    """:func:`replay_traces` on several nodes at once, one result list
+    per ``(memory, traces, compute_ns, stall_models)`` run.
+
+    The nodes must be distinct, and are independent: each run's results
+    are those of :func:`replay_traces` on it alone.  Replayed together,
+    the runs' vectorized parts share one oracle pass between CPUs whose
+    segments are equal up to an aligned shift, from equal states (see
+    ``vec.replay``), as fig8's solo CPU and the two CPUs of its dual run
+    are.
+    """
     from repro.memory import vec
 
-    node = {"node": memory.name}
-    with published([(c.stats, "cache", {"cache": c.name, "level": c.level})
-                    for c in memory.l1s + memory.l2s]
-                   + [(t.stats, "tlb", {"tlb": t.name}) for t in memory.tlbs]
-                   + [(memory.domain.stats, "coherence", node),
-                      (memory.stats, "node", node)]):
-        if len(traces) != 1:
-            pieces = [list(vec.segments(t)) for t in traces]
-            if not vec.supported(memory, pieces, vec.node_lines(memory)):
-                return replay_reference(
-                    memory,
-                    [itertools.chain.from_iterable(map(vec.iter_pairs, p))
-                     for p in pieces], compute_ns, stall_models)
+    memories = [memory for memory, *_ in runs]
+    if len({id(memory) for memory in memories}) != len(memories):
+        raise ValueError("a node can take part in one run only")
+    for memory, traces, _, stall_models in runs:
+        if len(traces) != len(stall_models):
+            raise ValueError("need one stall model per trace")
+        if len(traces) > memory.num_cpus:
+            raise ValueError(
+                f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
+
+    results: List[List[CpuRunResult]] = []
+    vec_runs = []
+    entries = []
+    for memory in memories:
+        node = {"node": memory.name}
+        entries += ([(c.stats, "cache", {"cache": c.name, "level": c.level})
+                     for c in memory.l1s + memory.l2s]
+                    + [(t.stats, "tlb", {"tlb": t.name})
+                       for t in memory.tlbs]
+                    + [(memory.domain.stats, "coherence", node),
+                       (memory.stats, "node", node)])
+    with published(entries):
+        for memory, traces, compute_ns, stall_models in runs:
             states = [CpuRunResult(0.0, 0, 0.0, 0.0, 0.0) for _ in traces]
-            vec.replay(memory, pieces, compute_ns, stall_models, states)
-            return states
-        state = CpuRunResult(0.0, 0, 0.0, 0.0, 0.0)
-        # Vec moves only CPU 0's lines, to ones just found disjoint from
-        # its siblings', so ``lines`` goes stale only after the reference.
-        lines = vec.node_lines(memory)
-        for piece in vec.segments(traces[0]):
-            if vec.supported(memory, [[piece]], lines):
-                vec.replay(memory, [[piece]], compute_ns, stall_models,
-                           [state])
+            results.append(states)
+            if len(traces) == 1:
+                rest = _vec_pieces(memory, traces[0], compute_ns,
+                                   stall_models, states)
+                head = [next(rest, None)]
+                if head[0] is None:
+                    continue
+                pieces = [_resumed(head, rest)]
             else:
-                state, = replay_reference(memory, [piece], compute_ns,
-                                          stall_models, start=[state])
-                # Its lines may now be ones the engine cannot take.
-                lines = vec.node_lines(memory)
-        return [state]
+                pieces = [list(vec.segments(t)) for t in traces]
+                if not vec.supported(memory, pieces, vec.node_lines(memory)):
+                    states[:] = replay_reference(
+                        memory,
+                        [itertools.chain.from_iterable(map(vec.iter_pairs, p))
+                         for p in pieces], compute_ns, stall_models)
+                    continue
+            vec_runs.append((memory, pieces, compute_ns, stall_models,
+                             states))
+        if vec_runs:
+            vec.replay(vec_runs)
+    return results
+
+
+def _vec_pieces(memory: MultiprocessorMemory, trace, compute_ns: float,
+                stall_models: Sequence[StallModel],
+                states: List[CpuRunResult]) -> Iterator:
+    """The segments of CPU 0's ``trace`` that the vectorized engine can
+    take, in order; each other segment is replayed by the reference in
+    its turn, continuing ``states[0]``."""
+    from repro.memory import vec
+
+    # Vec moves only CPU 0's lines, to ones just found disjoint from
+    # its siblings', so ``lines`` goes stale only after the reference.
+    lines = vec.node_lines(memory)
+    for piece in vec.segments(trace):
+        if vec.supported(memory, [[piece]], lines):
+            yield piece
+        else:
+            states[:] = replay_reference(memory, [piece], compute_ns,
+                                         stall_models, start=states)
+            # Its lines may now be ones the engine cannot take.
+            lines = vec.node_lines(memory)
+
+
+def _resumed(head: list, rest: Iterator) -> Iterator:
+    """The one item of ``head``, then ``rest``, keeping no reference to
+    an item once handed out."""
+    yield head.pop()
+    yield from rest

@@ -63,6 +63,21 @@ a segment:
   compute and stall times each CPU's issue times never decrease, so
   this visits the misses in the reference's order; with one CPU it is
   the plain loop.
+* **Plans (one oracle pass per distinct segment).**  The oracles'
+  outcome for a segment, its *plan*, is free of timing: counter totals,
+  the final contents of the sets and TLB it touched, the stall class of
+  each access and the slow accesses.  Applying a plan to a CPU commits
+  it and starts the segment's clock.  One plan serves every CPU, on
+  this node or another replayed beside it, whose segment is the planned
+  one shifted by an offset ``delta`` that is a multiple of each L1 and
+  L2 set span and of the TLB page, with the same writes, from the
+  planned CPU's starting cache and TLB state shifted by ``delta``: then
+  every outcome is the plan's, shifted.  All of this is checked exactly
+  (:func:`_shift_of`); any other segment gets its own pass.  fig8's dual
+  run is such a case, its CPU 1 multiplying CPU 0's matrices 256 MiB
+  up, and so is the one-CPU run ``smp_speedup`` replays beside it.  The
+  nodes advance in turns by segment index, so a plan lives only until
+  the last CPU that may share it has opened its segment.
 
 The engine needs a node and trace that are :func:`supported` — no
 SHARED line anywhere, lines and addresses in ``[0, 2**63)``, and the
@@ -77,7 +92,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,23 +201,34 @@ def _pair_pieces(pairs) -> Iterator:
 
 
 def _array_pieces(blocks) -> Iterator:
-    """Slice long arrays and merge short ones (a stream of matrix rows)
-    into full segments."""
+    """Cut long arrays and join short ones (a stream of matrix rows) into
+    full segments.  Each segment is a fresh array, and while one is out
+    this holds only what is still to come: a lazily consumed stream
+    keeps at most one block alive."""
     pending: List[np.ndarray] = []
     size = 0
     for block in blocks:
-        pending.append(coerce_trace(block))
-        size += len(block)
-        if size < _SEGMENT:
-            continue
-        merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        cut = size - size % _SEGMENT
-        for start in range(0, cut, _SEGMENT):
-            yield _checked(merged[start:start + _SEGMENT])
-        pending = [merged[cut:]]
-        size -= cut
+        block = coerce_trace(block)
+        while size + len(block) >= _SEGMENT:
+            take = _SEGMENT - size
+            pending.append(block[:take])
+            block = block[take:]
+            if len(block) < _SEGMENT:
+                block = block.copy()  # the tail alone, so the block can go
+            yield _checked(_joined(pending))
+            size = 0
+        if len(block):
+            pending.append(block)
+            size += len(block)
     if size:
-        yield _checked(np.concatenate(pending))
+        yield _checked(_joined(pending))
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """``parts`` joined into a fresh array; empties the list."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def _checked(arr: np.ndarray):
@@ -247,8 +273,10 @@ def _lockstep(tags: np.ndarray, writes: np.ndarray, lane_start: np.ndarray,
     row_off = np.zeros(lmax + 1, dtype=np.int64)
     np.cumsum(active, out=row_off[1:])
     cell = np.repeat(np.arange(lmax, dtype=np.int64), active)
-    cell += lane_start[order][np.arange(total, dtype=np.int64)
-                              - np.repeat(row_off[:-1], active)]
+    rank = np.arange(total, dtype=np.int64)
+    rank -= np.repeat(row_off[:-1], active)
+    cell += lane_start[order][rank]
+    del rank
     tags_sm = tags[cell]
     writes_sm = writes[cell]
 
@@ -287,6 +315,7 @@ def _lockstep(tags: np.ndarray, writes: np.ndarray, lane_start: np.ndarray,
         flat_tags[idx] = cur
         flat_dirty[idx] = (vd & hit) | writes_sm[lo:hi]
         flat_age[idx] = base_age + t
+    del tags_sm, writes_sm
     out_vt[out_hit] = -1
     out_vd &= ~out_hit
     hit_s = np.empty(total, dtype=bool)
@@ -298,13 +327,19 @@ def _lockstep(tags: np.ndarray, writes: np.ndarray, lane_start: np.ndarray,
     return hit_s, vt_s, vd_s, st_tags[inv], st_dirty[inv], st_age[inv]
 
 
+def _sorted_rows(fin_tags, fin_dirty, fin_age):
+    """Engine state rows' tags and dirty bits, each row LRU first."""
+    orders = np.argsort(fin_age, axis=1, kind="stable")
+    return (np.take_along_axis(fin_tags, orders, axis=1),
+            np.take_along_axis(fin_dirty, orders, axis=1))
+
+
 def _state_dicts(fin_tags, fin_dirty, fin_age) -> List[Dict[int, bool]]:
     """Engine state rows -> ordered ``tag -> dirty`` dicts (LRU first)."""
-    orders = np.argsort(fin_age, axis=1, kind="stable")
-    sorted_tags = np.take_along_axis(fin_tags, orders, axis=1).tolist()
-    sorted_dirty = np.take_along_axis(fin_dirty, orders, axis=1).tolist()
+    sorted_tags, sorted_dirty = _sorted_rows(fin_tags, fin_dirty, fin_age)
     return [{tag: dirty for tag, dirty in zip(row_t, row_d) if tag >= 0}
-            for row_t, row_d in zip(sorted_tags, sorted_dirty)]
+            for row_t, row_d in zip(sorted_tags.tolist(),
+                                    sorted_dirty.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +355,26 @@ class _LanePlan:
                  "final")
 
 
-def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
-                chunk) -> _LanePlan:
-    """Sort a tag stream by set index, cut per-set runs into lanes of at
-    most ``chunk`` accesses (``None`` = one lane per set), seed each set's
-    first lane from the true state, and run the lanes in lockstep.
+def _plan_lanes(values, writes, cache, chunk) -> _LanePlan:
+    """Sort a stream of ``cache``'s line tags by set index, cut per-set
+    runs into lanes of at most ``chunk`` accesses (``None`` = one lane per
+    set), seed each set's first lane from the true state, and run the
+    lanes in lockstep.
 
     Lanes are contiguous slices of the sorted stream, which the lockstep
-    outcomes come back in as well.
+    outcomes come back in as well.  ``values`` is consumed: it goes
+    before the lanes run.
     """
     plan = _LanePlan()
-    plan.ways = ways
+    ways = plan.ways = cache._ways
+    cache_sets = cache._sets
     # Set indices are tiny ints; int32 halves the radix passes of the
     # stable argsort that groups the stream by set.
-    order = np.argsort(sidx.astype(np.int32, copy=False), kind="stable")
+    sidx = (values & cache._set_mask).astype(np.int32)
+    order = np.argsort(sidx, kind="stable")
     plan.order = order
-    counts = np.bincount(sidx, minlength=n_sets)
+    counts = np.bincount(sidx, minlength=len(cache_sets))
+    del sidx
     used = np.flatnonzero(counts)
     step = counts[used] if chunk is None else np.full(len(used), chunk)
     per_set = -(-counts[used] // step)  # lanes per set, rounded up
@@ -350,6 +389,7 @@ def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
     plan.lane_len = np.minimum(lane_step, counts[lane_set] - off)
     plan.tags = values[order]
     plan.writes = writes[order]
+    del values
     init_tags = np.full((nl, ways), -1, dtype=np.int64)
     init_dirty = np.zeros((nl, ways), dtype=bool)
     for j in np.flatnonzero(off == 0).tolist():
@@ -379,17 +419,17 @@ class _Job:
         "addr", "is_write",
         "l1_plan", "l1_hit", "l1_vtag", "l1_vdirty", "l1_final",
         "tlb_miss", "tlb_evictions", "tlb_final",
-        "op_addr", "op_write", "op_refill", "op_src",
+        "op_write", "op_refill", "op_src",
         "l2_plan", "op_hit", "op_vtag", "op_vdirty", "l2_final",
     )
 
-    def __init__(self, memory, cpu: int, segment: np.ndarray):
+    def __init__(self, memory, cpu: int, addr: np.ndarray,
+                 is_write: np.ndarray):
         self.memory = memory
         self.cpu = cpu
-        self.n = len(segment)
-        self.addr = np.ascontiguousarray(segment["addr"], dtype=np.int64)
-        self.is_write = np.ascontiguousarray(segment["is_write"],
-                                             dtype=bool)
+        self.n = len(addr)
+        self.addr = addr
+        self.is_write = is_write
 
 
 def node_lines(memory) -> Optional[List[np.ndarray]]:
@@ -451,10 +491,8 @@ def _distinct(tags: np.ndarray) -> np.ndarray:
 
 def _plan_l1(job: _Job) -> None:
     l1 = job.memory.l1s[job.cpu]
-    tag = job.addr >> l1._set_shift
-    sidx = tag & l1._set_mask
-    job.l1_plan = _plan_lanes(tag, job.is_write, sidx, len(l1._sets),
-                              l1._sets, l1._ways, _L1_CHUNK)
+    job.l1_plan = _plan_lanes(job.addr >> l1._set_shift, job.is_write, l1,
+                              _L1_CHUNK)
 
 
 def _fixup_l1(job: _Job) -> None:
@@ -569,10 +607,13 @@ def _fixup_l1(job: _Job) -> None:
 def _run_tlb_scalar(job: _Job, pages, resident: Dict[int, None],
                     capacity: int) -> None:
     """Plain dict-LRU TLB replay (``Tlb.access`` semantics, evict before
-    insert) — the fallback when the trace is miss-dominated."""
+    insert) — the fallback when the trace is miss-dominated.  The pages
+    become ints a block at a time, not all at once."""
     miss = np.zeros(job.n, dtype=bool)
     evictions = 0
-    for i, page in enumerate(pages.tolist()):
+    blocks = (pages[lo:lo + 1024].tolist()
+              for lo in range(0, len(pages), 1024))
+    for i, page in enumerate(itertools.chain.from_iterable(blocks)):
         if page in resident:
             del resident[page]
             resident[page] = None
@@ -621,6 +662,7 @@ def _run_tlb(job: _Job) -> None:
     dist_ok[1:] = same[1:] & ((order[1:] - order[:-1]) <= capacity)
     cand_pos = order[~dist_ok]
     if len(cand_pos) > n // 8:
+        del sort_key, order, sorted_pages, same, dist_ok, cand_pos
         _run_tlb_scalar(job, pages, resident, capacity)
         return
     cand_pos.sort()
@@ -687,14 +729,21 @@ def _run_tlb(job: _Job) -> None:
 
 
 def _plan_l2(job: _Job) -> None:
-    """Scatter the three L2 op sources out of the L1 outcomes.
+    """Derive the L2 op stream and run it through per-set lanes."""
+    l2 = job.memory.l2s[job.cpu]
+    job.l2_plan = _plan_lanes(_l2_ops(job) >> l2._set_shift, job.op_write,
+                              l2, None)
+
+
+def _l2_ops(job: _Job) -> np.ndarray:
+    """Scatter the three L2 op sources out of the L1 outcomes; returns
+    the ops' addresses.
 
     Per access, in reference order: a write L1-hit syncs dirtiness (WH); an
     L1 miss first writes back a dirty victim (VWB), then refills the line
     (REFILL).  Every op is a plain ``Cache.access`` on the private L2.
     """
     l1 = job.memory.l1s[job.cpu]
-    l2 = job.memory.l2s[job.cpu]
     addr, is_write = job.addr, job.is_write
     l1_hit, vdirty = job.l1_hit, job.l1_vdirty
 
@@ -730,23 +779,18 @@ def _plan_l2(job: _Job) -> None:
     op_refill[idx] = True
     op_src[idx] = miss_pos
 
-    job.op_addr, job.op_write = op_addr, op_write
-    job.op_refill, job.op_src = op_refill, op_src
-
-    tag = op_addr >> l2._set_shift
-    sidx = tag & l2._set_mask
-    job.l2_plan = _plan_lanes(tag, op_write, sidx, len(l2._sets), l2._sets,
-                              l2._ways, None)
+    job.op_write, job.op_refill, job.op_src = op_write, op_refill, op_src
+    return op_addr
 
 
 def _gather_l2(job: _Job) -> None:
     """Per-set L2 lanes are exact (true seed, no chunking): just scatter
-    outcomes back to op order and keep the final states for the commit."""
+    outcomes back to op order and keep the final states for the commit,
+    as arrays: the sets, and their lines and dirty bits (LRU first)."""
     plan = job.l2_plan
-    total = len(job.op_addr)
-    fin_tags, fin_dirty, fin_age = plan.final
-    states = _state_dicts(fin_tags, fin_dirty, fin_age)
-    job.l2_final = {s: states[j] for j, s in enumerate(plan.lane_set)}
+    total = len(job.op_write)
+    job.l2_final = (np.array(plan.lane_set, dtype=np.int64),
+                    *_sorted_rows(*plan.final))
     job.op_hit = np.empty(total, dtype=bool)
     job.op_vtag = np.empty(total, dtype=np.int64)
     job.op_vdirty = np.empty(total, dtype=bool)
@@ -757,42 +801,195 @@ def _gather_l2(job: _Job) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Timing, stats, commit
+# Plans: one oracle pass per distinct segment
+# ---------------------------------------------------------------------------
+
+#: The counters a plan carries, in commit order: ``(owner, key)``, the
+#: owner being the CPU's L1, L2 or TLB, the coherence domain or the node.
+_COUNTS = (
+    ("l1", "read_hit"), ("l1", "write_hit"), ("l1", "read_miss"),
+    ("l1", "write_miss"), ("l1", "writeback"), ("l1", "clean_evict"),
+    ("l2", "read_hit"), ("l2", "write_hit"), ("l2", "read_miss"),
+    ("l2", "write_miss"), ("l2", "writeback"), ("l2", "clean_evict"),
+    ("tlb", "hits"), ("tlb", "misses"), ("tlb", "evictions"),
+    ("domain", "hit"), ("domain", "miss"),
+    ("node", "l1_hits"), ("node", "tlb_misses"), ("node", "l2_hits"),
+    ("node", "memory_accesses"), ("node", "writebacks"),
+)
+
+
+class _Plan:
+    """One segment's oracle outcome, free of timing: what committing and
+    timing the segment on a CPU needs, at the planned CPU's addresses.
+
+    ``counts`` follows :data:`_COUNTS`; ``l1_final`` maps each touched L1
+    set to its final ``line -> dirty`` contents, ``l2_final`` holds the
+    touched L2 sets with their final lines and dirty bits as arrays
+    (``-1``: an empty way), and ``tlb_final`` lists the final TLB pages,
+    all LRU first; ``stall_key`` classes each
+    access's stall (2 x TLB miss + L1 miss); the ``slow_*`` arrays list
+    the refills that miss L2, and ``wb_addr`` the dirty L2 victim each
+    writes back (``-1``: none).  A plan that another CPU may still share
+    also keeps its segment and the state it started from, ``None``
+    otherwise (see :func:`_shift_of`).
+    """
+
+    __slots__ = ("geometry", "addr", "is_write", "start", "counts",
+                 "l1_final", "l2_final", "tlb_final", "stall_key",
+                 "slow_pos", "slow_addr", "slow_tlb_miss", "wb_addr")
+
+
+def _geometry(memory, cpu: int) -> Tuple[int, ...]:
+    """What a CPU's oracle outcome depends on besides its segment and
+    state: L1 and L2 sets, ways and line shift, TLB entries and page
+    shift."""
+    l1, l2, tlb = memory.l1s[cpu], memory.l2s[cpu], memory.tlbs[cpu]
+    return (len(l1._sets), l1._ways, l1._set_shift,
+            len(l2._sets), l2._ways, l2._set_shift,
+            tlb.config.entries, tlb._page_shift)
+
+
+def _state(memory, cpu: int) -> List[np.ndarray]:
+    """CPU ``cpu``'s cache and TLB contents as arrays: per cache its
+    lines, their MESI states and the set sizes, in set then LRU order;
+    then the TLB's pages, LRU first."""
+    arrays = []
+    chain = itertools.chain.from_iterable
+    for cache in (memory.l1s[cpu], memory.l2s[cpu]):
+        sets = cache._sets
+        arrays.append(np.fromiter(chain(sets), np.int64))
+        arrays.append(np.fromiter(chain(map(dict.values, sets)), np.int64))
+        arrays.append(np.fromiter(map(len, sets), np.int64, len(sets)))
+    arrays.append(np.fromiter(memory.tlbs[cpu]._entries, np.int64))
+    return arrays
+
+
+def _plan(memory, cpu: int, addr: np.ndarray, is_write: np.ndarray,
+          keep: bool) -> _Plan:
+    """Run CPU ``cpu``'s L1, TLB and L2 oracles over one segment, from
+    the state its previous segment committed.  With ``keep`` the plan
+    also records what :func:`_shift_of` needs to share it."""
+    job = _Job(memory, cpu, addr, is_write)
+    _plan_l1(job)
+    _fixup_l1(job)
+    _run_tlb(job)
+    _plan_l2(job)
+    _gather_l2(job)
+
+    plan = _Plan()
+    plan.geometry = _geometry(memory, cpu)
+    plan.addr = addr if keep else None
+    plan.is_write = is_write if keep else None
+    plan.start = _state(memory, cpu) if keep else None
+    l1_hit, vtag, vdirty = job.l1_hit, job.l1_vtag, job.l1_vdirty
+    op_write, op_hit = job.op_write, job.op_hit
+    op_vtag, op_vdirty = job.op_vtag, job.op_vdirty
+    dram = job.op_refill & ~op_hit
+
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
+
+    tlb_misses = count(job.tlb_miss)
+    refill_hits = count(job.op_refill & op_hit)
+    plan.counts = (
+        count(l1_hit & ~is_write), count(l1_hit & is_write),
+        count(~l1_hit & ~is_write), count(~l1_hit & is_write),
+        count(vdirty), count((vtag >= 0) & ~vdirty),
+        count(op_hit & ~op_write), count(op_hit & op_write),
+        count(~op_hit & ~op_write), count(~op_hit & op_write),
+        count((op_vtag >= 0) & op_vdirty), count((op_vtag >= 0) & ~op_vdirty),
+        job.n - tlb_misses, tlb_misses, job.tlb_evictions,
+        refill_hits, count(dram),
+        count(l1_hit), tlb_misses, refill_hits, count(dram),
+        count(dram & (op_vtag >= 0) & op_vdirty))
+    plan.l1_final = job.l1_final
+    plan.l2_final = job.l2_final
+    plan.tlb_final = list(job.tlb_final)
+    plan.stall_key = job.tlb_miss.astype(np.int8) * 2 + ~l1_hit
+    # Slow accesses in trace order (``op_src`` ascends).
+    plan.slow_pos = job.op_src[dram]
+    plan.slow_addr = addr[plan.slow_pos]
+    plan.slow_tlb_miss = job.tlb_miss[plan.slow_pos]
+    victim = op_vtag[dram]
+    plan.wb_addr = np.where(
+        (victim >= 0) & op_vdirty[dram],
+        victim << memory.l2s[cpu]._set_shift, -1)
+    return plan
+
+
+def _shift_of(plan: _Plan, memory, cpu: int, addr: np.ndarray,
+              is_write: np.ndarray) -> Optional[int]:
+    """The offset ``delta`` by which CPU ``cpu``'s segment and current
+    state are exactly the plan's shifted, or ``None``.
+
+    ``delta`` must be a multiple of each L1 and L2 set span and of the
+    TLB page, so that every line keeps its set and every page its
+    place; the geometries and the writes must be equal.  Then each
+    oracle's outcome on this CPU is the plan's, with lines, pages and
+    addresses shifted by ``delta``.
+    """
+    if (plan.start is None or len(addr) != len(plan.addr)
+            or _geometry(memory, cpu) != plan.geometry):
+        return None
+    l1_sets, _, l1_shift, l2_sets, _, l2_shift, _, page_shift = plan.geometry
+    delta = int(addr[0]) - int(plan.addr[0])
+    if (delta % (l1_sets << l1_shift) or delta % (l2_sets << l2_shift)
+            or delta % (1 << page_shift)):
+        return None
+    if not (np.array_equal(is_write, plan.is_write)
+            and np.array_equal(addr - delta, plan.addr)):
+        return None
+    # Lines shift, MESI states and set sizes do not, pages shift.
+    shifts = (l1_shift, None, None, l2_shift, None, None, page_shift)
+    for have, had, shift in zip(_state(memory, cpu), plan.start, shifts):
+        if shift is not None:
+            had = had + (delta >> shift)
+        if not np.array_equal(have, had):
+            return None
+    return delta
+
+
+# ---------------------------------------------------------------------------
+# Timing and commit
 # ---------------------------------------------------------------------------
 
 
 class _Clock:
     """One committed segment's timing: its CPU's clock over it, paused
     at each slow access (a refill that misses L2) for the merge to serve.
-    ``state`` is the CPU's ``CpuRunResult``, continued in place."""
+    ``state`` is the CPU's ``CpuRunResult``, continued in place.
+
+    ``buf`` is scratch of at least ``2 n + 1`` floats, which all the
+    clocks of a replay share since they run one at a time.  For each run
+    of fast accesses it holds the clock's start value, then per access
+    its compute time and stall, so one in-place cumsum times the run.
+    """
 
     __slots__ = ("memory", "compute_ns", "stall", "state", "n",
                  "slow_pos", "slow_addr", "slow_tlb_miss", "wb_addr",
                  "next_slow", "stall_arr", "buf", "seg_start", "local",
                  "queueing")
 
-    def __init__(self, job: _Job, compute_ns: float, stall, state):
-        memory = job.memory
+    def __init__(self, plan: _Plan, delta: int, memory, compute_ns: float,
+                 stall, state, buf: np.ndarray):
         self.memory = memory
         self.compute_ns = compute_ns
         self.stall = stall
         self.state = state
-        self.n = job.n
+        self.n = len(plan.stall_key)
         l1_hit_ns = memory.l1_hit_ns
         l2_hit_ns = memory.l2_hit_ns
         tlb_miss_ns = memory.tlb_miss_ns
 
         # Slow accesses serialize through the sequencer and DRAM, in
-        # trace order (``op_src`` ascends).
-        dram = job.op_refill & ~job.op_hit
-        slow_pos = job.op_src[dram]
-        self.slow_pos = slow_pos.tolist()
-        self.slow_addr = job.addr[slow_pos].tolist()
-        self.slow_tlb_miss = job.tlb_miss[slow_pos].tolist()
-        victim = job.op_vtag[dram]
-        self.wb_addr = np.where(
-            (victim >= 0) & job.op_vdirty[dram],
-            victim << memory.l2s[job.cpu]._set_shift, -1).tolist()
+        # trace order, at this CPU's addresses.
+        self.slow_pos = plan.slow_pos.tolist()
+        self.slow_addr = (plan.slow_addr + delta).tolist()
+        self.slow_tlb_miss = plan.slow_tlb_miss.tolist()
+        wb_addr = plan.wb_addr
+        if delta:
+            wb_addr = np.where(wb_addr >= 0, wb_addr + delta, -1)
+        self.wb_addr = wb_addr.tolist()
         self.next_slow = 0
 
         # The four fast stall constants, argument grouping per the
@@ -803,14 +1000,9 @@ class _Clock:
             stall(tlb_miss_ns + l1_hit_ns, compute_ns),
             stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
         ])
-        key = job.tlb_miss.astype(np.int8) * 2 + ~job.l1_hit
-        self.stall_arr = stall_consts[key]
+        self.stall_arr = stall_consts[plan.stall_key]
 
-        # ``buf`` interleaves the clock recurrence: a start value, then
-        # per access its compute time and stall.  Runs between slow
-        # accesses use disjoint slices, so each cumsum runs in place.
-        self.buf = np.empty(2 * self.n + 1)
-        self.buf[1::2] = compute_ns
+        self.buf = buf
         self.seg_start = 0
         self.local = state.finish_ns
         self.queueing = state.queueing_ns
@@ -819,8 +1011,9 @@ class _Clock:
         """Run the clock over the fast accesses ``[seg_start, hi)``."""
         lo = self.seg_start
         if hi > lo:
-            seg = self.buf[2 * lo:2 * hi + 1]
+            seg = self.buf[:2 * (hi - lo) + 1]
             seg[0] = self.local
+            seg[1::2] = self.compute_ns
             seg[2::2] = self.stall_arr[lo:hi]
             seg.cumsum(out=seg)
             self.local = float(seg[-1])
@@ -866,118 +1059,119 @@ class _Clock:
     def close(self) -> None:
         """Continue the replay's totals past this fully timed segment."""
         state = self.state
-        n = self.n
-        buf = self.buf
         state.finish_ns = self.local
-        state.steps += n
+        state.steps += self.n
         state.queueing_ns = self.queueing
         # Sequential sums continuing the previous segment's, like the
         # reference's per-access ``+=``.
+        buf = self.buf[:self.n + 1]
         buf[0] = state.compute_ns
-        buf[1:n + 1] = self.compute_ns
-        state.compute_ns = float(np.cumsum(buf[:n + 1])[-1])
+        buf[1:] = self.compute_ns
+        state.compute_ns = float(buf.cumsum()[-1])
         buf[0] = state.stall_ns
-        buf[1:n + 1] = self.stall_arr
-        state.stall_ns = float(np.cumsum(buf[:n + 1])[-1])
+        buf[1:] = self.stall_arr
+        state.stall_ns = float(buf.cumsum()[-1])
 
 
-def _commit(job: _Job) -> None:
-    """Fold the oracle outcomes into the real caches and counters, with
-    the same per-key attribution as the reference.  No cache state
-    depends on timing, so this runs before the segment is timed."""
-    memory = job.memory
-    cpu = job.cpu
+def _apply(plan: _Plan, delta: int, memory, cpu: int) -> None:
+    """Commit a plan to CPU ``cpu``, its lines and pages shifted by
+    ``delta``: the counters, with the reference's per-key attribution,
+    and the final contents of every set it touched and of the TLB.  No
+    cache state depends on timing, so this runs before the segment is
+    timed."""
     l1, l2, tlb = memory.l1s[cpu], memory.l2s[cpu], memory.tlbs[cpu]
-    is_write, l1_hit = job.is_write, job.l1_hit
-    vtag, vdirty = job.l1_vtag, job.l1_vdirty
-    op_write, op_hit = job.op_write, job.op_hit
-    op_vtag, op_vdirty = job.op_vtag, job.op_vdirty
-    dram = job.op_refill & ~op_hit
-
-    def count(mask) -> int:
-        return int(np.count_nonzero(mask))
-
-    def incr(counter, key, value) -> None:
+    owners = {"l1": l1.stats, "l2": l2.stats, "tlb": tlb.stats,
+              "domain": memory.domain.stats, "node": memory.stats}
+    for (owner, key), value in zip(_COUNTS, plan.counts):
         if value:
-            counter.incr(key, value)
-
-    incr(l1.stats, "read_hit", count(l1_hit & ~is_write))
-    incr(l1.stats, "write_hit", count(l1_hit & is_write))
-    incr(l1.stats, "read_miss", count(~l1_hit & ~is_write))
-    incr(l1.stats, "write_miss", count(~l1_hit & is_write))
-    incr(l1.stats, "writeback", count(vdirty))
-    incr(l1.stats, "clean_evict", count((vtag >= 0) & ~vdirty))
-
-    incr(l2.stats, "read_hit", count(op_hit & ~op_write))
-    incr(l2.stats, "write_hit", count(op_hit & op_write))
-    incr(l2.stats, "read_miss", count(~op_hit & ~op_write))
-    incr(l2.stats, "write_miss", count(~op_hit & op_write))
-    incr(l2.stats, "writeback", count((op_vtag >= 0) & op_vdirty))
-    incr(l2.stats, "clean_evict", count((op_vtag >= 0) & ~op_vdirty))
-
-    tlb_misses = count(job.tlb_miss)
-    incr(tlb.stats, "hits", job.n - tlb_misses)
-    incr(tlb.stats, "misses", tlb_misses)
-    incr(tlb.stats, "evictions", job.tlb_evictions)
-
-    refill_hits = count(job.op_refill & op_hit)
-    incr(memory.domain.stats, "hit", refill_hits)
-    incr(memory.domain.stats, "miss", count(dram))
-    incr(memory.stats, "l1_hits", count(l1_hit))
-    incr(memory.stats, "tlb_misses", tlb_misses)
-    incr(memory.stats, "l2_hits", refill_hits)
-    incr(memory.stats, "memory_accesses", count(dram))
-    incr(memory.stats, "writebacks",
-         count(dram & (op_vtag >= 0) & op_vdirty))
-
-    for cache, finals in ((l1, job.l1_final), (l2, job.l2_final)):
-        for s, state in finals.items():
-            line_set = cache._sets[s]
-            line_set.clear()
-            for tag, dirty in state.items():
-                line_set[tag] = _MODIFIED if dirty else _EXCLUSIVE
+            owners[owner].incr(key, value)
+    shift = delta >> l1._set_shift
+    for s, state in plan.l1_final.items():
+        _fill(l1._sets[s], state.items(), shift)
+    shift = delta >> l2._set_shift
+    sets, lines, dirty = plan.l2_final
+    for s, row_lines, row_dirty in zip(sets.tolist(), lines.tolist(),
+                                       dirty.tolist()):
+        _fill(l2._sets[s], zip(row_lines, row_dirty), shift)
+    shift = delta >> tlb._page_shift
     tlb._entries.clear()
-    for page in job.tlb_final:
-        tlb._entries[int(page)] = None
+    for page in plan.tlb_final:
+        tlb._entries[int(page) + shift] = None
+
+
+def _fill(line_set: Dict[int, int], lines, shift: int) -> None:
+    """Make a cache set hold the ``(line, dirty)`` pairs ``lines``, LRU
+    first, each line moved by ``shift``; line ``-1`` is an empty way."""
+    line_set.clear()
+    for line, dirty in lines:
+        if line >= 0:
+            line_set[line + shift] = _MODIFIED if dirty else _EXCLUSIVE
 
 
 # ---------------------------------------------------------------------------
-# Entry points
+# Entry point
 # ---------------------------------------------------------------------------
 
 
-def _open(memory, cpu: int, segment: np.ndarray, compute_ns: float,
-          stall_model, state) -> _Clock:
-    """Run CPU ``cpu``'s cache and TLB oracles over one segment, from the
-    state its previous segment committed, commit the outcome, and return
-    the segment's clock.  Only the clock's arrays outlive the call."""
-    job = _Job(memory, cpu, segment)
-    _plan_l1(job)
-    _fixup_l1(job)
-    _run_tlb(job)
-    _plan_l2(job)
-    _gather_l2(job)
-    _commit(job)
-    return _Clock(job, compute_ns, stall_model, state)
+class _Plans:
+    """The plans of one :func:`replay` that a stream may still share.
 
-
-def replay(memory, pieces: Sequence[Iterable[np.ndarray]],
-           compute_ns: float, stall_models, states) -> None:
-    """Replay the array pieces ``pieces[c]`` on CPU ``c`` of a node that
-    is :func:`supported` for them, continuing ``states[c]`` (the CPU's
-    ``CpuRunResult`` so far) in place.
-
-    Each CPU's segments run through the oracles on their own.  Their L2
-    misses, the only accesses that reach the shared sequencer, DRAM
-    banks and data bus, are merged on ``(issue_ns, cpu)`` as in
-    ``run_interleaved``, so the shared resources see the reference's
-    order.  A CPU's next segment is opened once its current one is
-    timed.
+    A *stream* is one CPU's pieces on one node; a plan made for a
+    stream's ``k``-th segment is offered to every other stream's
+    ``k``-th segment, and dropped once every stream has opened its
+    ``k``-th segment or run out.  A stream that cannot use any offered
+    plan runs its own oracle pass.
     """
+
+    def __init__(self, streams: int):
+        #: Segments each stream has opened; ``inf`` once it ran out.
+        self.opened: List[float] = [0] * streams
+        self.live: Dict[int, List[_Plan]] = {}
+
+    def open(self, stream: int, memory, cpu: int, addr: np.ndarray,
+             is_write: np.ndarray) -> Tuple[_Plan, int]:
+        """Commit stream ``stream``'s next segment, the accesses
+        ``(addr, is_write)``, on CPU ``cpu`` of ``memory``, through a
+        shared plan or a pass of its own; returns the plan and the offset
+        it applied at."""
+        k = self.opened[stream]
+        for plan in self.live.get(k, ()):
+            delta = _shift_of(plan, memory, cpu, addr, is_write)
+            if delta is not None:
+                break
+        else:
+            delta = 0
+            keep = any(opened <= k for other, opened
+                       in enumerate(self.opened) if other != stream)
+            plan = _plan(memory, cpu, addr, is_write, keep)
+            if keep:
+                self.live.setdefault(k, []).append(plan)
+        self.opened[stream] = k + 1
+        self._drop()
+        _apply(plan, delta, memory, cpu)
+        return plan, delta
+
+    def done(self, stream: int) -> None:
+        self.opened[stream] = float("inf")
+        self._drop()
+
+    def _drop(self) -> None:
+        low = min(self.opened)
+        for k in [k for k in self.live if k < low]:
+            del self.live[k]
+
+
+def _merge(plans: _Plans, scratch: List[np.ndarray], streams: range, memory,
+           pieces, compute_ns: float, stall_models,
+           states) -> Iterator[int]:
+    """One node's replay: its CPUs' L2 misses merged on
+    ``(issue_ns, cpu)``.  Yields the index of each segment a CPU is
+    about to open, for :func:`replay` to pace the nodes by.
+    ``scratch[0]`` is the replay's clock scratch, grown as needed."""
     sources = [iter(own) for own in pieces]
     clocks: List[Optional[_Clock]] = [None] * len(pieces)
 
-    def next_miss(cpu: int) -> Optional[float]:
+    def next_miss(cpu: int):
         """Open CPU ``cpu``'s segments until one has a slow access left;
         its issue time, or ``None`` when the CPU's trace is done."""
         clock = clocks[cpu]
@@ -988,23 +1182,73 @@ def replay(memory, pieces: Sequence[Iterable[np.ndarray]],
                 clock = clocks[cpu] = None  # free it before the next
             segment = next(sources[cpu], None)
             if segment is None:
+                plans.done(streams[cpu])
                 return None
-            clock = clocks[cpu] = _open(memory, cpu, segment, compute_ns,
-                                        stall_models[cpu], states[cpu])
+            yield plans.opened[streams[cpu]]
+            addr = np.ascontiguousarray(segment["addr"], dtype=np.int64)
+            is_write = np.ascontiguousarray(segment["is_write"], dtype=bool)
+            del segment  # before the oracles run
+            plan, delta = plans.open(streams[cpu], memory, cpu, addr,
+                                     is_write)
+            del addr, is_write  # a shared plan keeps them
+            if len(scratch[0]) < 2 * len(plan.stall_key) + 1:
+                scratch[0] = np.empty(2 * len(plan.stall_key) + 1)
+            clock = clocks[cpu] = _Clock(plan, delta, memory, compute_ns,
+                                         stall_models[cpu], states[cpu],
+                                         scratch[0])
+            del plan
             issue = clock.next_issue()
         return issue
 
     heap = []
     for cpu in range(len(pieces)):
-        issue = next_miss(cpu)
+        issue = yield from next_miss(cpu)
         if issue is not None:
             heap.append((issue, cpu))
     heapq.heapify(heap)
     while heap:
         issue, cpu = heap[0]
         clocks[cpu].serve(issue)
-        issue = next_miss(cpu)
+        issue = yield from next_miss(cpu)
         if issue is None:
             heapq.heappop(heap)
         else:
             heapq.heapreplace(heap, (issue, cpu))
+
+
+def replay(runs: Sequence[Tuple]) -> None:
+    """Replay nodes side by side, one oracle pass per distinct segment.
+
+    Each run is ``(memory, pieces, compute_ns, stall_models, states)``:
+    the array pieces ``pieces[c]`` replay on CPU ``c`` of a node that is
+    :func:`supported` for them, continuing ``states[c]`` (the CPU's
+    ``CpuRunResult`` so far) in place.  The runs' nodes must be distinct.
+
+    Within a node, each CPU's segments run through the oracles on their
+    own, and their L2 misses, the only accesses that reach the shared
+    sequencer, DRAM banks and data bus, are merged on ``(issue_ns, cpu)``
+    as in ``run_interleaved``, so the shared resources see the
+    reference's order.  A CPU's next segment is opened once its current
+    one is timed.  Across nodes nothing is shared but the plans (and the
+    clocks' scratch), so the nodes advance in turns: the one whose next
+    segment has the lowest index goes on, which keeps every stream
+    within about a segment of the others and each plan's life short.
+    """
+    plans = _Plans(sum(len(run[1]) for run in runs))
+    scratch = [np.empty(0)]
+    queue = []
+    first = 0
+    for order, (memory, pieces, compute_ns, stall_models, states) in \
+            enumerate(runs):
+        streams = range(first, first + len(pieces))
+        first += len(pieces)
+        queue.append((0, order, _merge(plans, scratch, streams, memory,
+                                        pieces, compute_ns, stall_models,
+                                        states)))
+    while queue:
+        _, order, merge = queue[0]
+        k = next(merge, None)
+        if k is None:
+            heapq.heappop(queue)
+        else:
+            heapq.heapreplace(queue, (k, order, merge))

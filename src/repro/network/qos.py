@@ -405,10 +405,12 @@ class AdaptiveRouter:
         self.routes = routes
         self.fabric = fabric
         self.config = config
-        # reroutes: congestion-set changes to a non-empty set;
-        # fallbacks: pairs forced back onto a congested path.
+        # reroutes: route requests that got a pair a path other than
+        # its last one; fallbacks: pairs forced back onto a congested
+        # path.
         self.stats = Counter("qos")
         fabric.sim.counters.append((self.stats, "qos", {}))
+        self._paths: Dict[Tuple[Hashable, Hashable], List[int]] = {}
         self.scans = 0
         self._last_scan = -float("inf")
         self._last_wait: Dict[Tuple[str, int], Tuple[float, float]] = {}
@@ -431,7 +433,7 @@ class AdaptiveRouter:
         if now - self._last_scan >= self.config.check_interval_ns:
             self._apply_scan(now)
         try:
-            return self.routes.route_bytes(src, dst)
+            path = self.routes.route_bytes(src, dst)
         except NoRouteError:
             if not self.routes.congested_edges:
                 raise
@@ -439,14 +441,17 @@ class AdaptiveRouter:
             # path than no path.
             self.stats.incr("fallbacks")
             self.routes.set_congested_edges(set())
-            return self.routes.route_bytes(src, dst)
+            path = self.routes.route_bytes(src, dst)
+        last = self._paths.get((src, dst))
+        if last is not None and last != path:
+            self.stats.incr("reroutes")
+        self._paths[(src, dst)] = path
+        return path
 
     def _apply_scan(self, now: float) -> None:
         congested = self._scan(now)
         self._last_scan = now
-        changed = self.routes.set_congested_edges(congested)
-        if changed and congested:
-            self.stats.incr("reroutes")
+        self.routes.set_congested_edges(congested)
 
     def _scan(self, now: float) -> Set[Tuple[Hashable, Hashable]]:
         self.scans += 1

@@ -9,7 +9,7 @@ replay address traces on any subset of its CPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.cpu.model import CpuSpec
 from repro.cpu.pipeline import PipelineModel, make_stall_model
@@ -18,7 +18,7 @@ from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.mp import (
     FabricConfig,
     MultiprocessorMemory,
-    replay_traces,
+    replay_nodes,
 )
 from repro.memory.trace_gen import MemRef
 
@@ -73,12 +73,7 @@ class NodeModel:
         engine.  Traces may be iterables or the structured arrays of the
         ``trace_gen`` array emitters.
         """
-        self.memory.reset_timing()
-        results = replay_traces(self.memory, traces, compute_ns_per_access,
-                                [self._stall] * len(traces))
-        per_cpu = [r.finish_ns for r in results]
-        return TraceRunResult(elapsed_ns=max(per_cpu), per_cpu_ns=per_cpu,
-                              steps=sum(r.steps for r in results))
+        return run_nodes([(self, traces, compute_ns_per_access)])[0]
 
     def reset(self) -> None:
         self.memory.reset()
@@ -91,6 +86,29 @@ class NodeModel:
                 f"{self.cpu.clock}, L1 {h.l1.size_bytes // 1024}K/"
                 f"{h.l1.line_bytes}B lines, L2 {h.l2.size_bytes // 1024}K, "
                 f"fabric {self.fabric.kind.value}")
+
+
+def run_nodes(runs: Sequence[Tuple[NodeModel, Sequence[Iterable[MemRef]],
+                                   float]]) -> List[TraceRunResult]:
+    """:meth:`NodeModel.run_traces` on several distinct nodes at once, one
+    result per ``(node, traces, compute_ns_per_access)`` run.
+
+    Each result is what the node's own ``run_traces`` call returns.
+    Together, the nodes share the oracle passes of equal segments
+    (:func:`repro.memory.mp.replay_nodes`): fig8 runs its one-CPU and
+    its dual-CPU node through each MatMult phase this way.
+    """
+    for node, _, _ in runs:
+        node.memory.reset_timing()
+    results = replay_nodes([(node.memory, traces, compute_ns,
+                             [node._stall] * len(traces))
+                            for node, traces, compute_ns in runs])
+    out = []
+    for states in results:
+        per_cpu = [r.finish_ns for r in states]
+        out.append(TraceRunResult(elapsed_ns=max(per_cpu), per_cpu_ns=per_cpu,
+                                  steps=sum(r.steps for r in states)))
+    return out
 
 
 def build_node(cpu: CpuSpec, hierarchy: HierarchyConfig, fabric: FabricConfig,

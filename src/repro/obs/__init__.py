@@ -11,9 +11,10 @@ gauge probes and per-event samples are written as ::
         OBS.metrics.observe("faults.xcvr_stall_ns", stall, xcvr=name)
 
 so an uninstrumented run pays one attribute test per call site.  Counts
-cost nothing per event: components keep them in their own ``Counter``,
-and :func:`published` turns a block's deltas into metrics once, at its
-end, through the one :data:`PUBLISHED` table.  Trace replays publish the
+cost nothing per event: components keep them in their own ``Counter``
+(or samples in their own ``Histogram``), and :func:`published` turns a
+block's deltas into metrics once, at its end, through the one
+:data:`PUBLISHED` table.  Trace replays publish the
 node (:func:`repro.memory.mp.replay_traces`), simulator runs every
 component registered with them (:meth:`repro.sim.engine.Simulator.run`).
 Only the per-fault records ``faults.injected`` and ``faults.node_crashes``
@@ -56,7 +57,7 @@ from repro.obs.timeline import (
     TimeSeries,
     Timeline,
 )
-from repro.sim.stats import Counter
+from repro.sim.stats import Counter, Histogram
 
 
 class Observability:
@@ -95,7 +96,8 @@ OBS = Observability()
 
 # The component counters published into ``OBS.metrics``, per kind: the
 # counter key, the metric it feeds, and the labels the metric adds to
-# its component's.
+# its component's.  A histogram's kind has one row, its key ``None``: each
+# sample feeds the metric.
 PUBLISHED = {
     "cache": (("read_hit", "cache.hit", {"op": "read"}),
               ("write_hit", "cache.hit", {"op": "write"}),
@@ -141,6 +143,7 @@ PUBLISHED = {
             ("fallbacks", "qos.route_fallbacks", {})),
     "earth": (("fibers_run", "earth.fibers_run", {}),
               ("messages_handled", "earth.messages_handled", {})),
+    "earth_fiber": ((None, "earth.fiber_ns", {}),),
     "dispatcher": (("hangs", "faults.dispatcher_hangs", {}),) + tuple(
         (f"completed_{kind}", "bus.completed", {"kind": kind}) for kind in
         ("read", "write", "rwitm", "intervention", "io")),
@@ -155,7 +158,8 @@ def published(counters: Sequence[Tuple[Counter, str, Dict[str, str]]]
     Each ``(counter, kind, labels)`` entry adds the delta of every
     :data:`PUBLISHED` ``[kind]`` key that moved to its metric, with the
     entry's labels; an entry appended in the block (a new sliding-window
-    flow) publishes all it counted.  A block that raises publishes too.  The series carry the
+    flow) publishes all it counted.  A ``Histogram`` entry observes each
+    sample it took in the block, in the order taken.  A block that raises publishes too.  The series carry the
     ambient labels at exit, which equals labelling each event because
     no simulation process or replay enters a ``label_scope``: its only
     users (``msg/api.py``, ``bench/microbench.py``, ``bench/matmult.py``)
@@ -164,12 +168,19 @@ def published(counters: Sequence[Tuple[Counter, str, Dict[str, str]]]
     if not OBS.enabled:
         yield
         return
-    before = [counter.as_dict() for counter, _, _ in counters]
+    before = [len(counter) if isinstance(counter, Histogram)
+              else counter.as_dict() for counter, _, _ in counters]
     try:
         yield
     finally:
         for index, (counter, kind, labels) in enumerate(counters):
-            was = before[index] if index < len(before) else {}
+            was = before[index] if index < len(before) else None
+            if isinstance(counter, Histogram):
+                (_, metric, extra), = PUBLISHED[kind]
+                for value in counter.samples()[was or 0:]:
+                    OBS.metrics.observe(metric, value, **labels, **extra)
+                continue
+            was = was or {}
             for key, metric, extra in PUBLISHED[kind]:
                 delta = counter[key] - was.get(key, 0)
                 if delta:

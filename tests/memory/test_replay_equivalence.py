@@ -328,9 +328,9 @@ class TestFig8RegimeEquivalence:
         cpus_per_vec_call = []
         vec_replay = vec.replay
 
-        def spy(memory, pieces, *args):
-            cpus_per_vec_call.append(len(pieces))
-            return vec_replay(memory, pieces, *args)
+        def spy(runs):
+            cpus_per_vec_call.extend(len(run[1]) for run in runs)
+            return vec_replay(runs)
 
         monkeypatch.setattr(vec, "replay", spy)
         monkeypatch.setattr(mp, "run_interleaved", None)  # not reached

@@ -150,9 +150,9 @@ class TestDisjointMultiCpuEquivalence:
         calls = []
         replay = vec.replay
 
-        def spy(memory, pieces, *args):
-            calls.append(len(pieces))
-            return replay(memory, pieces, *args)
+        def spy(runs):
+            calls.extend(len(run[1]) for run in runs)
+            return replay(runs)
 
         monkeypatch.setattr(vec, "replay", spy)
         return calls

@@ -271,6 +271,31 @@ class TestAdaptiveRouting:
         assert result.reroutes == router.stats["reroutes"]
         assert result.fallbacks == router.stats["fallbacks"]
 
+    def test_single_crossbar_never_reroutes(self):
+        """The cluster's one crossbar leaves every pair one path: under
+        a hotspot congestion forces fallbacks, and no route changes."""
+        world, router = self.build(depth=2, check_interval_ns=500.0)
+        run_load(world, qos=QosConfig(),
+                 mix={"best-effort": ClassTraffic("hotspot")},
+                 load=0.9, messages=24, seed=5)
+        assert router.stats["fallbacks"] > 0
+        assert router.stats["reroutes"] == 0
+
+    def test_reroute_counts_a_changed_path(self):
+        _, world = build_topology_world(parse_topology("manna"))
+        router = world.enable_adaptive(
+            AdaptiveConfig(depth_threshold=1, check_interval_ns=1e12))
+        src, dst = (("node", node, 0) for node in world.far_pair())
+        first = router.route_bytes(src, dst)  # takes the one scan
+        assert router.route_bytes(src, dst) == first
+        # Congest the spine-to-leaf hop: another spine takes over.
+        path = world.routes.path(src, dst)
+        world.routes.set_congested_edges({(path[2], path[3])})
+        detour = router.route_bytes(src, dst)
+        assert detour != first
+        assert router.route_bytes(src, dst) == detour
+        assert router.stats["reroutes"] == 1
+
     def test_scan_is_rate_limited(self):
         world, router = self.build(depth=1, check_interval_ns=1e9)
         for _ in range(5):

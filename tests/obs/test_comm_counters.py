@@ -50,7 +50,8 @@ PLANS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks",
 #: The component kinds that register with a Simulator (the others are
 #: the node replay's, published by ``replay_traces``).
 SIM_KINDS = ("link", "xbar", "xcvr", "ni", "driver", "reliable", "sliding",
-             "sliding_flow", "sliding_node", "qos", "earth", "dispatcher")
+             "sliding_flow", "sliding_node", "qos", "earth", "earth_fiber",
+             "dispatcher")
 
 
 @pytest.fixture
@@ -73,8 +74,9 @@ def _series(metric, labels):
 
 
 def component_series(sims):
-    """Per published series, the sum of the counter keys that feed it,
-    and per metric the label names its components give it."""
+    """Per published series, the sum of the counter keys that feed it (a
+    histogram's sample count), and per metric the label names its
+    components give it."""
     series = CountOf()
     names = {}
     for sim in sims:
@@ -82,7 +84,8 @@ def component_series(sims):
             for key, metric, extra in PUBLISHED[kind]:
                 own = {**labels, **extra}
                 names[metric] = set(own)
-                series[_series(metric, own)] += counter[key]
+                series[_series(metric, own)] += (
+                    len(counter) if key is None else counter[key])
     return +series, names
 
 
@@ -111,6 +114,7 @@ def test_every_comm_component_registers_its_counter():
     expected.update(id(counter) for counter in sliding.node_stats.values())
     expected.add(id(sliding._flows[0, 8].stats))
     expected.update(id(node.stats) for node in machine.nodes)
+    expected.update(id(node.fiber_latency) for node in machine.nodes)
     for xbar in fabric.crossbars.values():
         expected.add(id(xbar.stats))
         expected.update(id(link.stats) for link in xbar.output_links
@@ -214,6 +218,16 @@ def _qos_hotspot():
              load=0.9, messages=24, seed=5)
 
 
+def _qos_fat_tree_hotspot():
+    """A hotspot on a fabric with other paths, where routes do change."""
+    _, world = build_topology_world(parse_topology("fat_tree"))
+    world.enable_adaptive(AdaptiveConfig(depth_threshold=1,
+                                         check_interval_ns=500.0))
+    run_load(world, qos=QosConfig(),
+             mix={"best-effort": ClassTraffic("hotspot")},
+             load=0.9, messages=8, seed=5)
+
+
 #: A run, and the metrics it must publish.
 RUNS = {
     "fig9_latency": (lambda: measure_point(
@@ -243,11 +257,13 @@ RUNS = {
     "crash_sink": (_crash(4), ("faults.crashed_node_drops",
                                "sliding.failed_flows")),
     "earth_fib": (_earth_fib, ("earth.fibers_run", "earth.messages_handled",
-                               "link.messages")),
+                               "earth.fiber_ns", "link.messages")),
     "dispatcher_hangs": (_dispatcher_hangs, ("bus.completed",
                                              "faults.dispatcher_hangs")),
-    "qos_hotspot": (_qos_hotspot, ("qos.reroutes", "qos.route_fallbacks",
+    "qos_hotspot": (_qos_hotspot, ("qos.route_fallbacks",
                                    "xbar.collisions")),
+    "qos_fat_tree_hotspot": (_qos_fat_tree_hotspot,
+                             ("qos.reroutes", "qos.route_fallbacks")),
 }
 
 
@@ -431,8 +447,8 @@ OBSERVED = {
     "dispatcher_hangs": (_dispatcher_hangs,
                          "f2ac9eead3d3cc96a441b777f0a8fbf8"
                          "3a2d9b36d1c86393df143868408282b5"),
-    "qos_hotspot": (_qos_hotspot, "8dae4cd795d469023ea65e4be0e3e293"
-                                  "cc5b6f6437e21b812f11beda9d5b37b2"),
+    "qos_hotspot": (_qos_hotspot, "4dcdb757e47ae754a2deb72da34a0b53"
+                                  "2d36435a1b9f29ad4ab0b16d9e86044f"),
 }
 
 
