@@ -22,7 +22,6 @@ from repro.bench.matmult import (
 )
 from repro.bench.collectives import CollectiveTiming, scaling_sweep
 from repro.bench.microbench import CommPoint, comm_sweep
-from repro.bench.plot import ascii_bars, ascii_xy
 from repro.bench.report import format_table
 from repro.bench.traffic import TrafficResult, pattern_comparison, run_pattern
 
@@ -33,8 +32,6 @@ __all__ = [
     "HintResult",
     "MatMultResult",
     "TrafficResult",
-    "ascii_bars",
-    "ascii_xy",
     "comm_sweep",
     "format_table",
     "matmult_sweep",

@@ -606,6 +606,31 @@ def _traffic_load(args, spec) -> Optional[int]:
     return 0
 
 
+def _unroutable_pair(spec) -> Optional[str]:
+    """Why ``spec`` cannot carry traffic between every pair of its nodes
+    on plane 0 (the plane a traffic world sends on), or None when it can.
+
+    One search from the first node suffices: every generated fabric
+    attaches a node to one crossbar per plane over a duplex link, so when
+    the first node reaches every other node, any two meet at its crossbar.
+    """
+    from repro.network.routing import NoRouteError, RouteTable
+    from repro.network.topo import build_graph
+    from repro.network.topology import node_key
+
+    graph = build_graph(spec)
+    nodes = sorted({key[1] for key in graph.nodes if key[0] == "node"})
+    routes = RouteTable(graph)
+    for dst in nodes[1:]:
+        try:
+            routes.path(node_key(nodes[0], 0), node_key(dst, 0))
+        except NoRouteError:
+            return (f"traffic: {spec.label()} has no crossbar path from node "
+                    f"{nodes[0]} to node {dst} on plane 0; that pair needs "
+                    f"a software relay, which traffic patterns do not model")
+    return None
+
+
 def cmd_traffic(args) -> Optional[int]:
     """Offered-load patterns (permutation/random/hotspot) on any spec."""
     from repro.bench.traffic import run_pattern
@@ -617,6 +642,10 @@ def cmd_traffic(args) -> Optional[int]:
     if spec.fidelity != "flit":
         print("traffic needs flit fidelity: offered-load contention is "
               "exactly what the flow tier abstracts away", file=sys.stderr)
+        return 2
+    unroutable = _unroutable_pair(spec)
+    if unroutable:
+        print(unroutable, file=sys.stderr)
         return 2
     if args.load:
         return _traffic_load(args, spec)

@@ -2,7 +2,7 @@
 
 One ambient :data:`FAULTS` context object is shared by every injection
 hook in the library (links, crossbars, transceivers, link interfaces,
-drivers, dispatchers).  It is *disabled* by default — every hook is
+drivers).  It is *disabled* by default — every hook is
 written as ::
 
     from repro.faults import FAULTS

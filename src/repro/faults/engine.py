@@ -2,7 +2,7 @@
 
 Components call in from their injection hooks (see ``network/link.py``,
 ``network/crossbar.py``, ``network/transceiver.py``, ``ni/interface.py``,
-``ni/driver.py``, ``node/dispatcher.py``)::
+``ni/driver.py``)::
 
     from repro.faults import FAULTS
     ...

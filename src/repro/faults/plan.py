@@ -18,7 +18,7 @@ file plus a seed::
      ]}
 
 Sites are matched by :mod:`fnmatch` glob against component names (links,
-crossbars, transceivers, NIs, drivers, dispatchers all pass their ``name``
+crossbars, transceivers, NIs and drivers all pass their ``name``
 to the engine), so one spec can cover a whole layer (``"*spine*"``) or a
 single component.
 """
@@ -37,7 +37,7 @@ STOCHASTIC_KINDS = (
     "flit_drop",      # a DATA flit vanishes on a link
     "xcvr_stall",     # transceiver pauses for stall_ns before relaying
     "ni_drop",        # NI send FIFO overflows and drops a DATA flit
-    "node_hang",      # node CPU stalls for stall_ns per bus/driver op
+    "node_hang",      # node CPU stalls for stall_ns per driver op
 )
 
 #: Scheduled fault kinds (applied once at ``at_ns``).

@@ -83,9 +83,6 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
                 stall = FAULTS.engine.stall_ns("xcvr_stall", name, sim.now)
                 if stall > 0:
                     stats.incr("stalls")
-                    if OBS.enabled:
-                        OBS.metrics.observe("faults.xcvr_stall_ns", stall,
-                                            xcvr=name)
                     yield sim.pooled_timeout(stall)
             yield sim.pooled_timeout(cfg.serialize_ns(flit.nbytes))
             yield rx.put_pooled(flit)

@@ -1,30 +1,25 @@
-"""The PowerMANNA node: ADSP bus switch, central dispatcher, node assembly.
+"""The PowerMANNA node: CPUs, memory hierarchy and bus fabric in one model.
 
 Two design decisions let the dual-MPC620 node fit one board without
-sacrificing performance (paper Section 2):
+sacrificing performance (paper Section 2): a multi-master **bus switch**
+built from eleven ADSP (address/data path switch) slices gives every
+device a point-to-point data path, and one central **dispatcher**
+sequences the MPC620's snoop address phases and split transactions.
 
-1. instead of shared address/data buses, a **multi-master bus switch**
-   built from eleven ADSP (address/data path switch) slices gives every
-   device a point-to-point path (:mod:`repro.node.adsp`);
-2. one central **dispatcher** absorbs the MPC620's protocol complexity —
-   pipelining, split transactions, intervention, out-of-order completion,
-   snooping — and presents a simple interface to every other unit
-   (:mod:`repro.node.dispatcher`).
+Both are modelled by their timing, not as separate components: a
+:class:`NodeModel` built with ``FabricKind.SWITCHED``
+(:mod:`repro.memory.mp`) lets data phases of different CPUs overlap and
+serialises only the address phases, through
+:class:`repro.memory.snoop.AddressPhaseSequencer`.  That is what the
+dual node's speedup (Figure 8) and the four-CPU saturation study rest on.
 
-:mod:`repro.node.node` assembles processors, memory and link interfaces
-into node models for PowerMANNA and the two comparator machines.
+:mod:`repro.node.node` assembles processors, memory and fabric into node
+models for PowerMANNA and the two comparator machines.
 """
 
-from repro.node.adsp import AdspSwitch, SwitchBusyError
-from repro.node.dispatcher import BusTransaction, Dispatcher, TransactionKind
 from repro.node.node import NodeModel, build_node
 
 __all__ = [
-    "AdspSwitch",
-    "BusTransaction",
-    "Dispatcher",
     "NodeModel",
-    "SwitchBusyError",
-    "TransactionKind",
     "build_node",
 ]

@@ -2,13 +2,14 @@
 
 One ambient :data:`OBS` context object is shared by every instrumented
 component in the library (links, crossbars, link interfaces, drivers,
-dispatcher, messaging, EARTH).  It is *disabled* by default.  Spans,
-gauge probes and per-event samples are written as ::
+messaging, EARTH).  It is *disabled* by default.  Spans and
+gauge probes are written as ::
 
     from repro.obs import OBS
     ...
     if OBS.enabled:
-        OBS.metrics.observe("faults.xcvr_stall_ns", stall, xcvr=name)
+        span = OBS.tracer.begin("xcvr.relay", name, sim.now,
+                                category="network")
 
 so an uninstrumented run pays one attribute test per call site.  Counts
 cost nothing per event: components keep them in their own ``Counter``
@@ -144,9 +145,6 @@ PUBLISHED = {
     "earth": (("fibers_run", "earth.fibers_run", {}),
               ("messages_handled", "earth.messages_handled", {})),
     "earth_fiber": ((None, "earth.fiber_ns", {}),),
-    "dispatcher": (("hangs", "faults.dispatcher_hangs", {}),) + tuple(
-        (f"completed_{kind}", "bus.completed", {"kind": kind}) for kind in
-        ("read", "write", "rwitm", "intervention", "io")),
 }
 
 

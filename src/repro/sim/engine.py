@@ -158,35 +158,6 @@ class AnyOf(Event):
                     pass
 
 
-class AllOf(Event):
-    """Fires when every one of several events has fired."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._remaining = 0
-        for event in self.events:
-            if not event.processed:
-                self._remaining += 1
-                event.callbacks.append(self._collect)
-        if self._remaining == 0:
-            self.trigger({e: e.value for e in self.events})
-
-    def _collect(self, _event: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self._triggered:
-            self.trigger({e: e.value for e in self.events})
-            collect = self._collect
-            for event in self.events:
-                if not event.processed and event.callbacks:
-                    try:
-                        event.callbacks.remove(collect)
-                    except ValueError:
-                        pass
-
-
 class Simulator:
     """The event loop: a same-time FIFO before a heap of future
     ``(time, tiebreak, event)`` entries (see the module docstring)."""
@@ -292,9 +263,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def process(self, generator) -> "Process":
         """Start a new process from a generator; see :mod:`repro.sim.process`."""

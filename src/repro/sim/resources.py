@@ -1,8 +1,7 @@
 """Shared simulation resources: FIFO stores, mutex-style resources, signals.
 
 These are the building blocks for every hardware queue in the library: link
-FIFOs, crossbar input buffers, the dispatcher's transaction queues and the
-network-interface send/receive FIFOs.
+FIFOs, crossbar input buffers and the network-interface send/receive FIFOs.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import distributed_dot, run_stencil, serial_stencil
+from repro.apps import run_stencil, serial_stencil
 
 
 def default_rod(cells=128):
@@ -65,30 +65,3 @@ class TestStencilTiming:
         large = run_stencil(8192, 6, ranks=8)
         assert large.comm_fraction < small.comm_fraction
 
-
-class TestDotProduct:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        x, y = rng.normal(size=2048), rng.normal(size=2048)
-        result = distributed_dot(x, y, ranks=8)
-        assert result.value == pytest.approx(float(np.dot(x, y)), rel=1e-12)
-
-    def test_various_rank_counts(self):
-        x = np.arange(1000, dtype=float)
-        y = 2.0 * np.ones(1000)
-        expected = float(np.dot(x, y))
-        for ranks in (2, 4, 8):
-            result = distributed_dot(x, y, ranks=ranks)
-            assert result.value == pytest.approx(expected)
-
-    def test_reduction_time_grows_logarithmically(self):
-        x = np.ones(64)
-        two = distributed_dot(x, x, ranks=2).elapsed_ns
-        eight = distributed_dot(x, x, ranks=8).elapsed_ns
-        assert eight < 4 * two     # log scaling, not linear
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            distributed_dot(np.ones(4), np.ones(5))
-        with pytest.raises(ValueError):
-            distributed_dot(np.ones(4), np.ones(4), ranks=8)

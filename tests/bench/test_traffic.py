@@ -324,6 +324,21 @@ class TestTrafficCli:
                   encoding="utf-8") as handle:
             assert out == handle.read()
 
+    @pytest.mark.parametrize("load", [[], ["--load", "0.5", "--messages",
+                                           "2"]])
+    def test_partitioned_fabric_is_rejected_before_any_sweep(self, load,
+                                                             capsys):
+        """grid joins rows on plane 0 only, so node 0 reaches no node of
+        another row: one line names the pair, and no point runs."""
+        assert main(["traffic", "--topology", "grid", "--no-cache",
+                     "--no-journal", *load]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "traffic: grid() has no crossbar path from node 0 to node 32 "
+            "on plane 0; that pair needs a software relay, which traffic "
+            "patterns do not model\n")
+
     def test_load_sweep_table_and_json_equal_at_any_jobs(self, tmp_path,
                                                          capsys):
         args = ["--arbiter", "wdrr", *MIXED, "--load", "0.3,0.5,0.7",

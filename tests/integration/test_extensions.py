@@ -1,9 +1,8 @@
 """Cross-subsystem integration tests for the extension packages."""
 
 import numpy as np
-import pytest
 
-from repro.apps import distributed_dot, run_stencil, serial_stencil
+from repro.apps import run_stencil, serial_stencil
 from repro.earth.fibers import Fiber, SyncSlot
 from repro.earth.operations import DataSync, Spawn
 from repro.earth.runtime import EarthMachine
@@ -105,10 +104,3 @@ class TestAppsAcrossMachines:
         pc = run_stencil(4096, 4, ranks=4, machine=PC_CLUSTER_180)
         # The MPC620's FMA pipeline updates cells faster than the x87.
         assert pm.compute_ns < pc.compute_ns
-
-    def test_dot_product_compute_fraction_grows_with_n(self):
-        x_small = np.ones(256)
-        x_large = np.ones(65536)
-        small = distributed_dot(x_small, x_small, ranks=8)
-        large = distributed_dot(x_large, x_large, ranks=8)
-        assert large.comm_fraction < small.comm_fraction

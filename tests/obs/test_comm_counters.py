@@ -1,17 +1,16 @@
 """Components count once, and every simulator run publishes them.
 
 Links, crossbars, transceivers, link interfaces, drivers, both reliable
-channels, the QoS router, the EARTH nodes and the dispatcher count into
-their own ``Counter`` and register it with their simulator (the
+channels, the QoS router and the EARTH nodes count into their own ``Counter`` and register it with their simulator (the
 sliding-window channel one per channel, per flow and per receiving
 node); ``Simulator.run``/``run_until_complete`` publish the counters'
 deltas into ``OBS.metrics`` when they end (:func:`repro.obs.published`).
 These tests check that what a run publishes adds up to the components'
 counters exactly, series by series under the labels in force when each
-run ended; that the artifacts of chaos runs and the metrics of EARTH,
-dispatcher and QoS runs are the ones recorded while those events were
-still recorded into the registry as they happened; and that no other
-per-event count is left.
+run ended; that the artifacts of chaos runs and the metrics of EARTH
+and QoS runs are the ones recorded while those events were still
+recorded into the registry as they happened; and that no other
+per-event count or sample is left.
 """
 
 import ast
@@ -28,20 +27,15 @@ from repro.cli import main
 from repro.earth.fibers import Fiber, SyncSlot
 from repro.earth.operations import DataSync, Spawn
 from repro.earth.runtime import EarthMachine
-from repro.faults import FaultPlan, inject
+from repro.faults import FaultPlan
 from repro.faults.chaos import build_chaos_world, run_chaos
-from repro.memory.dram import DramConfig, InterleavedDram
-from repro.memory.snoop import SnoopConfig
 from repro.msg.api import build_cluster_world, build_topology_world
 from repro.msg.reliable import ReliableChannel
 from repro.msg.sliding_window import SlidingWindowChannel
 from repro.network.qos import AdaptiveConfig, QosConfig
 from repro.network.topo import parse_topology
-from repro.node.adsp import AdspSwitch
-from repro.node.dispatcher import BusTransaction, Dispatcher, TransactionKind
 from repro.obs import OBS, PUBLISHED, observe
 from repro.obs.export import metrics_json
-from repro.sim.clock import Clock
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stats import Counter
 
@@ -50,8 +44,7 @@ PLANS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks",
 #: The component kinds that register with a Simulator (the others are
 #: the node replay's, published by ``replay_traces``).
 SIM_KINDS = ("link", "xbar", "xcvr", "ni", "driver", "reliable", "sliding",
-             "sliding_flow", "sliding_node", "qos", "earth", "earth_fiber",
-             "dispatcher")
+             "sliding_flow", "sliding_node", "qos", "earth", "earth_fiber")
 
 
 @pytest.fixture
@@ -107,10 +100,8 @@ def test_every_comm_component_registers_its_counter():
     sliding.send(0, 8, 64)
     router = world.enable_adaptive()
     machine = EarthMachine(world=world, sim=sim)
-    dispatcher = _dispatcher(sim)
     fabric = world.fabric
-    expected = {id(channel.stats), id(sliding.counts), id(router.stats),
-                id(dispatcher.stats)}
+    expected = {id(channel.stats), id(sliding.counts), id(router.stats)}
     expected.update(id(counter) for counter in sliding.node_stats.values())
     expected.add(id(sliding._flows[0, 8].stats))
     expected.update(id(node.stats) for node in machine.nodes)
@@ -129,10 +120,6 @@ def test_every_comm_component_registers_its_counter():
     # The inter-cabinet links of manna add a transceiver counter each.
     assert {kind for _, kind, _ in sim.counters} == set(SIM_KINDS)
     assert set(SIM_KINDS) <= set(PUBLISHED)
-    # The dispatcher publishes bus.completed for every transaction kind.
-    assert {extra["kind"] for _, metric, extra in PUBLISHED["dispatcher"]
-            if metric == "bus.completed"} == {
-                kind.value for kind in TransactionKind}
 
 
 CRASH = {"kind": "node_crash", "at_ns": 5000.0, "site": "*"}
@@ -176,36 +163,6 @@ def _earth_fib(n=8):
                           SyncSlot(1, Fiber(lambda node, frame: []))))
     machine.run()
     assert result["v"] == 21
-
-
-def _dispatcher(sim):
-    """The dispatcher of tests/node/test_dispatcher.py."""
-    switch = AdspSwitch(sim)
-    for device in ("cpu0", "cpu1", "link0"):
-        switch.register(device)
-    dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
-                                      access_ns=60.0, bandwidth_mb_s=640.0))
-    snoop = SnoopConfig(bus_clock=Clock(60.0), phase_cycles=3.0,
-                        queue_depth=4)
-    return Dispatcher(sim, switch, dram, snoop)
-
-
-def _dispatcher_reads():
-    """The 8-read workload of tests/node/test_dispatcher.py."""
-    sim = Simulator()
-    dispatcher = _dispatcher(sim)
-    for i in range(8):
-        dispatcher.submit(BusTransaction("cpu0", TransactionKind.READ,
-                                         i * 64, 64))
-    sim.run()
-
-
-def _dispatcher_hangs():
-    """The same reads under a plan that hangs the dispatcher."""
-    with inject(FaultPlan.from_dict({"seed": 2, "faults": [
-            {"kind": "node_hang", "site": "*", "probability": 0.3,
-             "stall_ns": 500.0}]})):
-        _dispatcher_reads()
 
 
 def _qos_hotspot():
@@ -258,8 +215,6 @@ RUNS = {
                                "sliding.failed_flows")),
     "earth_fib": (_earth_fib, ("earth.fibers_run", "earth.messages_handled",
                                "earth.fiber_ns", "link.messages")),
-    "dispatcher_hangs": (_dispatcher_hangs, ("bus.completed",
-                                             "faults.dispatcher_hangs")),
     "qos_hotspot": (_qos_hotspot, ("qos.route_fallbacks",
                                    "xbar.collisions")),
     "qos_fat_tree_hotspot": (_qos_fat_tree_hotspot,
@@ -344,7 +299,10 @@ def test_unobserved_runs_publish_nothing_later():
 
 #: sha256 of the ``--metrics-out`` file of ``chaos --plan EVERY_KIND
 #: --topology manna --messages 4 [--protocol P]``, recorded while every
-#: comm event was still recorded into the registry as it happened.
+#: comm event was still recorded into the registry as it happened, then
+#: re-recorded without the ``faults.xcvr_stall_ns`` histogram (its
+#: samples were all the plan's ``stall_ns``; ``faults.injected`` and
+#: ``faults.xcvr_stalls`` count the stalls), every other series equal.
 EVERY_KIND = {
     "seed": 3,
     "faults": [
@@ -360,10 +318,10 @@ EVERY_KIND = {
     ],
 }
 EVERY_KIND_DIGESTS = {
-    "sliding": "93258888dd96df6e2bc83c3c457a6871"
-               "4a1de90ef3fa63efdf5e173419fe5485",
-    "stopwait": "07d37cf0c4c253451afbfeae0ac59a12"
-                "43ff0f4b4bf52c0cd080fe610b4e38a5",
+    "sliding": "119eea9f78e35c620906545f0923c6d4"
+               "7d37d082f80a459601858d22e227155c",
+    "stopwait": "0143ef3754384128c99cef45312c1cac"
+                "8c34c35a7840b603b65cd389b3b356a4",
 }
 
 
@@ -388,6 +346,8 @@ def test_every_fault_kind_metrics_match_recorded_digest(protocol, tmp_path):
 #: recorded while the sliding-window channel still recorded its series
 #: as they happened: a plan (a file under ``benchmarks/fault_plans`` or
 #: an inline plan), the extra CLI arguments, and the two digests.
+#: ``grid_storm``'s metrics were re-recorded, like ``EVERY_KIND``'s,
+#: without the ``faults.xcvr_stall_ns`` histogram.
 CHAOS_DIGESTS = {
     "smoke": ("smoke.json", ["--messages", "4"],
               "a9e77a5806a7de82e1f936621397f33af9e8d9c08e5323059816f72cc1511675",
@@ -398,7 +358,7 @@ CHAOS_DIGESTS = {
                   "d948bec3baeed02ac9cecf91b6d36048f0ea0c31d64543daf8cad5ac1f9da383"),
     "grid_storm": ("grid_storm.json",
                    ["--topology", "grid", "--messages", "8"],
-                   "b3d0129f3284dbc8271dc95454dca650ca97e539162a07d63e420f51874d8068",
+                   "532e93796fb86a31192786d2089bc73da542e4e4de3718efa9a93aa623af3ffa",
                    "0bfa2c87d4873c2c6a67bac16b039b967d4ec532df46738f7d9c003b0c1733a2"),
     # Node 1 sends flow 1->5: the flow fails when its route goes.
     "crash_source": ({"seed": 1, "faults": [dict(CRASH, node=1)]},
@@ -437,16 +397,11 @@ def test_chaos_artifacts_match_recorded_digests(name, tmp_path):
 
 
 #: sha256 of the metrics JSON each run leaves under ``observe()``,
-#: recorded while EARTH, the dispatcher and the QoS router still
-#: recorded their series as they happened.
+#: recorded while EARTH and the QoS router still recorded their series
+#: as they happened.
 OBSERVED = {
     "earth_fib": (_earth_fib, "2e257ab3d5fb0013239468e1076e7042"
                               "2360e1f30c18c08e814bb8e39e9a432b"),
-    "dispatcher": (_dispatcher_reads, "df4fb49ecf5fe7c294014db1ff84ffed"
-                                      "a520c4cf8965238f19e411ba5c63c306"),
-    "dispatcher_hangs": (_dispatcher_hangs,
-                         "f2ac9eead3d3cc96a441b777f0a8fbf8"
-                         "3a2d9b36d1c86393df143868408282b5"),
     "qos_hotspot": (_qos_hotspot, "4dcdb757e47ae754a2deb72da34a0b53"
                                   "2d36435a1b9f29ad4ab0b16d9e86044f"),
 }
@@ -462,12 +417,13 @@ def test_observed_metrics_match_recorded_digest(run):
 
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
-#: The per-event ``OBS.metrics.incr`` calls that stay: the supervisor's
+#: The per-event ``OBS.metrics`` calls that stay: the supervisor's
 #: sweep tallies, and the two records fired once per injected fault
-#: (no component counter keys their site).
-PER_EVENT_INCR = {("parallel/supervise.py", None),
-                  ("faults/engine.py", "faults.injected"),
-                  ("faults/controller.py", "faults.node_crashes")}
+#: (no component counter keys their site).  No ``observe`` stays: a
+#: component keeps its samples in its own ``Histogram``.
+PER_EVENT = {("parallel/supervise.py", "incr", None),
+             ("faults/engine.py", "incr", "faults.injected"),
+             ("faults/controller.py", "incr", "faults.node_crashes")}
 
 
 def test_no_metric_is_counted_per_event_outside_obs():
@@ -483,12 +439,15 @@ def test_no_metric_is_counted_per_event_outside_obs():
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), path)
             for node in ast.walk(tree):
-                if not (isinstance(node, ast.Call)
-                        and ast.unparse(node.func) == "OBS.metrics.incr"):
+                if not isinstance(node, ast.Call):
+                    continue
+                call = ast.unparse(node.func)
+                if call not in ("OBS.metrics.incr", "OBS.metrics.observe"):
                     continue
                 first = node.args[0] if node.args else None
                 metric = (first.value if isinstance(first, ast.Constant)
                           else None)
-                if (rel, metric) not in PER_EVENT_INCR:
-                    found.append(f"{rel}:{node.lineno} {metric}")
+                method = call.rsplit(".", 1)[1]
+                if (rel, method, metric) not in PER_EVENT:
+                    found.append(f"{rel}:{node.lineno} {method} {metric}")
     assert found == []

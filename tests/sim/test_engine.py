@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, AnyOf, SimulationError, Simulator
+from repro.sim.engine import AnyOf, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -105,30 +105,15 @@ class TestCompositeEvents:
         assert any_event.processed
         assert any_event.value == {fast: "fast"}
 
-    def test_all_of_waits_for_every_event(self, sim):
-        events = [sim.timeout(d) for d in (5.0, 15.0, 25.0)]
-        all_event = AllOf(sim, events)
-        sim.run(until=20.0)
-        assert not all_event.triggered
-        sim.run()
-        assert all_event.processed
-
     def test_any_of_empty_rejected(self, sim):
         with pytest.raises(SimulationError):
             AnyOf(sim, [])
 
-    def test_all_of_already_processed_events(self, sim):
-        event = sim.timeout(1.0)
-        sim.run()
-        all_event = AllOf(sim, [event])
-        assert all_event.triggered
-
     def test_helpers_on_simulator(self, sim):
         e1, e2 = sim.timeout(1.0), sim.timeout(2.0)
         any_ev = sim.any_of([e1, e2])
-        all_ev = sim.all_of([e1, e2])
         sim.run()
-        assert any_ev.processed and all_ev.processed
+        assert any_ev.processed and any_ev.value == {e1: None}
 
 
 class TestRunUntilComplete:

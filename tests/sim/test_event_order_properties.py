@@ -4,7 +4,7 @@ index)`` order, whatever mix of same-time and future work it is given.
 Each example is a random program of scheduling operations: timeouts
 (delay 0, equal delays, distinct delays, and delays absorbed by float
 rounding at a large ``now``), plain events triggered later from inside
-callbacks, put/get pairs on a bounded FIFO, and ``AnyOf``/``AllOf``
+callbacks, put/get pairs on a bounded FIFO, and ``AnyOf``
 combinators.  The test numbers every event itself at the moment it is
 scheduled and records its due time, then checks the order the kernel
 processed the events in against the sort by ``(due, index)``.
@@ -29,7 +29,6 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.just("put"), st.just(None)),
     st.tuples(st.just("get"), st.just(None)),
     st.tuples(st.just("any_of"), st.integers(0, 7)),
-    st.tuples(st.just("all_of"), st.integers(0, 7)),
 ), min_size=1, max_size=40)
 
 
@@ -95,12 +94,12 @@ class _Program:
     def op_get(self, _arg):
         self._fifo_op(self.fifo.get())
 
-    def _combinator(self, factory, pick):
+    def op_any_of(self, pick):
         if not self.events:
             return
         start = pick % len(self.events)
         members = self.events[start:start + 3]
-        combo = factory(members)
+        combo = self.sim.any_of(members)
         self.track(combo)
         if combo.triggered:
             self.schedule(combo, self.sim.now)
@@ -115,12 +114,6 @@ class _Program:
         for member in members:
             if not member.processed:
                 member.callbacks.append(note)
-
-    def op_any_of(self, pick):
-        self._combinator(self.sim.any_of, pick)
-
-    def op_all_of(self, pick):
-        self._combinator(self.sim.all_of, pick)
 
 
 def _drive(sim, driver):

@@ -4,8 +4,8 @@ Each test here pins a specific pre-fix behavior:
 
 * ``max_events`` was an off-by-one: the run loops processed
   ``max_events + 1`` events before tripping the runaway backstop.
-* ``AnyOf``/``AllOf`` leaked their ``_collect`` callback on events that
-  had not fired when the combinator triggered, so polling a long-lived
+* ``AnyOf`` leaked its ``_collect`` callback on events that had not
+  fired when the combinator triggered, so polling a long-lived
   event in a loop accumulated dead callbacks on it.
 * Pooled timeouts/events must behave exactly like fresh ones when
   recycled (state fully reset, callbacks cleared).
@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import AllOf, AnyOf, SimulationError, Simulator
+from repro.sim.engine import AnyOf, SimulationError, Simulator
 from repro.sim.process import Process
 
 
@@ -80,7 +80,7 @@ class TestMaxEventsExactTrip:
 
 
 class TestCombinatorCallbackLeak:
-    """AnyOf/AllOf must deregister from unfired events once they fire."""
+    """AnyOf must deregister from unfired events once it fires."""
 
     def test_anyof_deregisters_from_unfired_events(self, sim):
         long_lived = sim.event("link_down")
@@ -94,35 +94,6 @@ class TestCombinatorCallbackLeak:
         # Pre-fix, every loop iteration left one dead _collect callback
         # on the long-lived event (50 here).
         assert long_lived.callbacks == []
-
-    def test_allof_deregisters_from_unfired_events(self, sim):
-        never = sim.event("never")
-        results = []
-
-        def waiter():
-            combo = AllOf(sim, [sim.timeout(1.0), never])
-            poke = sim.timeout(5.0)
-            got = yield AnyOf(sim, [combo, poke])
-            results.append(got)
-
-        process = sim.process(waiter())
-        # Fire `never` late so AllOf completes and must clean up... but
-        # first check the leak-free path where AllOf never completes:
-        sim.run_until_complete(process)
-        # AllOf never fired (its _collect stays on `never`, by design —
-        # it may still complete later).  AnyOf, however, must have
-        # removed itself from the AllOf event.
-        combo_event = next(iter(results[0]))
-        assert combo_event.callbacks == []
-
-    def test_allof_cleanup_when_completing(self, sim):
-        slow = sim.timeout(10.0)
-        fast = sim.timeout(1.0)
-        combo = AllOf(sim, [fast, slow])
-        sim.run()
-        assert combo.processed
-        assert slow.callbacks == []
-        assert fast.callbacks == []
 
     def test_anyof_fires_with_first_value(self, sim):
         fast = sim.timeout(1.0, value="fast")
