@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional, Union
 
 from repro.faults import FAULTS
 from repro.network.message import Flit, FlitKind
@@ -23,6 +23,10 @@ from repro.sim.clock import Clock
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.stats import Counter
 
+#: What waits on a :class:`ByteFifo`: an event a process yields, or a
+#: callable a component's state machine registers.
+Waiter = Union[Event, Callable[[Flit], None]]
+
 
 class ByteFifo:
     """A FIFO whose capacity is accounted in *bytes* of flit payload.
@@ -30,6 +34,18 @@ class ByteFifo:
     Hardware FIFOs (crossbar input buffers, NI send/receive FIFOs,
     transceiver buffers) are sized in bytes while the simulator moves
     multi-byte flits; this store blocks a put until the whole flit fits.
+
+    A waiter (a getter on an empty FIFO, or a put blocked behind a full
+    one) is an :class:`Event`, which a process yields (:meth:`get`,
+    :meth:`put`), or a plain callable, which a component's state machine
+    registers (:meth:`get_callback`, :meth:`put_callback`).  The put or
+    get that satisfies a callable waiter calls it synchronously with the
+    flit, after the FIFO's bookkeeping for that match is complete; no
+    kernel event is queued.  The callable may re-enter the FIFO: a link
+    whose receiver end a get frees can ``try_put`` its next flit into
+    the same FIFO from inside its put callback.  The settle loop re-reads
+    the level and both queues after every wake, so a re-entrant put or
+    get is matched as if it had come after the one that woke it.
     """
 
     def __init__(self, sim: Simulator, capacity_bytes: int, name: str = "bytefifo"):
@@ -42,8 +58,8 @@ class ByteFifo:
         self._get_name = name + ".get"
         self.items: Deque[Flit] = deque()
         self.level_bytes = 0
-        self._putters: Deque[tuple[Event, Flit]] = deque()
-        self._getters: Deque[Event] = deque()
+        self._putters: Deque[tuple[Waiter, Flit]] = deque()
+        self._getters: Deque[Waiter] = deque()
         self.total_bytes_in = 0
         self.total_bytes_out = 0
         self.high_water_bytes = 0
@@ -69,11 +85,7 @@ class ByteFifo:
         return self._put(self.sim.pooled_event(self._put_name), flit)
 
     def _put(self, event: Event, flit: Flit) -> Event:
-        nbytes = flit.nbytes
-        if nbytes > self.capacity_bytes:
-            raise SimulationError(
-                f"flit of {nbytes} B can never fit FIFO {self.name!r} "
-                f"of {self.capacity_bytes} B")
+        self._check_fits(flit)
         if self.try_put(flit):
             # Accepted at once.  Inline event.trigger(flit): the event is
             # fresh, so the double-trigger check cannot fire.
@@ -87,15 +99,22 @@ class ByteFifo:
         self._putters.append((event, flit))
         return event
 
+    def put_callback(self, flit: Flit, callback: Callable[[Flit], None]) -> None:
+        """Block ``flit`` until it fits; the get that makes room accepts
+        it and calls ``callback(flit)``.  Use after :meth:`try_put`
+        returned False, for the same reason :meth:`put` skips the settle
+        loop."""
+        self._check_fits(flit)
+        self._putters.append((callback, flit))
+
+    def _check_fits(self, flit: Flit) -> None:
+        if flit.nbytes > self.capacity_bytes:
+            raise SimulationError(
+                f"flit of {flit.nbytes} B can never fit FIFO {self.name!r} "
+                f"of {self.capacity_bytes} B")
+
     def get(self) -> Event:
-        return self._get(Event(self.sim, self._get_name))
-
-    def get_pooled(self) -> Event:
-        """Like :meth:`get` with a recycled event — only for call sites
-        that ``yield`` the event immediately."""
-        return self._get(self.sim.pooled_event(self._get_name))
-
-    def _get(self, event: Event) -> Event:
+        event = Event(self.sim, self._get_name)
         items = self.items
         if items and not self._getters:
             flit = items.popleft()
@@ -107,16 +126,23 @@ class ByteFifo:
             if self._putters:
                 self._settle()
             return event
-        self._getters.append(event)
-        if items:
-            self._settle()
+        self.get_callback(event)
         return event
 
-    def cancel_get(self, event: Event) -> bool:
+    def get_callback(self, waiter: Waiter) -> None:
+        """Queue a getter: the put that supplies its flit calls it with
+        the flit (a callable) or triggers it (an event).  A buffered flit
+        goes to the head getter at once, so a component calls this after
+        :meth:`try_get` came back empty."""
+        self._getters.append(waiter)
+        if self.items:
+            self._settle()
+
+    def cancel_get(self, waiter: Waiter) -> bool:
         """Withdraw a pending getter (used by watchdog teardowns), so an
-        abandoned get event cannot silently swallow a later flit."""
+        abandoned getter cannot silently swallow a later flit."""
         try:
-            self._getters.remove(event)
+            self._getters.remove(waiter)
             return True
         except ValueError:
             return False
@@ -138,11 +164,14 @@ class ByteFifo:
             self.high_water_bytes = level
         getters = self._getters
         if getters:
-            gev = getters.popleft()
+            getter = getters.popleft()
             item = items.popleft()
             self.level_bytes -= item.nbytes
             self.total_bytes_out += item.nbytes
-            gev.trigger(item)
+            if isinstance(getter, Event):
+                getter.trigger(item)
+            else:
+                getter(item)
             if getters and items:
                 self._settle()
         return True
@@ -168,7 +197,7 @@ class ByteFifo:
         while progressed:
             progressed = False
             if putters:
-                event, flit = putters[0]
+                putter, flit = putters[0]
                 nbytes = flit.nbytes
                 if nbytes <= self.capacity_bytes - self.level_bytes:
                     putters.popleft()
@@ -178,14 +207,20 @@ class ByteFifo:
                     self.total_bytes_in += nbytes
                     if level > self.high_water_bytes:
                         self.high_water_bytes = level
-                    event.trigger(flit)
+                    if isinstance(putter, Event):
+                        putter.trigger(flit)
+                    else:
+                        putter(flit)
                     progressed = True
             if getters and items:
-                event = getters.popleft()
+                getter = getters.popleft()
                 flit = items.popleft()
                 self.level_bytes -= flit.nbytes
                 self.total_bytes_out += flit.nbytes
-                event.trigger(flit)
+                if isinstance(getter, Event):
+                    getter.trigger(flit)
+                else:
+                    getter(flit)
                 progressed = True
 
 
@@ -218,14 +253,15 @@ class Link:
     """One direction of a point-to-point link, as a callback state machine.
 
     ``tx`` is the sender-side staging FIFO.  The serializer takes a flit
-    from it, holds the line for ``nbytes`` link cycles (one pooled
-    timeout), and puts the flit on the cable with its arrival time.  The
-    receiver end takes flits off the cable in order, waits out each one's
-    flight (a second pooled timeout) and accepts it into ``rx``.  An
-    uncontended flit-hop is those two kernel events; no process runs.
+    from it (``try_get``, or a callable getter when it is empty), holds
+    the line for ``nbytes`` link cycles (one pooled timeout), and puts the
+    flit on the cable with its arrival time.  The receiver end takes
+    flits off the cable in order, waits out each one's flight (a second
+    pooled timeout) and accepts it into ``rx``.  An uncontended flit-hop
+    is those two kernel events; no process runs.
 
     The stop signal: when ``rx`` is full the arriving flit waits at the
-    receiver on a put event, and the cable behind it fills.  The cable
+    receiver as a callable putter, and the cable behind it fills.  The cable
     holds ``wire_slots`` flits (as many as fit its flight time), so the
     sender may run ``wire_slots`` flits plus the one held at the receiver
     ahead of a stalled ``rx``; the next flit to finish serialising waits
@@ -260,12 +296,12 @@ class Link:
         # one message on the wire at a time; the span opens when its first
         # flit starts serialising and closes as its close flit lands).
         self._spans: dict[int, int] = {}
-        # Callbacks bound once; each rides one pooled event.
-        self._on_tx = self._tx_ready
+        # Callbacks bound once: FIFO waiters and pooled-timeout callbacks.
+        self._on_tx = self._serialize
         self._on_serialized = self._serialized
         self._on_arrival = self._arrival
         self._on_accepted = self._accepted
-        self.tx.get_pooled().callbacks.append(self._on_tx)
+        self.tx.get_callback(self._on_tx)
         if OBS.enabled and OBS.timeline.enabled:
             probe = OBS.timeline.probe
             probe(sim, "link.tx_bytes",
@@ -290,9 +326,6 @@ class Link:
         return self.tx.put(flit)
 
     # -- serializer ---------------------------------------------------------
-
-    def _tx_ready(self, event: Event) -> None:
-        self._serialize(event._value)
 
     def _serialize(self, flit: Flit) -> None:
         sim = self.sim
@@ -323,7 +356,7 @@ class Link:
         if ok:
             self._serialize(flit)
         else:
-            self.tx.get_pooled().callbacks.append(self._on_tx)
+            self.tx.get_callback(self._on_tx)
 
     # -- receiver end -------------------------------------------------------
 
@@ -355,13 +388,12 @@ class Link:
                 FAULTS.engine.mark_corrupt(flit.message_id)
                 self.stats.incr("corrupted_messages")
         if self.rx.try_put(flit):
-            self._accepted(None)
+            self._accepted(flit)
         else:
             # The stop signal: hold the flit until rx has room.
-            self.rx.put_pooled(flit).callbacks.append(self._on_accepted)
+            self.rx.put_callback(flit, self._on_accepted)
 
-    def _accepted(self, _event: Optional[Event]) -> None:
-        flit = self._head
+    def _accepted(self, flit: Flit) -> None:
         stats_incr = self.stats.incr
         stats_incr("flits")
         stats_incr("bytes", flit.nbytes)

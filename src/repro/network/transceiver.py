@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from repro.faults import FAULTS
 from repro.network.link import ByteFifo, Link, LinkConfig
-from repro.network.message import FlitKind
+from repro.network.message import Flit, FlitKind
 from repro.obs import OBS
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Counter
 
 SPEED_OF_LIGHT_NS_PER_M = 5.0  # signal propagation in copper, ~0.2 m/ns
@@ -46,6 +46,83 @@ class TransceiverConfig:
         return self.cable_m * SPEED_OF_LIGHT_NS_PER_M
 
 
+class _Relay:
+    """The transceiver's relay from its 2-KB FIFO into ``rx``, as a
+    callback state machine.
+
+    It takes each flit from the buffer (``try_get``, or a callable getter
+    when the buffer is empty), holds it for its serialisation at link
+    rate (one pooled timeout, after a pooled stall timeout when a
+    ``xcvr_stall`` fault fires), and puts it into ``rx`` (``try_put``, or
+    a callable putter while ``rx`` is full).  Backpressure from ``rx``
+    therefore accumulates in the 2-KB buffer first, which is what lets
+    the stop signal work over 30 m.
+    """
+
+    __slots__ = ("sim", "name", "buffer", "rx", "stats", "byte_ns",
+                 "span", "_on_flit", "_on_stalled", "_on_serialized",
+                 "_on_delivered")
+
+    def __init__(self, sim: Simulator, name: str, buffer: ByteFifo,
+                 rx: ByteFifo, byte_ns: float, stats: Counter):
+        self.sim = sim
+        self.name = name
+        self.buffer = buffer
+        self.rx = rx
+        self.stats = stats
+        self.byte_ns = byte_ns
+        self.span = 0
+        self._on_flit = self._relay
+        self._on_stalled = self._stalled
+        self._on_serialized = self._serialized
+        self._on_delivered = self._delivered
+        buffer.get_callback(self._on_flit)
+
+    def _relay(self, flit: Flit) -> None:
+        sim = self.sim
+        if OBS.enabled and not self.span:
+            self.span = OBS.tracer.begin(
+                "xcvr.relay", self.name, sim.now, category="network",
+                message=flit.message_id)
+        if FAULTS.enabled:
+            # Transceiver stall: the clock-domain crossing hiccups and
+            # the relay pauses; upstream backpressure absorbs it in the
+            # 2-KB FIFO exactly as the stop signal would.
+            stall = FAULTS.engine.stall_ns("xcvr_stall", self.name, sim.now)
+            if stall > 0:
+                self.stats.incr("stalls")
+                sim.pooled_timeout(stall, flit).callbacks.append(
+                    self._on_stalled)
+                return
+        self._serialize(flit)
+
+    def _stalled(self, event: Event) -> None:
+        self._serialize(event._value)
+
+    def _serialize(self, flit: Flit) -> None:
+        self.sim.pooled_timeout(flit.nbytes * self.byte_ns,
+                                flit).callbacks.append(self._on_serialized)
+
+    def _serialized(self, event: Event) -> None:
+        flit = event._value
+        if self.rx.try_put(flit):
+            self._delivered(flit)
+        else:
+            self.rx.put_callback(flit, self._on_delivered)
+
+    def _delivered(self, flit: Flit) -> None:
+        if flit.kind == FlitKind.CLOSE:
+            self.stats.incr("messages")
+            if OBS.enabled:
+                OBS.tracer.end(self.span, self.sim.now)
+            self.span = 0
+        ok, flit = self.buffer.try_get()
+        if ok:
+            self._relay(flit)
+        else:
+            self.buffer.get_callback(self._on_flit)
+
+
 def make_async_link(sim: Simulator, link_config: LinkConfig,
                     xcvr: TransceiverConfig, rx: ByteFifo,
                     name: str = "async") -> Link:
@@ -54,7 +131,8 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
     The stage is: sender -> (synchronous wire) -> transceiver FIFO ->
     (cable) -> receiver FIFO.  We compose it as a single :class:`Link`
     whose propagation includes the cable flight plus resynchronisation,
-    delivering into an intermediate 2-KB FIFO that drains into ``rx``.
+    delivering into an intermediate 2-KB FIFO that a :class:`_Relay`
+    drains into ``rx`` at link rate.
     """
     cfg = LinkConfig(
         clock=link_config.clock,
@@ -64,33 +142,5 @@ def make_async_link(sim: Simulator, link_config: LinkConfig,
     link = Link(sim, cfg, buffer_fifo, name=name)
     stats = Counter(f"{name}.xcvr")
     sim.counters.append((stats, "xcvr", {"xcvr": name}))
-
-    def drain():
-        # The transceiver forwards into the downstream FIFO at link rate;
-        # backpressure from ``rx`` accumulates in the 2-KB buffer first,
-        # which is what lets the stop signal work over 30 m.
-        relay_span = 0
-        while True:
-            flit = yield buffer_fifo.get_pooled()
-            if OBS.enabled and not relay_span:
-                relay_span = OBS.tracer.begin(
-                    "xcvr.relay", name, sim.now, category="network",
-                    message=flit.message_id)
-            if FAULTS.enabled:
-                # Transceiver stall: the clock-domain crossing hiccups and
-                # the relay pauses; upstream backpressure absorbs it in
-                # the 2-KB FIFO exactly as the stop signal would.
-                stall = FAULTS.engine.stall_ns("xcvr_stall", name, sim.now)
-                if stall > 0:
-                    stats.incr("stalls")
-                    yield sim.pooled_timeout(stall)
-            yield sim.pooled_timeout(cfg.serialize_ns(flit.nbytes))
-            yield rx.put_pooled(flit)
-            if flit.kind == FlitKind.CLOSE:
-                stats.incr("messages")
-                if OBS.enabled:
-                    OBS.tracer.end(relay_span, sim.now)
-                relay_span = 0
-
-    sim.process(drain())
+    _Relay(sim, name, buffer_fifo, rx, cfg.byte_ns, stats)
     return link

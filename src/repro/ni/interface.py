@@ -58,6 +58,11 @@ class LinkInterface:
     ``tx_link`` is the fabric attachment's node-to-crossbar link;
     ``rx_fifo`` is the FIFO the crossbar's down-link delivers into (it *is*
     the receive FIFO of this chip, so its capacity is set from the config).
+
+    The send side runs no process.  The chip moves each flit the CPU
+    stages into ``send_fifo`` on into the link's ``tx`` as soon as ``tx``
+    has room: a callable getter on the send FIFO, and a callable putter
+    on ``tx`` while it is full, so a flit costs no kernel event here.
     """
 
     def __init__(self, sim: Simulator, config: LinkInterfaceConfig,
@@ -75,7 +80,12 @@ class LinkInterface:
         self.send_fifo = ByteFifo(sim, config.fifo_bytes, name=f"{name}.sendfifo")
         self.stats = Counter(name)
         sim.counters.append((self.stats, "ni", {"ni": name}))
-        sim.process(self._drain_send_fifo())
+        # The send pump: a callback state machine that moves flits from
+        # the send FIFO into the link's tx (see _pump).
+        self._inject_span = 0
+        self._on_staged = self._staged
+        self._on_sent = self._sent_late
+        self._pump()
         if OBS.enabled and OBS.timeline.enabled:
             probe = OBS.timeline.probe
             probe(sim, "ni.send_fifo_bytes",
@@ -93,34 +103,53 @@ class LinkInterface:
         """Status-register view of free send-FIFO space."""
         return self.send_fifo.free_bytes
 
-    def _drain_send_fifo(self):
-        sim = self.sim
-        fifo_get = self.send_fifo.get_pooled
-        link_send = self.tx_link.tx.put_pooled
-        stats_incr = self.stats.incr
-        data_kind = FlitKind.DATA
-        close_kind = FlitKind.CLOSE
-        inject_span = 0
+    def _pump(self) -> None:
+        """Move staged flits onto the link while its ``tx`` takes them;
+        then wait as a callable getter on the send FIFO."""
+        fifo = self.send_fifo
         while True:
-            flit = yield fifo_get()
-            if OBS.enabled and not inject_span:
-                inject_span = OBS.tracer.begin(
-                    "ni.inject", self.name, sim.now, category="ni",
-                    message=flit.message_id)
-            if (FAULTS.enabled and flit.kind == data_kind
-                    and FAULTS.engine.fires("ni_drop", self.name,
-                                            sim.now)):
-                # Send-FIFO overflow: a word is lost before it reaches the
-                # wire.  The receiver sees a short payload and fails CRC.
-                stats_incr("dropped_flits")
-                continue
-            yield link_send(flit)
-            stats_incr("tx_bytes", flit.nbytes)
-            if flit.kind == close_kind:
-                stats_incr("tx_messages")
-                if OBS.enabled:
-                    OBS.tracer.end(inject_span, sim.now)
-                inject_span = 0
+            ok, flit = fifo.try_get()
+            if not ok:
+                fifo.get_callback(self._on_staged)
+                return
+            if not self._inject(flit):
+                return
+
+    def _staged(self, flit: Flit) -> None:
+        if self._inject(flit):
+            self._pump()
+
+    def _inject(self, flit: Flit) -> bool:
+        """Put one flit on the link; False while it waits for ``tx``."""
+        if OBS.enabled and not self._inject_span:
+            self._inject_span = OBS.tracer.begin(
+                "ni.inject", self.name, self.sim.now, category="ni",
+                message=flit.message_id)
+        if (FAULTS.enabled and flit.kind == FlitKind.DATA
+                and FAULTS.engine.fires("ni_drop", self.name, self.sim.now)):
+            # Send-FIFO overflow: a word is lost before it reaches the
+            # wire.  The receiver sees a short payload and fails CRC.
+            self.stats.incr("dropped_flits")
+            return True
+        link_tx = self.tx_link.tx
+        if link_tx.try_put(flit):
+            self._sent(flit)
+            return True
+        link_tx.put_callback(flit, self._on_sent)
+        return False
+
+    def _sent_late(self, flit: Flit) -> None:
+        """``tx`` took a flit it had no room for; resume the pump."""
+        self._sent(flit)
+        self._pump()
+
+    def _sent(self, flit: Flit) -> None:
+        self.stats.incr("tx_bytes", flit.nbytes)
+        if flit.kind == FlitKind.CLOSE:
+            self.stats.incr("tx_messages")
+            if OBS.enabled:
+                OBS.tracer.end(self._inject_span, self.sim.now)
+            self._inject_span = 0
 
     # -- receive side -----------------------------------------------------------
 

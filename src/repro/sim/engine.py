@@ -24,12 +24,15 @@ seq order.  While a run is in progress no heap entry is due at ``now``.
 
 The event loop is the hot path of every network figure, so the kernel
 also keeps allocation off the per-event path: events with a single
-waiter (the dominant case — one process blocked on one FIFO slot or
-timeout, or one component callback) dispatch without building a fresh
-callback list, and the crossbar and driver processes and the link's
-callbacks draw their events and delays from a
-:meth:`Simulator.pooled_timeout` free list instead of allocating a new
-:class:`Timeout` per flit.
+waiter (the dominant case — one component callback, or one process
+blocked on one timeout or FIFO slot) dispatch without building a fresh
+callback list, and the link, crossbar, transceiver and driver draw
+their delays from a :meth:`Simulator.pooled_timeout` free list instead
+of allocating a new :class:`Timeout` per flit.  No process runs on the
+per-flit path: those components are callback state machines over
+:class:`~repro.network.link.ByteFifo`, whose callable waiters are
+called synchronously by the put or get that satisfies them, with no
+event at all.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class Simulator:
         """A :class:`Timeout` drawn from a free list.
 
         Once processed, the timeout is recycled for a later call, so hot
-        loops (drivers, the crossbar, the link) do not allocate a fresh
+        paths (drivers, the crossbar, the link) do not allocate a fresh
         object per flit.  Callers must drop their reference after the
         timeout fires, because the object is reused.  Two uses qualify:
         ``yield sim.pooled_timeout(...)`` in a process, and a component
@@ -239,13 +242,15 @@ class Simulator:
     def pooled_event(self, name: str = "") -> Event:
         """An :class:`Event` drawn from the same free list.
 
-        The same caveat as :meth:`pooled_timeout` applies: use only at
-        call sites that ``yield`` the event immediately, or that attach
-        one callback and drop the reference (the link's tx get and its
-        stop-signal rx put), and never touch it again afterwards.  Code
-        that stores the event — combinators, ``cancel_get`` watchdog
-        patterns, tests reading ``.value`` after the run — must use
-        :meth:`event`.
+        The same caveat as :meth:`pooled_timeout` applies: once the event
+        is triggered, nothing may touch it again.  Two uses qualify: a
+        call site that yields the event immediately, and one that
+        attaches one callback and triggers it, dropping its reference
+        when it triggers.  The driver's receive drain (yielded by the
+        receiving process, triggered at the close flit) and the
+        crossbar's watchdog decision are of that kind.  Code that keeps
+        the event after it fires (combinators, tests reading ``.value``
+        after the run) must use :meth:`event`.
         """
         pool = self._timeout_pool
         if not pool:

@@ -212,3 +212,73 @@ class TestProtocolErrors:
             CrossbarConfig(input_fifo_bytes=4)
         with pytest.raises(ValueError):
             CrossbarConfig(route_setup_ns=-1.0)
+
+
+class TestWormholeWatchdog:
+    """Under fault injection an open wormhole whose upstream goes quiet
+    for ``teardown_ns`` is torn down: the output is released and the
+    input resynchronises on the next route command."""
+
+    TEARDOWN_NS = 1000.0
+
+    def _crossbar(self, sim):
+        config = CrossbarConfig(teardown_ns=self.TEARDOWN_NS)
+        return wired_crossbar(sim, config=config)
+
+    def test_quiet_wormhole_is_torn_down_and_input_resyncs(self):
+        from repro.faults import FaultPlan, inject as inject_faults
+
+        with inject_faults(FaultPlan(seed=0)):
+            sim = Simulator()
+            xbar, sinks = self._crossbar(sim)
+            stalled = message_flits([2], payload=16)
+            fifo = xbar.input_fifo(0)
+
+            def upstream():
+                # Route and one data flit, then silence past the
+                # watchdog; then a straggler and a whole new message.
+                for flit in stalled[:2]:
+                    yield fifo.put(flit)
+                yield sim.timeout(5 * self.TEARDOWN_NS)
+                yield fifo.put(stalled[2])
+                for flit in message_flits([2], payload=8):
+                    yield fifo.put(flit)
+
+            sim.process(upstream())
+            sim.run()
+        assert xbar.stats["torn_down"] == 1
+        assert xbar.stats["resync_discarded"] == 1
+        assert xbar.stats["connections"] == 2
+        kinds = [flit.kind for flit in sinks[2].items]
+        assert kinds == [FlitKind.DATA, FlitKind.DATA, FlitKind.CLOSE]
+        assert xbar.output_utilization(2) > 0
+
+    def test_flit_put_at_the_watchdog_instant_wins(self):
+        from repro.faults import FaultPlan, inject as inject_faults
+
+        config = CrossbarConfig(teardown_ns=self.TEARDOWN_NS)
+        with inject_faults(FaultPlan(seed=0)):
+            sim = Simulator()
+            xbar, sinks = self._crossbar(sim)
+            flits = message_flits([2], payload=16)
+            fifo = xbar.input_fifo(0)
+            for flit in flits[:2]:
+                assert fifo.try_put(flit)
+            # The data flit is forwarded at route set-up + forward_ns,
+            # and the watchdog is armed then.  The rest arrives exactly
+            # one watchdog period later, queued after the timer.
+            armed_at = config.route_setup_ns + config.forward_ns
+
+            def late_upstream():
+                yield sim.timeout(armed_at)
+                yield sim.timeout(0)
+                yield sim.timeout(self.TEARDOWN_NS)
+                for flit in flits[2:]:
+                    assert fifo.try_put(flit)
+
+            sim.process(late_upstream())
+            sim.run()
+        assert xbar.stats["torn_down"] == 0
+        assert xbar.stats["connections"] == 1
+        kinds = [flit.kind for flit in sinks[2].items]
+        assert kinds == [FlitKind.DATA, FlitKind.DATA, FlitKind.CLOSE]

@@ -20,7 +20,6 @@ import math
 import pytest
 
 from repro.sim.engine import AnyOf, SimulationError, Simulator
-from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -164,21 +163,23 @@ class TestKernelInvariants:
     def test_unsampled_run_keeps_due_now_events_off_the_heap(
             self, monkeypatch):
         from repro.msg.api import build_cluster_world
+        from repro.network.link import Link
 
-        resume = Process._resume
+        serialized = Link._serialized
         checked = []
 
-        def checked_resume(self, event):
+        def checked_serialized(self, event):
             queue = self.sim._queue
             assert not queue or queue[0][0] > self.sim.now, (
                 f"heap entry due at {queue[0][0]!r} with now="
                 f"{self.sim.now!r}")
             checked.append(None)
-            return resume(self, event)
+            return serialized(self, event)
 
-        # Patched before the world is built: each process binds its
-        # resume callback once, at construction.
-        monkeypatch.setattr(Process, "_resume", checked_resume)
+        # Patched before the world is built: each link binds its
+        # per-flit callbacks once, at construction.  The kernel
+        # dispatches this one from a pooled timeout for every flit-hop.
+        monkeypatch.setattr(Link, "_serialized", checked_serialized)
         sim, world = build_cluster_world()
         # No sampler: the run loops compare against inf only.
         assert sim._sampler is None
