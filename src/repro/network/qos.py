@@ -399,6 +399,12 @@ class AdaptiveRouter:
     and lets the table's shortest-path search avoid them.  When avoidance
     disconnects a pair, the congestion marks are dropped and the message
     takes the congested shortest path instead of stalling.
+
+    Whether avoidance can ever move a route is decided once, at
+    construction: a port edge has a detour only if it lies on a cycle of
+    the wiring graph.  On a fabric with none (one crossbar, a tree) every
+    pair has one path, so the router never scans or marks, and each
+    request is a plain table lookup.
     """
 
     def __init__(self, routes, fabric, config: AdaptiveConfig):
@@ -425,13 +431,15 @@ class AdaptiveRouter:
                 port = attrs.get("out_port")
                 if port is not None:
                     self._port_edges[(name, port)] = (key, there)
+        self.has_detours = _has_cycle(fabric.graph)
 
     def route_bytes(self, src: Hashable, dst: Hashable) -> List[int]:
         from repro.network.routing import NoRouteError
 
-        now = self.fabric.sim.now
-        if now - self._last_scan >= self.config.check_interval_ns:
-            self._apply_scan(now)
+        if self.has_detours:
+            now = self.fabric.sim.now
+            if now - self._last_scan >= self.config.check_interval_ns:
+                self._apply_scan(now)
         try:
             path = self.routes.route_bytes(src, dst)
         except NoRouteError:
@@ -473,3 +481,33 @@ class AdaptiveRouter:
             if hot:
                 congested.add(edge)
         return congested
+
+
+def _has_cycle(graph) -> bool:
+    """Whether the wiring graph, read as undirected, has a cycle.
+
+    An output-port edge has a detour exactly when it lies on such a
+    cycle, and every cycle runs through a crossbar and so through one of
+    its output-port edges.  Union-find over the undirected edges: an edge
+    whose ends are already joined closes a cycle.
+    """
+    parent: Dict[Hashable, Hashable] = {}
+
+    def root(v: Hashable) -> Hashable:
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    seen: Set[frozenset] = set()
+    for u in graph.nodes:
+        for v in graph.successors(u):
+            edge = frozenset((u, v))
+            if edge in seen:
+                continue  # the other direction of a duplex link
+            seen.add(edge)
+            ru, rv = root(u), root(v)
+            if ru == rv:
+                return True
+            parent[ru] = rv
+    return False

@@ -267,19 +267,37 @@ class TestAdaptiveRouting:
         result = run_load(world, qos=qos,
                           mix={"best-effort": ClassTraffic("hotspot")},
                           load=0.9, messages=24, seed=5)
+        # One crossbar: no port has a detour, so nothing is scanned.
+        assert router.scans == 0
+        assert result.reroutes == router.stats["reroutes"] == 0
+        assert result.fallbacks == router.stats["fallbacks"] == 0
+
+    def test_reroutes_under_hotspot_load_where_detours_exist(self):
+        _, world = build_topology_world(parse_topology("fat_tree"))
+        router = world.enable_adaptive(
+            AdaptiveConfig(depth_threshold=1, check_interval_ns=500.0))
+        assert router.has_detours
+        result = run_load(world, qos=QosConfig(),
+                          mix={"best-effort": ClassTraffic("hotspot")},
+                          load=0.9, messages=8, seed=5)
         assert router.scans > 0
-        assert result.reroutes == router.stats["reroutes"]
+        assert result.reroutes == router.stats["reroutes"] > 0
         assert result.fallbacks == router.stats["fallbacks"]
 
     def test_single_crossbar_never_reroutes(self):
-        """The cluster's one crossbar leaves every pair one path: under
-        a hotspot congestion forces fallbacks, and no route changes."""
+        """The cluster's one crossbar leaves every pair one path, so the
+        router never scans: under a hotspot no route changes, nothing
+        falls back and the route memo is never invalidated."""
         world, router = self.build(depth=2, check_interval_ns=500.0)
+        assert not router.has_detours
+        version = world.routes.version
         run_load(world, qos=QosConfig(),
                  mix={"best-effort": ClassTraffic("hotspot")},
                  load=0.9, messages=24, seed=5)
-        assert router.stats["fallbacks"] > 0
+        assert router.scans == 0
+        assert router.stats["fallbacks"] == 0
         assert router.stats["reroutes"] == 0
+        assert world.routes.version == version
 
     def test_reroute_counts_a_changed_path(self):
         _, world = build_topology_world(parse_topology("manna"))
@@ -297,7 +315,9 @@ class TestAdaptiveRouting:
         assert router.stats["reroutes"] == 1
 
     def test_scan_is_rate_limited(self):
-        world, router = self.build(depth=1, check_interval_ns=1e9)
+        _, world = build_topology_world(parse_topology("manna"))
+        router = world.enable_adaptive(
+            AdaptiveConfig(depth_threshold=1, check_interval_ns=1e9))
         for _ in range(5):
             router.route_bytes(("node", 0, 0), ("node", 1, 0))
         assert router.scans == 1

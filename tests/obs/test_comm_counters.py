@@ -215,8 +215,7 @@ RUNS = {
                                "sliding.failed_flows")),
     "earth_fib": (_earth_fib, ("earth.fibers_run", "earth.messages_handled",
                                "earth.fiber_ns", "link.messages")),
-    "qos_hotspot": (_qos_hotspot, ("qos.route_fallbacks",
-                                   "xbar.collisions")),
+    "qos_hotspot": (_qos_hotspot, ("xbar.collisions",)),
     "qos_fat_tree_hotspot": (_qos_fat_tree_hotspot,
                              ("qos.reroutes", "qos.route_fallbacks")),
 }
@@ -402,8 +401,8 @@ def test_chaos_artifacts_match_recorded_digests(name, tmp_path):
 OBSERVED = {
     "earth_fib": (_earth_fib, "2e257ab3d5fb0013239468e1076e7042"
                               "2360e1f30c18c08e814bb8e39e9a432b"),
-    "qos_hotspot": (_qos_hotspot, "4dcdb757e47ae754a2deb72da34a0b53"
-                                  "2d36435a1b9f29ad4ab0b16d9e86044f"),
+    "qos_hotspot": (_qos_hotspot, "72d551fe74d62daf7e328233abfde850"
+                                  "c542224df86de4b1dbe3d511c4738cb2"),
 }
 
 
