@@ -21,7 +21,7 @@ started (fork or spawn), and because the plan must reach the worker
 * ``run_interrupt`` — supervisor-side: after ``after_points`` points
   complete in this run, a clean SIGINT-equivalent shutdown triggers
   (journal flushed, workers terminated) — the deterministic stand-in for
-  Ctrl-C that the ``supervision-smoke`` CI job resumes from.
+  Ctrl-C that ``tests/parallel/test_supervision_smoke.py`` resumes from.
 
 Worker kinds fire **only inside pool worker processes** (the worker main
 loop applies them); in-process serial execution is never crashed or hung

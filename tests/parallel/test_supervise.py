@@ -1,8 +1,9 @@
 """The supervised executor: retries, quarantine, interrupts, resume.
 
 Worker-killing scenarios are driven through ``REPRO_HARNESS_FAULTS`` —
-the same deterministic injection path the ``supervision-smoke`` CI job
-uses — so every recovery behaviour asserted here is reproducible."""
+the same deterministic injection path ``test_supervision_smoke.py``
+drives through a real ``python -m repro`` child — so every recovery
+behaviour asserted here is reproducible."""
 
 import json
 import os
