@@ -1,10 +1,10 @@
 """Atomic artifact writes: temp file in the target dir, fsync, rename.
 
 Every artifact the CLI leaves behind — traces, metrics dumps, timelines,
-bench payloads, HTML dashboards, chaos reports, journals' sidecar
-payloads — goes through one of these helpers so a crash (or an OOM kill,
-or a Ctrl-C) can never leave a truncated, half-written file where a
-consumer expects a complete one.  The recipe is the classic one the
+HTML dashboards, chaos reports, journals' sidecar payloads — goes
+through one of these helpers so a crash (or an OOM kill, or a Ctrl-C)
+can never leave a truncated, half-written file where a consumer expects
+a complete one.  The recipe is the classic one the
 result cache already used:
 
 * write to a uniquely-named temp file *in the same directory* (so the

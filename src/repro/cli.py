@@ -225,7 +225,6 @@ def cmd_list(_args) -> None:
         ["trace", "run an experiment under span tracing (Perfetto JSON)"],
         ["metrics", "run an experiment under labeled metrics"],
         ["report", "run fully observed; render an HTML dashboard"],
-        ["bench", "time the hot kernels; write BENCH_perf.json"],
     ]
     _emit(format_table(["command", "regenerates"], rows,
                        title="Available experiments"))
@@ -466,80 +465,6 @@ def _chaos_campaign(plan, args) -> Optional[int]:
     _report_cache(options["cache"])
     _report_supervision(options["supervise"])
     return rc
-
-
-def _default_bench_out(quick: bool) -> str:
-    return "BENCH_perf.quick.json" if quick else "BENCH_perf.json"
-
-
-def cmd_bench(args) -> Optional[int]:
-    from repro.perf import (
-        compare_payloads,
-        format_bench_table,
-        format_compare_table,
-        load_payload,
-        run_bench,
-        write_bench_json,
-    )
-
-    if args.list:
-        from repro.perf.harness import KERNELS
-
-        for name in KERNELS:
-            print(name)
-        return 0
-
-    if args.kernels:
-        from repro.perf.harness import KERNELS
-
-        unknown = [n for n in args.kernels if n not in KERNELS]
-        if unknown:
-            print(f"unknown kernel(s) {', '.join(unknown)}; "
-                  f"known: {', '.join(KERNELS)} (see bench --list)",
-                  file=sys.stderr)
-            return 2
-
-    if args.compare:
-        old_path, new_path = args.compare
-        deltas, regressions = compare_payloads(
-            load_payload(old_path), load_payload(new_path),
-            threshold=args.threshold)
-        _emit(format_compare_table(deltas, args.threshold))
-        if regressions:
-            names = ", ".join(d.name for d in regressions)
-            print(f"FAIL: {len(regressions)} kernel(s) regressed beyond "
-                  f"{args.threshold * 100.0:.0f}%: {names}")
-            return 1
-        print(f"OK: no kernel regressed beyond "
-              f"{args.threshold * 100.0:.0f}%")
-        return 0
-
-    out = args.out if args.out is not None else _default_bench_out(args.quick)
-    if args.quick and args.out is None:
-        # A quick run must never silently clobber a recorded full run:
-        # the default quick path refuses if it holds a non-quick payload.
-        if os.path.exists(out):
-            try:
-                with open(out, encoding="utf-8") as handle:
-                    existing_quick = json.load(handle).get("quick", True)
-            except (OSError, ValueError):
-                existing_quick = True
-            if existing_quick is False:
-                print(f"refusing to overwrite {out}: it holds a full "
-                      f"(non-quick) benchmark run; pass --out explicitly "
-                      f"to replace it", file=sys.stderr)
-                return 2
-
-    repeats = 1 if args.quick else args.repeats
-    supervise = _supervise_config(args)
-    results = run_bench(repeats=repeats, kernels=args.kernels or None,
-                        jobs=args.jobs, supervise=supervise)
-    _emit(format_bench_table(results))
-    write_bench_json(out, results, quick=args.quick)
-    print(f"wrote {out}: {len(results)} kernels, "
-          f"best of {repeats} repeat(s)")
-    _report_supervision(supervise)
-    return 0
 
 
 def _traffic_qos(args):
@@ -1017,33 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     logp = sub.add_parser("logp", help="LogP parameters")
     logp.add_argument("--nbytes", type=int, default=8)
 
-    bench = sub.add_parser(
-        "bench", help="time the hot kernels and write BENCH_perf.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="single repeat per kernel (CI smoke mode; "
-                            "kernel sizes are unchanged)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats per kernel (best is reported)")
-    bench.add_argument("--kernels", nargs="*", default=None,
-                       help="subset of kernels to run (default: all)")
-    bench.add_argument("--list", action="store_true",
-                       help="print the known kernel names and exit")
-    bench.add_argument("--out", default=None,
-                       help="where to write the benchmark document "
-                            "(default: BENCH_perf.json, or "
-                            "BENCH_perf.quick.json with --quick)")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the (kernel, repeat) "
-                            "units; keep 1 when walls are the deliverable")
-    _add_supervise_options(bench)
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                       default=None,
-                       help="compare two BENCH_perf.json documents instead "
-                            "of running; exit non-zero on regression")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       help="--compare: relative wall regression that "
-                            "fails the gate (default 0.10 = 10%%)")
-
     trace = sub.add_parser(
         "trace", help="run an experiment with span tracing enabled")
     trace.add_argument("experiment", choices=TRACEABLE)
@@ -1114,7 +1012,6 @@ _COMMANDS = {
     "chaos": cmd_chaos,
     "traffic": cmd_traffic,
     "logp": cmd_logp,
-    "bench": cmd_bench,
     "trace": cmd_trace,
     "metrics": cmd_metrics,
     "report": cmd_report,

@@ -157,10 +157,6 @@ class LinkInterface:
         """Status-register view of the receive FIFO fill level."""
         return self.rx_fifo.level_bytes
 
-    def read_flit(self) -> Event:
-        """CPU loads one flit from the receive FIFO."""
-        return self.rx_fifo.get()
-
     def check_crc(self, message: Message) -> bool:
         """Validate the received message's CRC.
 

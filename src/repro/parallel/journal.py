@@ -1,6 +1,6 @@
 """The run journal: an append-only, crash-safe record of one sweep run.
 
-Every supervised sweep (figures, chaos campaigns, bench) writes a
+Every supervised sweep (figures, traffic, chaos campaigns) writes a
 :class:`RunJournal` — a JSONL file whose records are appended one
 ``write``/``flush``/``fsync`` at a time, so the journal is consistent up
 to the last completed record no matter where the process dies:

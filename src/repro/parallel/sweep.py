@@ -145,7 +145,6 @@ def run_sweep(sweep_id: str,
               cache: Optional[ResultCache] = None,
               modules: Sequence[str] = (),
               seed_base: int = 0,
-              capture: Optional[bool] = None,
               supervise: Optional[SuperviseConfig] = None,
               ) -> List[PointOutcome]:
     """Run every point of a sweep, possibly in parallel, deterministically.
@@ -164,8 +163,6 @@ def run_sweep(sweep_id: str,
             fingerprint (ignored without ``cache`` or a journal).
         seed_base: folded into every derived seed (e.g. a fault plan's
             base seed).
-        capture: capture per-point metrics/spans and merge them into the
-            ambient observability session; defaults to ``OBS.enabled``.
         supervise: retry, timeout, journal and resume settings of the
             supervised executor.  ``None`` means
             ``SuperviseConfig(enable_journal=False)``: the CLI's defaults
@@ -182,8 +179,9 @@ def run_sweep(sweep_id: str,
             by the exception resumes it.
     """
     points = list(points)
-    if capture is None:
-        capture = OBS.enabled
+    # Capture per-point metrics/spans exactly when an ambient
+    # observability session is live, and merge them back into it.
+    capture = OBS.enabled
     span_limit = OBS.tracer.limit if capture else 0
     # Sampling rides along with capture: when the ambient session has a
     # live timeline, each point samples at the same interval and its

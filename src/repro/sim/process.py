@@ -17,23 +17,15 @@ when the generator finishes, so processes can wait on each other.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Generator
 
 from repro.sim.engine import Event, SimulationError, Simulator
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Process(Event):
     """A running generator, resumable by the events it yields."""
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_resume_cb")
+    __slots__ = ("_generator", "_send", "_resume_cb")
 
     def __init__(self, sim: Simulator, generator: Generator):
         if not hasattr(generator, "send"):
@@ -43,7 +35,6 @@ class Process(Event):
         super().__init__(sim, name=getattr(generator, "__name__", "process"))
         self._generator = generator
         self._send = generator.send
-        self._waiting_on: Event | None = None
         # Bound once: every wait appends this same callback.
         self._resume_cb = self._resume
         # Bootstrap: resume once at the current time.
@@ -59,28 +50,10 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.finished:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        waited = self._waiting_on
-        if waited is not None and not waited.processed:
-            # Detach from the event we were waiting on.
-            try:
-                waited.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        poke = Event(self.sim, f"interrupt:{self.name}")
-        poke.callbacks.append(lambda _e: self._step(Interrupt(cause), throw=True))
-        poke.trigger()
-
     # -- internal ---------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        # The per-event hot path: _step with the throw branch and the extra
-        # call frame peeled off.
-        self._waiting_on = None
+        # The per-event hot path.
         try:
             target = self._send(event._value)
         except StopIteration as stop:
@@ -96,33 +69,7 @@ class Process(Event):
             # Already fired: resume immediately (but via the queue, to keep
             # deterministic ordering).
             poke = Event(self.sim, "immediate")
-            poke.callbacks.append(lambda _e: self._step(target._value))
+            poke.callbacks.append(lambda _e: self._resume(target))
             poke.trigger()
         else:
-            self._waiting_on = target
-            target.callbacks.append(self._resume_cb)
-
-    def _step(self, value: Any, throw: bool = False) -> None:
-        try:
-            if throw:
-                target = self._generator.throw(value)
-            else:
-                target = self._send(value)
-        except StopIteration as stop:
-            self.trigger(stop.value)
-            return
-        try:
-            processed = target._processed
-        except AttributeError:
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Events") from None
-        if processed:
-            # Already fired: resume immediately (but via the queue, to keep
-            # deterministic ordering).
-            poke = Event(self.sim, "immediate")
-            poke.callbacks.append(lambda _e: self._step(target._value))
-            poke.trigger()
-        else:
-            self._waiting_on = target
             target.callbacks.append(self._resume_cb)

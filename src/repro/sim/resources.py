@@ -1,7 +1,10 @@
 """Shared simulation resources: FIFO stores, mutex-style resources, signals.
 
-These are the building blocks for every hardware queue in the library: link
-FIFOs, crossbar input buffers and the network-interface send/receive FIFOs.
+These are the blocking queues, locks and wake-ups of the components
+above the flit level: the driver's send/receive locks, the crossbar's
+output arbiters, the reliable channels' delivery queues and EARTH's
+ready and outbox queues.  The per-flit hardware queues (link, crossbar
+input and NI FIFOs) are :class:`~repro.network.link.ByteFifo` instead.
 """
 
 from __future__ import annotations
@@ -55,15 +58,7 @@ class FifoStore:
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has been enqueued."""
-        return self._put(Event(self.sim, self._put_name), item)
-
-    def put_pooled(self, item: Any) -> Event:
-        """Like :meth:`put` with a recycled event — only for call sites
-        that ``yield`` the event immediately (see
-        :meth:`~repro.sim.engine.Simulator.pooled_event`)."""
-        return self._put(self.sim.pooled_event(self._put_name), item)
-
-    def _put(self, event: Event, item: Any) -> Event:
+        event = Event(self.sim, self._put_name)
         items = self.items
         if not self._putters and len(items) < self.capacity:
             # Accepted immediately — same trigger order as _settle (put
@@ -94,14 +89,7 @@ class FifoStore:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        return self._get(Event(self.sim, self._get_name))
-
-    def get_pooled(self) -> Event:
-        """Like :meth:`get` with a recycled event — only for call sites
-        that ``yield`` the event immediately."""
-        return self._get(self.sim.pooled_event(self._get_name))
-
-    def _get(self, event: Event) -> Event:
+        event = Event(self.sim, self._get_name)
         items = self.items
         if items and not self._getters:
             got = items.popleft()

@@ -23,6 +23,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_unknown_command_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+
 
 class TestExecution:
     def test_list(self, capsys):
@@ -63,18 +68,3 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "DOUBLE" in out and "INT" in out
 
-
-class TestBenchKernelSelection:
-    def test_bench_list_prints_kernels(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("fig7_matmult", "fig8_smp", "traffic_incast"):
-            assert name in out
-
-    def test_bench_unknown_kernel_clean_error(self, capsys):
-        assert main(["bench", "--kernels", "no_such_kernel"]) == 2
-        captured = capsys.readouterr()
-        assert "unknown kernel(s) no_such_kernel" in captured.err
-        assert "bench --list" in captured.err
-        # one clean line on stderr, no traceback
-        assert "Traceback" not in captured.err

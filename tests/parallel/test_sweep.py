@@ -125,12 +125,6 @@ class TestObservabilityMerge:
         assert len(OBS.metrics) == 0
         assert len(OBS.tracer) == 0
 
-    def test_forced_capture_without_session_is_safe(self):
-        outcomes = run_sweep("obs", _points([2]), observing_task,
-                             capture=True)
-        assert sweep_values(outcomes) == [2]
-        assert len(OBS.metrics) == 0  # never merged into the null session
-
 
 class TestCliSweep:
     def test_fig7_identical_across_jobs(self, capsys):

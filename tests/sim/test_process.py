@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -84,50 +84,6 @@ class TestProcessLifecycle:
         assert proc.is_alive
         sim.run()
         assert not proc.is_alive
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, sim):
-        caught = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000.0)
-            except Interrupt as interrupt:
-                caught.append((interrupt.cause, sim.now))
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(50.0)
-            proc.interrupt("wake up")
-
-        sim.process(interrupter())
-        sim.run()
-        assert caught == [("wake up", 50.0)]
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_uncaught_interrupt_propagates(self, sim):
-        def sleeper():
-            yield sim.timeout(1000.0)
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        with pytest.raises(Interrupt):
-            sim.run()
 
 
 class TestDeterminism:
