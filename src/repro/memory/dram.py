@@ -66,6 +66,9 @@ class InterleavedDram:
         self._bank_free: List[float] = [0.0] * config.num_banks
         self._bank_shift = config.interleave_bytes.bit_length() - 1
         self._bank_mask = config.num_banks - 1
+        # The config is frozen: read its timing once, not per fetch.
+        self._access_ns = config.access_ns
+        self._bandwidth_mb_s = config.bandwidth_mb_s
         self.stats = Counter(name)
 
     def bank_of(self, addr: int) -> int:
@@ -75,14 +78,19 @@ class InterleavedDram:
         """Issue a fetch/writeback; returns its completion time (ns)."""
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        bank = self.bank_of(addr)
-        start = max(now, self._bank_free[bank])
-        queued = start - now
-        done = start + self.config.access_ns + self.config.transfer_ns(nbytes)
-        self._bank_free[bank] = done
-        self.stats.incr("requests")
-        if queued > 0:
-            self.stats.incr("bank_conflicts")
+        bank = (addr >> self._bank_shift) & self._bank_mask
+        bank_free = self._bank_free
+        start = bank_free[bank]
+        queued = start > now
+        if not queued:
+            start = now
+        # ``DramConfig.transfer_ns``, inline: this runs once per miss.
+        done = start + self._access_ns + nbytes * 1e3 / self._bandwidth_mb_s
+        bank_free[bank] = done
+        stats = self.stats
+        stats.incr("requests")
+        if queued:
+            stats.incr("bank_conflicts")
         return done
 
     def peek_service(self, now: float, addr: int, nbytes: int) -> float:

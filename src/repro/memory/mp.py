@@ -67,6 +67,8 @@ class FabricConfig:
 class _ChannelTimer:
     """Next-free bookkeeping for one serial channel."""
 
+    __slots__ = ("name", "_next_free", "busy_ns", "grants")
+
     def __init__(self, name: str):
         self.name = name
         self._next_free = 0.0
@@ -74,7 +76,9 @@ class _ChannelTimer:
         self.grants = 0
 
     def occupy(self, now_ns: float, duration_ns: float) -> Tuple[float, float]:
-        start = max(now_ns, self._next_free)
+        start = self._next_free
+        if not start > now_ns:
+            start = now_ns
         done = start + duration_ns
         self._next_free = done
         self.busy_ns += duration_ns
@@ -123,6 +127,7 @@ class MultiprocessorMemory:
         self.l1_hit_ns = config.l1_hit_ns
         self.l2_hit_ns = config.l2_hit_ns
         self.tlb_miss_ns = config.tlb_miss_ns
+        self._switched = fabric.kind == FabricKind.SWITCHED
 
     # -- single access ---------------------------------------------------------
 
@@ -221,13 +226,11 @@ class MultiprocessorMemory:
     def _memory_fetch(self, ready_ns: float, addr: int, nbytes: int,
                       ) -> Tuple[float, float]:
         """Route a line fetch over the fabric; returns (start, done)."""
-        kind = self.fabric.kind
-        if kind == FabricKind.SWITCHED:
+        if self._switched:
             # Point-to-point path; only DRAM banks are shared.
-            done = self.dram.service(ready_ns, addr, nbytes)
-            return ready_ns, done
+            return ready_ns, self.dram.service(ready_ns, addr, nbytes)
         transfer = nbytes * 1e3 / self.fabric.data_bus_mb_s
-        if kind == FabricKind.SPLIT_BUS:
+        if self.fabric.kind == FabricKind.SPLIT_BUS:
             # Bus occupied for the data packet only; DRAM latency overlaps.
             done_mem = self.dram.service(ready_ns, addr, nbytes)
             start, done = self.data_bus.occupy(done_mem - transfer, transfer)

@@ -62,6 +62,7 @@ class AddressPhaseSequencer:
         self.config = config
         self.name = name
         self._phase_ns = config.phase_ns  # the config is frozen
+        self._queue_depth = config.queue_depth
         self._next_free = 0.0
         self.stats = Counter(name)
         self.total_wait_ns = 0.0
@@ -75,21 +76,24 @@ class AddressPhaseSequencer:
         wait time because grants are strictly serial.
         """
         phase_ns = self._phase_ns
-        grant = max(now_ns, self._next_free)
-        # Beyond the hardware queue depth, the master must retry: model the
-        # retry penalty as one extra phase time of delay.
-        backlog_phases = max(0.0, (grant - now_ns) / phase_ns)
-        if backlog_phases > self.config.queue_depth:
-            grant += phase_ns
-            self.stats.incr("retries")
+        stats = self.stats
+        grant = self._next_free
+        if grant > now_ns:
+            # Beyond the hardware queue depth, the master must retry:
+            # model the retry penalty as one extra phase time of delay.
+            if (grant - now_ns) / phase_ns > self._queue_depth:
+                grant += phase_ns
+                stats.incr("retries")
+        else:
+            grant = now_ns
         done = grant + phase_ns
         self._next_free = done
-        self.stats.incr("phases")
+        stats.incr("phases")
         waited = grant - now_ns
         self.total_wait_ns += waited
         self.busy_ns += phase_ns
         if waited > 0:
-            self.stats.incr("contended")
+            stats.incr("contended")
         return grant, done
 
     def mean_wait_ns(self) -> float:

@@ -9,9 +9,9 @@ Each generator also has an ``*_array`` twin producing the same reference
 stream as a structured ``(addr, is_write)`` numpy array (the
 ``repro.memory.vec`` trace representation), element-for-element equal to
 the iterator.  The regular kernels build their arrays with broadcasting;
-the RNG-driven ones (:func:`random_array`, :func:`hint_sweep_array`)
-materialise the iterator so the random call order — and hence the exact
-address sequence — is preserved.  The array twins import numpy when
+:func:`random_array` materialises its iterator so the random call
+order — and hence the exact address sequence — is preserved, and
+:func:`hint_sweep_array` makes the same random calls as its iterator.  The array twins import numpy when
 called, so the iterators cost no numpy import.
 """
 
@@ -263,9 +263,23 @@ def hint_sweep_array(base: int, records: int, record_bytes: int,
                      touched_fraction: float = 1.0,
                      write_fraction: float = 0.25,
                      seed: int = 7):
-    """Array twin of :func:`hint_sweep_trace` (materialised, see
-    :func:`random_array`)."""
-    from repro.memory.vec import coerce_trace
-    return coerce_trace(hint_sweep_trace(base, records, record_bytes,
-                                         touched_fraction, write_fraction,
-                                         seed))
+    """Array twin of :func:`hint_sweep_trace`: the scan as two strides
+    (even records, then odd), then the split writes, drawn by the same
+    ``random.Random(seed)`` calls in the same order."""
+    import numpy as np
+
+    rng = random.Random(seed)
+    scan = int(records * touched_fraction)
+    writes = max(1, int(scan * write_fraction))
+    split = [rng.randrange(max(1, records)) for _ in range(writes)]
+    out = _ref_array(scan + writes)
+    addr = out["addr"]
+    evens = (scan + 1) // 2
+    addr[:evens] = np.arange(0, scan, 2, dtype=np.int64)
+    addr[evens:scan] = np.arange(1, scan, 2, dtype=np.int64)
+    addr[scan:] = split
+    addr *= record_bytes
+    addr += base
+    out["is_write"][:scan] = False
+    out["is_write"][scan:] = True
+    return out

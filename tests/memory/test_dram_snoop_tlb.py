@@ -44,6 +44,13 @@ class TestInterleavedDram:
         assert done == pytest.approx(320.0)
         assert dram.stats["bank_conflicts"] == 1
 
+    def test_arrival_at_the_free_time_is_no_conflict(self):
+        dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
+                                          access_ns=60.0, bandwidth_mb_s=640.0))
+        done = dram.service(0.0, 0x0, 64)
+        assert dram.service(done, 0x100, 64) == done + 60.0 + 100.0
+        assert dram.stats.as_dict() == {"requests": 2}
+
     def test_peek_does_not_commit(self):
         dram = InterleavedDram(DramConfig())
         peeked = dram.peek_service(0.0, 0x0, 64)
@@ -87,6 +94,25 @@ class TestAddressPhaseSequencer:
         for _ in range(4):
             seq.occupy(0.0)
         assert seq.stats["retries"] >= 1
+
+    def test_arrival_at_the_free_time_waits_for_nothing(self):
+        seq = self.make()
+        _, done = seq.occupy(0.0)
+        assert seq.occupy(done) == (done, done + seq._phase_ns)
+        assert seq.stats.as_dict() == {"phases": 2}
+        assert seq.total_wait_ns == 0.0
+
+    def test_retry_only_beyond_the_queue_depth(self):
+        """A backlog of exactly ``queue_depth`` phases waits; one more
+        phase retries, paying one phase more."""
+        seq = self.make(queue_depth=2)
+        phase = seq._phase_ns
+        for _ in range(3):
+            seq.occupy(0.0)
+        assert "retries" not in seq.stats
+        grant, _ = seq.occupy(0.0)  # 3 phases queued ahead of it
+        assert grant == 4 * phase
+        assert seq.stats["retries"] == 1
 
     def test_mean_wait_and_utilization(self):
         seq = self.make()

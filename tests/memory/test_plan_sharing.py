@@ -197,6 +197,50 @@ class TestNearMissesGetTheirOwnPass:
                 == 2 * self.segments(trace))
 
 
+def run_cli(argv):
+    """A figure command in-process, at its printed size, cold."""
+    from repro.cli import main
+    assert main(argv + ["--jobs", "1", "--no-cache", "--no-journal"]) == 0
+
+
+class TestFig6OraclePasses:
+    def test_data_types_share_each_checkpoint(self, passes, capsys):
+        """fig6 replays a machine's double and int runs side by side: one
+        pass per checkpoint (16 ... 4096) per machine, where the runs
+        apart took 72."""
+        run_cli(["fig6"])
+        assert len(passes) == 36
+
+
+class TestDirectMappedSetsRunNoLockstep:
+    @pytest.mark.parametrize("argv", [["fig6"], ["fig7", "--sizes", "8", "24"],
+                                      ["fig8", "--sizes", "8"]],
+                             ids=["fig6", "fig7", "fig8"])
+    def test_sun_caches_are_solved_in_closed_form(self, monkeypatch, capsys,
+                                                  argv):
+        """Sun's direct-mapped L1 and L2 never reach the lockstep engine;
+        the other machines' caches do."""
+        ways = []
+        lockstep = vec._lockstep
+        direct = []
+        direct_mapped = vec._direct_mapped
+
+        def spy(tags, writes, lane_start, lane_len, n_ways, *rest):
+            ways.append(n_ways)
+            return lockstep(tags, writes, lane_start, lane_len, n_ways,
+                            *rest)
+
+        def spy_direct(*args):
+            direct.append(args[4])
+            return direct_mapped(*args)
+
+        monkeypatch.setattr(vec, "_lockstep", spy)
+        monkeypatch.setattr(vec, "_direct_mapped", spy_direct)
+        run_cli(argv)
+        assert ways and 1 not in ways
+        assert direct and set(direct) == {1}
+
+
 class TestFig8OraclePasses:
     def test_one_pass_per_distinct_segment(self, passes):
         """An unsampled fig8 point plans CPU 0's product trace once for

@@ -36,13 +36,15 @@ from repro.memory.tlb import TlbConfig
 from repro.sim.clock import Clock
 
 
-def make_memory(cpus, kind=FabricKind.SWITCHED):
+def make_memory(cpus, kind=FabricKind.SWITCHED,
+                l1=CacheGeometry(1024, 64, 2),
+                l2=CacheGeometry(4096, 64, 2)):
     """A deliberately tiny node so short random traces still evict."""
     hierarchy = HierarchyConfig(
         cpu_clock=Clock(180.0),
         bus_clock=Clock(60.0),
-        l1=CacheGeometry(1024, 64, 2),
-        l2=CacheGeometry(4096, 64, 2),
+        l1=l1,
+        l2=l2,
         dram=DramConfig(num_banks=4, interleave_bytes=64,
                         access_ns=60.0, bandwidth_mb_s=640.0),
         tlb=TlbConfig(entries=8, page_bytes=4096, miss_cycles=12.0),

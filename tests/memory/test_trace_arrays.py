@@ -89,6 +89,19 @@ class TestRngDrivenArrays:
                                 touched_fraction=touched_fraction),
             tg.hint_sweep_array(0, 300, 48,
                                 touched_fraction=touched_fraction))
+        # The scans run_hint replays: each checkpoint of the default
+        # ladder (16 ... 4096 records) seeded by its size, a quarter of
+        # the records rewritten, an odd count among them.
+        from repro.bench.hint import RECORD_BYTES, default_checkpoints
+        base = 0x1000_0000
+        for mark in default_checkpoints(4096) + [1, 101]:
+            assert_twin(
+                tg.hint_sweep_trace(base, mark, RECORD_BYTES,
+                                    touched_fraction=touched_fraction,
+                                    write_fraction=0.25, seed=mark),
+                tg.hint_sweep_array(base, mark, RECORD_BYTES,
+                                    touched_fraction=touched_fraction,
+                                    write_fraction=0.25, seed=mark))
 
 
 class TestArrayTraceAdapters:

@@ -13,6 +13,7 @@ L2 misses for disjoint traces on every fabric.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import vec
-from repro.memory.cache import AccessType
+from repro.memory.cache import AccessType, CacheGeometry
 from repro.memory.mp import FabricKind, replay_reference, replay_traces
 from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
 
@@ -110,6 +111,69 @@ class TestVecBackendEquivalence:
         (got, got_mem), (ref, ref_mem) = replay_pair(replay_traces, [[]])
         assert got == ref
         assert snapshot(got_mem) == snapshot(ref_mem)
+
+
+def repeat_trace(rng, length, write_fraction, line_bytes=64):
+    """Runs of accesses to one line each, as MatMult's streams are: a
+    line from a hot set (L1 hits) or a 1 MiB span (conflict misses in
+    every geometry), then 1-8 accesses within it, reads and writes mixed
+    at ``write_fraction``."""
+    hot = [rng.randrange(0, 256) for _ in range(12)]
+    trace = []
+    while len(trace) < length:
+        line = (rng.choice(hot) if rng.random() < 0.4
+                else rng.randrange(0, (1 << 20) // line_bytes))
+        for _ in range(rng.randint(1, 8)):
+            addr = line * line_bytes + rng.randrange(0, line_bytes, 8)
+            trace.append((addr, _WRITE if rng.random() < write_fraction
+                          else _READ))
+    return trace[:length]
+
+
+#: ``(l1, l2)`` geometries: a direct-mapped pair with Sun's 32-byte
+#: lines, a direct-mapped L1 over a set-associative L2 and the reverse.
+GEOMETRIES = {
+    "dm_dm": (CacheGeometry(512, 32, 1), CacheGeometry(4096, 32, 1)),
+    "dm_2way": (CacheGeometry(1024, 64, 1), CacheGeometry(4096, 64, 2)),
+    "4way_dm": (CacheGeometry(1024, 64, 4), CacheGeometry(4096, 64, 1)),
+}
+
+
+class TestRepeatsAndDirectMapped:
+    """Collapsed same-line repeats and closed-form direct-mapped sets
+    must leave every result, counter and cache content as the reference
+    does, from a cold and from a warm cache."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           geometry=st.sampled_from(sorted(GEOMETRIES)),
+           write_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+           lengths=st.lists(st.integers(min_value=1, max_value=1500),
+                            min_size=2, max_size=2),
+           segment=st.sampled_from([97, vec._SEGMENT]),
+           chunk=st.sampled_from([8, vec._L1_CHUNK]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_with_warm_second_epoch(
+            self, seed, geometry, write_fraction, lengths, segment, chunk):
+        l1, l2 = GEOMETRIES[geometry]
+        rng = random.Random(seed)
+        epochs = [repeat_trace(rng, length, write_fraction, l1.line_bytes)
+                  for length in lengths]
+        stalls = [lambda latency, compute: latency]
+
+        def two_epochs(replay):
+            memory = make_memory(1, l1=l1, l2=l2)
+            results = []
+            for trace in epochs:
+                memory.reset_timing()
+                results.append(replay(memory, [list(trace)], 5.0, stalls))
+            return results, snapshot(memory)
+
+        # Short chunks make later lanes of a set start from empty, so the
+        # warm-up fix-up runs on collapsed lanes too.
+        with mock.patch.object(vec, "_SEGMENT", segment), \
+                mock.patch.object(vec, "_L1_CHUNK", chunk):
+            got = two_epochs(replay_traces)
+        assert got == two_epochs(replay_reference)
 
 
 class TestSegmentedReplay:

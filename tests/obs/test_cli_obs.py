@@ -296,6 +296,26 @@ class TestObservedSessions:
         assert "Figure 9" not in captured.out
         assert "interrupted" in captured.err
 
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_trace_and_metrics_commands_flush_on_interrupt(
+            self, monkeypatch, tmp_path, capsys, command):
+        """``repro trace`` and ``repro metrics`` open their own session;
+        an interrupt must still leave the observed part on disk."""
+        self._interrupt_after_work(monkeypatch, KeyboardInterrupt())
+        out = str(tmp_path / "out.json")
+        assert main([command, "fig9", "--sizes", "8", "--no-cache",
+                     "--out", out]) == 130
+        payload = json.load(open(out))
+        if command == "trace":
+            assert validate_trace_file(out) > 0
+            assert payload["otherData"]["partial"] is True
+        else:
+            assert payload, "nothing observed was flushed"
+        captured = capsys.readouterr()
+        assert f"wrote {out}" in captured.out
+        assert "(partial)" in captured.out
+        assert "interrupted" in captured.err
+
     def test_chaos_interrupt_flushes_partial_artifacts(
             self, monkeypatch, tmp_path):
         import repro.faults.chaos as chaos
