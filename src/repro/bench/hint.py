@@ -21,6 +21,7 @@ performs; see DESIGN.md.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -95,71 +96,56 @@ def _f_int(x_scaled: int) -> int:
     return num // den
 
 
+# Per data type: f, the interval's ends, the split point and the
+# quality numerator (quality = numerator / total removable error).
+_REFINEMENTS = {
+    "double": (_f_double, 0.0, 1.0, lambda x0, x1: 0.5 * (x0 + x1), 1.0),
+    "int": (_f_int, 0, _FIXED_POINT_SCALE, lambda x0, x1: (x0 + x1) // 2,
+            _FIXED_POINT_SCALE ** 2),
+}
+
+
 def hint_qualities(max_subintervals: int,
                    checkpoints: Sequence[int],
-                   data_type: str = "double") -> List[Tuple[int, float]]:
+                   data_type: str = "double") -> Tuple[Tuple[int, float], ...]:
     """Run the refinement and report quality at each checkpoint.
 
-    Returns ``[(subintervals, quality), ...]``.  Quality is
+    Returns ``((subintervals, quality), ...)``.  Quality is
     1 / (upper bound - lower bound); f is decreasing on [0, 1] so each
-    interval's removable error is (f(x0) - f(x1)) * (x1 - x0).
+    interval's removable error is (f(x0) - f(x1)) * (x1 - x0).  A ladder
+    is computed once per process and shared.
     """
-    if data_type not in ("double", "int"):
+    if data_type not in _REFINEMENTS:
         raise ValueError(f"data_type must be 'double' or 'int', got {data_type!r}")
-    targets = sorted(set(checkpoints))
+    targets = tuple(sorted(set(checkpoints)))
     if not targets or targets[-1] > max_subintervals:
         raise ValueError("checkpoints must be nonempty and <= max_subintervals")
+    return _ladder(targets, data_type)
 
+
+@functools.lru_cache(maxsize=None)
+def _ladder(targets: Tuple[int, ...],
+            data_type: str) -> Tuple[Tuple[int, float], ...]:
+    f, x0, x1, midpoint, numerator = _REFINEMENTS[data_type]
+    f0, f1 = f(x0), f(x1)
+    total = (f0 - f1) * (x1 - x0)
+    heap = [(-total, x0, x1, f0, f1)]
+    count = 1
     out: List[Tuple[int, float]] = []
-    if data_type == "double":
-        x0, x1 = 0.0, 1.0
-        f0, f1 = _f_double(x0), _f_double(x1)
-        err = (f0 - f1) * (x1 - x0)
-        heap = [(-err, x0, x1, f0, f1)]
-        total_err = err
-        count = 1
-        target_idx = 0
-        while count <= max_subintervals and target_idx < len(targets):
-            if count >= targets[target_idx]:
-                out.append((count, 1.0 / total_err if total_err > 0 else float("inf")))
-                target_idx += 1
-                continue
+    for target in targets:
+        while count < target:
             neg_err, x0, x1, f0, f1 = heapq.heappop(heap)
-            total_err += neg_err  # remove the split interval's error
-            xm = 0.5 * (x0 + x1)
-            fm = _f_double(xm)
+            total += neg_err  # remove the split interval's error
+            xm = midpoint(x0, x1)
+            fm = f(xm)
             left = (f0 - fm) * (xm - x0)
             right = (fm - f1) * (x1 - xm)
             heapq.heappush(heap, (-left, x0, xm, f0, fm))
             heapq.heappush(heap, (-right, xm, x1, fm, f1))
-            total_err += left + right
+            total += left + right
             count += 1
-    else:
-        x0, x1 = 0, _FIXED_POINT_SCALE
-        f0, f1 = _f_int(x0), _f_int(x1)
-        err = (f0 - f1) * (x1 - x0)
-        heap_i = [(-err, x0, x1, f0, f1)]
-        total_i = err
-        count = 1
-        target_idx = 0
-        while count <= max_subintervals and target_idx < len(targets):
-            if count >= targets[target_idx]:
-                quality = (_FIXED_POINT_SCALE ** 2 / total_i
-                           if total_i > 0 else float("inf"))
-                out.append((count, quality))
-                target_idx += 1
-                continue
-            neg_err, x0, x1, f0, f1 = heapq.heappop(heap_i)
-            total_i += neg_err
-            xm = (x0 + x1) // 2
-            fm = _f_int(xm)
-            left = (f0 - fm) * (xm - x0)
-            right = (fm - f1) * (x1 - xm)
-            heapq.heappush(heap_i, (-left, x0, xm, f0, fm))
-            heapq.heappush(heap_i, (-right, xm, x1, fm, f1))
-            total_i += left + right
-            count += 1
-    return out
+        out.append((count, numerator / total if total > 0 else float("inf")))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +229,25 @@ def run_hints(runs: Sequence[Tuple[NodeModel, str]],
 def _curve(marks: Sequence[int], max_subintervals: int,
            per_record_at: List[Tuple[int, float]], split_ns: float,
            qualities: Dict[int, float]) -> Tuple[HintPoint, ...]:
-    """The QUIPS curve from the measured per-record scan costs."""
-
-    def per_record(m: int) -> float:
-        prev_mark, prev_cost = per_record_at[0]
-        for mark, cost in per_record_at:
-            if m <= mark:
-                if mark == prev_mark:
-                    return cost
-                frac = (m - prev_mark) / (mark - prev_mark)
-                return prev_cost + frac * (cost - prev_cost)
-            prev_mark, prev_cost = mark, cost
-        return per_record_at[-1][1]
-
-    # Integrate cumulative runtime across all refinements.
+    """The QUIPS curve from the measured per-record scan costs: the cost
+    at ``m`` records is interpolated between the bracketing marks."""
     points: List[HintPoint] = []
     cumulative_ns = 0.0
     mark_idx = 0
+    upper = 0  # the first measured mark >= m
+    last = len(per_record_at) - 1
+    # Integrate cumulative runtime across all refinements.
     for m in range(1, max_subintervals + 1):
-        cumulative_ns += m * per_record(m) + split_ns
+        while upper <= last and per_record_at[upper][0] < m:
+            upper += 1
+        if upper == 0 or upper > last:
+            per_record = per_record_at[min(upper, last)][1]
+        else:
+            prev_mark, prev_cost = per_record_at[upper - 1]
+            mark, cost = per_record_at[upper]
+            frac = (m - prev_mark) / (mark - prev_mark)
+            per_record = prev_cost + frac * (cost - prev_cost)
+        cumulative_ns += m * per_record + split_ns
         if mark_idx < len(marks) and m == marks[mark_idx]:
             time_s = cumulative_ns / 1e9
             quality = qualities[m]

@@ -92,14 +92,13 @@ def _emit(text: str) -> None:
 
 def _supervise_config(args) -> SuperviseConfig:
     """The shared --retries/--point-timeout/--journal/--resume surface."""
-    cache_dir = getattr(args, "cache_dir", None)
     return SuperviseConfig(
         retries=args.retries,
         point_timeout_s=args.point_timeout,
         enable_journal=not args.no_journal,
         journal_path=args.journal,
-        journal_dir=(os.path.join(cache_dir, "journals")
-                     if cache_dir else None),
+        journal_dir=(os.path.join(args.cache_dir, "journals")
+                     if args.cache_dir else None),
         resume_from=args.resume)
 
 
@@ -138,10 +137,18 @@ def _write_session_artifacts(session, trace_path: Optional[str],
     flushed atomically); ``metrics_csv`` writes the metrics as CSV."""
     suffix = " (partial)" if partial else ""
     if trace_path:
-        write_trace(trace_path, session.tracer, partial=partial)
-        print(f"wrote {trace_path}: "
-              f"{len(session.tracer.finished_spans())} spans, "
-              f"{len(session.tracer.message_ids())} messages{suffix}")
+        tracer = session.tracer
+        write_trace(trace_path, tracer, partial=partial)
+        # Drop accounting is always on the summary line: a truncated
+        # trace that looks complete is the worst failure of a span budget.
+        print(f"wrote {trace_path}: {len(tracer.finished_spans())} spans "
+              f"over {len(tracer.message_ids())} messages, "
+              f"{tracer.dropped} dropped (span limit {tracer.limit})"
+              f"{suffix}")
+        if tracer.dropped:
+            print(f"warning: {tracer.dropped} spans were dropped; raise "
+                  f"--span-limit (repro trace or report) to capture the "
+                  f"full run", file=sys.stderr)
     if metrics_path:
         if metrics_csv:
             write_metrics_csv(metrics_path, session.metrics)
@@ -159,25 +166,24 @@ def _write_session_artifacts(session, trace_path: Optional[str],
 def _sampling_interval(args) -> Optional[float]:
     """The --sample-interval value; timeline/health flags imply sampling
     at the default interval when no explicit interval was given."""
-    interval = getattr(args, "sample_interval", None)
-    if interval is not None:
-        return float(interval)
-    if getattr(args, "timeline_out", None) or getattr(args, "health", None):
+    if args.sample_interval is not None:
+        return float(args.sample_interval)
+    if args.timeline_out or args.health:
         return DEFAULT_SAMPLE_INTERVAL_NS
     return None
 
 
-def _check_health(args, session) -> int:
-    """Evaluate --health gates against the session; 1 on violation."""
-    health_path = getattr(args, "health", None)
-    if not health_path:
-        return 0
+def _check_health(args, session):
+    """Evaluate and print the --health gates against the session; the
+    verdict, or None without --health."""
+    if not args.health:
+        return None
     from repro.obs.health import HealthSpec, format_health
 
-    report = HealthSpec.load(health_path).evaluate(
+    report = HealthSpec.load(args.health).evaluate(
         timeline=session.timeline, metrics=session.metrics)
     _emit(format_health(report))
-    return 0 if report.ok else 1
+    return report
 
 
 def _interruptible(session_scope, run, **artifacts):
@@ -199,28 +205,38 @@ def _interruptible(session_scope, run, **artifacts):
     return session, result
 
 
-def _observed(args, run, show) -> int:
-    """``show(run())``, under an observation session when asked for one.
+def _in_session(args, run, show, view=None, metrics_csv: bool = False,
+                **session_options) -> int:
+    """``show(run())`` under the one observation session path.
 
-    The session opens only when --trace, --metrics-out or sampling asks
-    for it; its artifacts are written after ``show`` and the --health
-    verdict is returned.  An interrupt flushes partial artifacts
-    (:func:`_interruptible`).
+    The session records what the observation flags of ``args`` ask for
+    (``session_options`` go to :func:`~repro.obs.observe`).  After
+    ``show``, the artifacts are written, the --health verdict printed,
+    and ``view(session, health)`` renders a wrapper's own output; the
+    return code is 1 on a violated health gate.  An interrupt flushes
+    partial artifacts (:func:`_interruptible`).
     """
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics_out", None)
-    timeline_path = getattr(args, "timeline_out", None)
-    interval = _sampling_interval(args)
-    if not (trace_path or metrics_path or interval):
+    artifacts = {"trace_path": args.trace, "metrics_path": args.metrics_out,
+                 "timeline_path": args.timeline_out,
+                 "metrics_csv": metrics_csv}
+    session, result = _interruptible(
+        observe(sample_interval_ns=_sampling_interval(args),
+                **session_options), run, **artifacts)
+    show(result)
+    _write_session_artifacts(session, **artifacts)
+    health = _check_health(args, session)
+    if view is not None:
+        view(session, health)
+    return 0 if health is None or health.ok else 1
+
+
+def _observed(args, run, show) -> int:
+    """``show(run())``, under an observation session only when --trace,
+    --metrics-out or sampling asks for one (:func:`_in_session`)."""
+    if not (args.trace or args.metrics_out or _sampling_interval(args)):
         show(run())
         return 0
-    session, result = _interruptible(
-        observe(sample_interval_ns=interval), run, trace_path=trace_path,
-        metrics_path=metrics_path, timeline_path=timeline_path)
-    show(result)
-    _write_session_artifacts(session, trace_path, metrics_path,
-                             timeline_path)
-    return _check_health(args, session)
+    return _in_session(args, run, show)
 
 
 def cmd_list(_args) -> None:
@@ -337,10 +353,10 @@ def cmd_fig8(args) -> Optional[int]:
     return _node_figure(args, body)
 
 
-def _fault_plan_from_args(args):
-    """A FaultPlan from --fault-plan/--error-rate flags, or None."""
-    plan_path = getattr(args, "fault_plan", None)
-    error_rate = getattr(args, "error_rate", None)
+def _fault_plan_from_args(args, error_rate: Optional[float] = None):
+    """A FaultPlan from --fault-plan/--fault-seed and a uniform link
+    ``error_rate`` (fig9-fig12's --error-rate), or None."""
+    plan_path = args.fault_plan
     if plan_path is None and not error_rate:
         return None
     from repro.faults import FaultPlan, uniform_error_plan
@@ -354,24 +370,17 @@ def _fault_plan_from_args(args):
                 + list(uniform_error_plan(error_rate).faults))
     else:
         plan = uniform_error_plan(error_rate)
-    seed = getattr(args, "fault_seed", None)
-    if seed is not None:
-        plan = plan.with_seed(seed)
+    if args.fault_seed is not None:
+        plan = plan.with_seed(args.fault_seed)
     return plan
 
 
-def _topology_spec(args):
-    """The --topology argument as a TopologySpec (``trace`` and
-    ``metrics`` take no --topology: they measure the 8-node cluster)."""
+def _comm_figure(metric: str, title: str, args) -> Optional[int]:
     from repro.network.topo import parse_topology
 
-    return parse_topology(getattr(args, "topology", "cluster"))
-
-
-def _comm_figure(metric: str, title: str, args) -> Optional[int]:
     sizes = tuple(args.sizes) if args.sizes else DEFAULT_COMM_SIZES
-    plan = _fault_plan_from_args(args)
-    topology = _topology_spec(args)
+    plan = _fault_plan_from_args(args, args.error_rate)
+    topology = parse_topology(args.topology)
     options = _sweep_options(args)
 
     def run():
@@ -435,8 +444,7 @@ def cmd_chaos(args) -> Optional[int]:
                          nbytes=args.nbytes,
                          window=args.window,
                          error_rate=args.error_rate,
-                         ack_error_rate=getattr(args, "ack_error_rate",
-                                                None))
+                         ack_error_rate=args.ack_error_rate)
 
     def show(report) -> None:
         _emit(format_report(report))
@@ -469,8 +477,7 @@ def _chaos_campaign(plan, args) -> Optional[int]:
                             nbytes=args.nbytes,
                             window=args.window,
                             error_rate=args.error_rate,
-                            ack_error_rate=getattr(args, "ack_error_rate",
-                                                   None),
+                            ack_error_rate=args.ack_error_rate,
                             **options)
 
     def show(report) -> None:
@@ -492,13 +499,12 @@ def _traffic_qos(args):
     from repro.bench.traffic import parse_classes
     from repro.network.qos import QosConfig
 
-    classes_text = getattr(args, "classes", None)
-    arbiter = getattr(args, "arbiter", None) or "fifo"
-    if not classes_text and arbiter == "fifo":
+    if not args.classes and args.arbiter == "fifo":
         return None
-    if classes_text:
-        return QosConfig(arbiter=arbiter, classes=parse_classes(classes_text))
-    return QosConfig(arbiter=arbiter)
+    if args.classes:
+        return QosConfig(arbiter=args.arbiter,
+                         classes=parse_classes(args.classes))
+    return QosConfig(arbiter=args.arbiter)
 
 
 def _traffic_load(args, spec) -> Optional[int]:
@@ -633,108 +639,93 @@ TRACEABLE = ("fig9", "fig10", "fig11", "fig12", "logp")
 OBSERVABLE = ("fig6", "fig7", "fig8") + TRACEABLE
 
 
-def cmd_trace(args) -> None:
-    session, _ = _interruptible(observe(span_limit=args.span_limit),
-                                lambda: _COMMANDS[args.experiment](args),
-                                trace_path=args.out, metrics_path=None)
-    tracer = session.tracer
-    write_trace(args.out, tracer)
-
-    totals: dict = {}
-    for mid in tracer.message_ids():
-        for stage, dur in tracer.breakdown(mid):
-            totals[stage] = totals.get(stage, 0.0) + dur
-    grand = sum(totals.values()) or 1.0
-    rows = [[stage, f"{ns / 1e3:.2f}", f"{100.0 * ns / grand:.1f}%"]
-            for stage, ns in sorted(totals.items(), key=lambda kv: -kv[1])]
-    _emit(format_table(
-        ["stage", "total (us)", "share"], rows,
-        title=f"Critical path across {len(tracer.message_ids())} messages"))
-    # Drop accounting is always on the summary line — a truncated trace
-    # that looks complete is the worst failure mode of a span budget.
-    print(f"wrote {args.out}: {len(tracer.finished_spans())} spans over "
-          f"{len(tracer.message_ids())} messages, "
-          f"{tracer.dropped} dropped (span limit {tracer.limit})")
-    if tracer.dropped:
-        print(f"warning: {tracer.dropped} spans were dropped; raise "
-              f"--span-limit to capture the full run", file=sys.stderr)
+# The observation flags an experiment may take.  A wrapper moves them
+# into its own session: the experiment must not open a nested one (that
+# would swap the backends the wrapper's session is collecting into).
+_OBSERVATION_FLAGS = ("trace", "metrics_out", "timeline_out", "health",
+                      "sample_interval")
 
 
-def cmd_metrics(args) -> None:
-    session, _ = _interruptible(observe(),
-                                lambda: _COMMANDS[args.experiment](args),
-                                trace_path=None, metrics_path=args.out,
-                                metrics_csv=args.csv)
-    registry = session.metrics
-
-    rows = []
-    for inst in sorted(registry.instruments(),
-                       key=lambda i: (i.name, -i.value)):
-        series = format_metric_series(inst.name, inst.labels)
-        if inst.kind == "histogram":
-            s = inst.summary()
-            value = (f"n={s['count']} mean={s['mean']:.1f} "
-                     f"p50={s['p50']:.1f} p99={s['p99']:.1f} "
-                     f"p999={s['p999']:.1f}")
-        else:
-            value = f"{inst.value:g}"
-        rows.append([series, inst.kind, value])
-    shown = rows if args.top <= 0 else rows[:args.top]
-    _emit(format_table(["series", "kind", "value"], shown,
-                       title=f"Metrics for {args.experiment} "
-                             f"({len(rows)} series)"))
-    if len(shown) < len(rows):
-        print(f"... {len(rows) - len(shown)} more series "
-              f"(raise --top or use --out)")
-    _write_session_artifacts(session, None, args.out, metrics_csv=args.csv)
+def _wrapped(args, view, **session_options) -> int:
+    """Run the wrapped experiment, parsed by its own subparser into
+    ``args.experiment_args``, under the wrapper's one session
+    (:func:`_in_session`); ``view(session, health)`` renders the
+    wrapper's output."""
+    experiment = args.experiment_args
+    for name in _OBSERVATION_FLAGS:
+        value = getattr(experiment, name)
+        if value is None:
+            continue
+        if getattr(args, name) is not None:
+            print(f"repro {args.command}: give the "
+                  f"--{name.replace('_', '-')} artifact through "
+                  f"{args.command}'s own options", file=sys.stderr)
+            return 2
+        setattr(args, name, value)
+        setattr(experiment, name, None)
+    return _in_session(args, lambda: _COMMANDS[args.experiment](experiment),
+                       lambda _: None, view, **session_options)
 
 
-def cmd_report(args) -> Optional[int]:
+def cmd_trace(args) -> int:
+    def critical_path(session, _health) -> None:
+        tracer = session.tracer
+        totals: dict = {}
+        for mid in tracer.message_ids():
+            for stage, dur in tracer.breakdown(mid):
+                totals[stage] = totals.get(stage, 0.0) + dur
+        grand = sum(totals.values()) or 1.0
+        rows = [[stage, f"{ns / 1e3:.2f}", f"{100.0 * ns / grand:.1f}%"]
+                for stage, ns in sorted(totals.items(),
+                                        key=lambda kv: -kv[1])]
+        _emit(format_table(
+            ["stage", "total (us)", "share"], rows,
+            title=f"Critical path across {len(tracer.message_ids())} "
+                  f"messages"))
+
+    return _wrapped(args, critical_path, span_limit=args.span_limit)
+
+
+def cmd_metrics(args) -> int:
+    def table(session, _health) -> None:
+        rows = []
+        for inst in sorted(session.metrics.instruments(),
+                           key=lambda i: (i.name, -i.value)):
+            series = format_metric_series(inst.name, inst.labels)
+            if inst.kind == "histogram":
+                s = inst.summary()
+                value = (f"n={s['count']} mean={s['mean']:.1f} "
+                         f"p50={s['p50']:.1f} p99={s['p99']:.1f} "
+                         f"p999={s['p999']:.1f}")
+            else:
+                value = f"{inst.value:g}"
+            rows.append([series, inst.kind, value])
+        shown = rows if args.top <= 0 else rows[:args.top]
+        _emit(format_table(["series", "kind", "value"], shown,
+                           title=f"Metrics for {args.experiment} "
+                                 f"({len(rows)} series)"))
+        if len(shown) < len(rows):
+            print(f"... {len(rows) - len(shown)} more series "
+                  f"(raise --top or use --out)")
+
+    return _wrapped(args, table, metrics_csv=args.csv)
+
+
+def cmd_report(args) -> int:
     """Run an experiment under full observation; render the dashboard."""
-    from repro.obs.health import HealthSpec, format_health
-    from repro.obs.report import report_data, write_report
+    def dashboard(session, health) -> None:
+        from repro.obs.report import report_data, write_report
 
-    interval = (float(args.sample_interval) if args.sample_interval
-                else DEFAULT_SAMPLE_INTERVAL_NS)
-    health_path = args.health
-    timeline_path = args.timeline_out
-    trace_path = args.trace
-    metrics_path = args.metrics_out
-    # The wrapped command must not open its own nested session (that
-    # would swap the backends this session is collecting into), so its
-    # copies of the observation flags are cleared before dispatch; any
-    # requested artifacts are written from this session instead.
-    args.sample_interval = None
-    args.timeline_out = None
-    args.health = None
-    args.trace = None
-    args.metrics_out = None
-    if args.nbytes is None:
-        args.nbytes = 1024 if args.experiment == "chaos" else 8
-    if args.experiment == "chaos" and args.error_rate is None:
-        args.error_rate = 0.0
-    with observe(sample_interval_ns=interval,
-                 span_limit=args.span_limit) as session:
-        _COMMANDS[args.experiment](args)
+        data = report_data(f"repro {args.experiment}",
+                           timeline=session.timeline,
+                           metrics=session.metrics,
+                           tracer=session.tracer,
+                           health=health)
+        write_report(args.out, data)
+        print(f"wrote {args.out}: {len(data['series'])} sampled series, "
+              f"{len(data.get('critical_path', []))} critical-path stages")
 
-    health = None
-    rc = 0
-    if health_path:
-        health = HealthSpec.load(health_path).evaluate(
-            timeline=session.timeline, metrics=session.metrics)
-        _emit(format_health(health))
-        rc = 0 if health.ok else 1
-    data = report_data(f"repro {args.experiment}",
-                       timeline=session.timeline,
-                       metrics=session.metrics,
-                       tracer=session.tracer,
-                       health=health)
-    write_report(args.out, data)
-    print(f"wrote {args.out}: {len(data['series'])} sampled series, "
-          f"{len(data.get('critical_path', []))} critical-path stages")
-    _write_session_artifacts(session, trace_path, metrics_path,
-                             timeline_path)
-    return rc
+    return _wrapped(args, dashboard, span_limit=args.span_limit)
 
 
 def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
@@ -816,19 +807,18 @@ def _add_topology_option(parser: argparse.ArgumentParser,
                         default="cluster", help=help)
 
 
-def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
-    """The union of options the wrapped experiment commands read."""
-    parser.add_argument("--scale", type=int, default=16)
-    parser.add_argument("--sizes", type=int, nargs="*", default=None)
-    parser.add_argument("--subintervals", type=int, default=4096)
-    parser.add_argument("--nbytes", type=int, default=8)
-    _add_sweep_options(parser)
+_WRAPPER_EPILOG = ("Every other option is the wrapped experiment's own, "
+                   "with its defaults and checks: see "
+                   "'repro EXPERIMENT --help'.")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate PowerMANNA (HPCA 2000) tables and figures.")
+    # Every namespace carries every observation flag, None where the
+    # command takes none.
+    parser.set_defaults(**dict.fromkeys(_OBSERVATION_FLAGS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available experiments")
@@ -957,59 +947,37 @@ def build_parser() -> argparse.ArgumentParser:
     logp.add_argument("--nbytes", type=int, default=8)
 
     trace = sub.add_parser(
-        "trace", help="run an experiment with span tracing enabled")
+        "trace", help="run an experiment with span tracing enabled",
+        epilog=_WRAPPER_EPILOG)
     trace.add_argument("experiment", choices=TRACEABLE)
-    trace.add_argument("--out", default="trace.json",
+    trace.add_argument("--out", dest="trace", default="trace.json",
                        help="trace-event JSON output path")
     trace.add_argument("--span-limit", type=int, default=1_000_000)
-    _add_experiment_options(trace)
 
     metrics = sub.add_parser(
-        "metrics", help="run an experiment with labeled metrics enabled")
+        "metrics", help="run an experiment with labeled metrics enabled",
+        epilog=_WRAPPER_EPILOG)
     metrics.add_argument("experiment", choices=OBSERVABLE)
-    metrics.add_argument("--out", default=None,
+    metrics.add_argument("--out", dest="metrics_out", default=None,
                          help="write the full metrics dump here")
     metrics.add_argument("--csv", action="store_true",
                          help="write --out as CSV instead of JSON")
     metrics.add_argument("--top", type=int, default=40,
                          help="series rows to print (<= 0 for all)")
-    _add_experiment_options(metrics)
 
     report = sub.add_parser(
         "report", help="run an experiment fully observed and render a "
-                       "self-contained HTML dashboard")
+                       "self-contained HTML dashboard",
+        epilog=_WRAPPER_EPILOG)
     report.add_argument("experiment", choices=OBSERVABLE + ("chaos",))
     report.add_argument("--out", default="report.html",
                         help="dashboard output path (one file, no "
                              "external dependencies)")
     report.add_argument("--span-limit", type=int, default=1_000_000)
     _add_sampling_options(report)
-    # The union of options the wrapped experiments read.  --nbytes stays
-    # None here and is resolved per experiment (8 for the figures/logp,
-    # 1024 for chaos).
-    report.add_argument("--scale", type=int, default=16)
-    report.add_argument("--sizes", type=int, nargs="*", default=None)
-    report.add_argument("--subintervals", type=int, default=4096)
-    report.add_argument("--nbytes", type=int, default=None)
-    _add_sweep_options(report)
-    # The chaos surface (read directly by cmd_chaos).
-    report.add_argument("--plan", metavar="FILE", default=None)
-    report.add_argument("--seed", type=int, default=None)
-    report.add_argument("--seeds", type=int, default=0, metavar="N")
-    _add_topology_option(report, "topology the wrapped comm figure or "
-                                 "chaos run uses (default: the 8-node "
-                                 "cluster)")
-    report.add_argument("--protocol", choices=("sliding", "stopwait"),
-                        default="sliding")
-    report.add_argument("--flows", type=int, default=4)
-    report.add_argument("--messages", type=int, default=8)
-    report.add_argument("--window", type=int, default=8)
-    report.add_argument("--error-rate", type=float, default=None)
-    report.add_argument("--ack-error-rate", type=float, default=None)
-    report.add_argument("--link-error-rate", type=float, default=0.0)
     _add_observation_options(report)
-    report.add_argument("--report-out", metavar="FILE", default=None)
-    _add_fault_options(report)
+    # The dashboard always samples.
+    report.set_defaults(sample_interval=DEFAULT_SAMPLE_INTERVAL_NS)
     return parser
 
 
@@ -1032,8 +1000,18 @@ _COMMANDS = {
 }
 
 
+_WRAPPERS = ("trace", "metrics", "report")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if args.command in _WRAPPERS:
+        # The wrapper's leftover arguments meet exactly the options,
+        # defaults and checks of ``repro <experiment>``.
+        args.experiment_args = parser.parse_args([args.experiment, *extras])
+    elif extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         rc = _COMMANDS[args.command](args)
     except PoisonedSweepError as exc:

@@ -17,9 +17,8 @@ dual node's speedup (Figure 8) and the four-CPU saturation study rest on.
 models for PowerMANNA and the two comparator machines.
 """
 
-from repro.node.node import NodeModel, build_node
+from repro.node.node import NodeModel
 
 __all__ = [
     "NodeModel",
-    "build_node",
 ]

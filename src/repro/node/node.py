@@ -109,9 +109,3 @@ def run_nodes(runs: Sequence[Tuple[NodeModel, Sequence[Iterable[MemRef]],
         out.append(TraceRunResult(elapsed_ns=max(per_cpu), per_cpu_ns=per_cpu,
                                   steps=sum(r.steps for r in states)))
     return out
-
-
-def build_node(cpu: CpuSpec, hierarchy: HierarchyConfig, fabric: FabricConfig,
-               num_cpus: int = 2, name: str = "node") -> NodeModel:
-    """Factory kept for symmetry with the other subsystem builders."""
-    return NodeModel(cpu, hierarchy, fabric, num_cpus=num_cpus, name=name)

@@ -8,18 +8,18 @@ complete ("X") events whose nesting Perfetto derives from their timing.
 Simulation nanoseconds map to trace microseconds (the format's unit), so
 one displayed microsecond is one simulated microsecond.
 
-Metrics dumps reuse :mod:`repro.bench.export` for the JSON/CSV mechanics so
-observability artifacts and benchmark artifacts stay consumable by the
-same downstream tooling.
+Metrics dumps are the registry's flat rows as a JSON array or as CSV
+(the sorted union of the rows' columns).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from typing import Any, Dict, List
 
 from repro.atomicio import atomic_write_text
-from repro.bench.export import to_csv, to_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
@@ -125,12 +125,29 @@ def validate_trace_file(path: str) -> int:
 # -- metrics dumps ---------------------------------------------------------------
 
 
+def _plain_rows(registry: MetricsRegistry) -> List[Dict[str, Any]]:
+    """The registry's rows, keeping only JSON/CSV scalar cells."""
+    return [{key: value for key, value in row.items()
+             if isinstance(value, (int, float, str, bool, type(None)))}
+            for row in registry.rows()]
+
+
 def metrics_json(registry: MetricsRegistry) -> str:
-    return to_json(registry.rows())
+    return json.dumps(_plain_rows(registry), indent=2, sort_keys=True)
 
 
 def metrics_csv(registry: MetricsRegistry) -> str:
-    return to_csv(registry.rows())
+    """The rows as CSV under the sorted union of their columns; an empty
+    registry has no columns and is rejected."""
+    rows = _plain_rows(registry)
+    if not rows:
+        raise ValueError("nothing to export")
+    buffer = io.StringIO()
+    writer = csv.DictWriter(
+        buffer, fieldnames=sorted({key for row in rows for key in row}))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def write_metrics_json(path: str, registry: MetricsRegistry) -> None:

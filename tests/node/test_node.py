@@ -5,7 +5,6 @@ import pytest
 from repro.core.specs import PC_CLUSTER_180, POWERMANNA
 from repro.memory.cache import AccessType
 from repro.memory.trace_gen import stream_trace
-from repro.node.node import NodeModel, build_node
 
 
 class TestNodeModel:
@@ -28,11 +27,6 @@ class TestNodeModel:
     def test_zero_cpus_rejected(self):
         with pytest.raises(ValueError):
             POWERMANNA.node(num_cpus=0)
-
-    def test_build_node_factory(self):
-        node = build_node(POWERMANNA.cpu, POWERMANNA.hierarchy,
-                          POWERMANNA.fabric, num_cpus=1)
-        assert isinstance(node, NodeModel)
 
 
 class TestTraceExecution:

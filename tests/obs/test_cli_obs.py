@@ -116,6 +116,46 @@ class TestHistogramP999:
             assert row["p99"] <= row["p999"] <= row["max"]
 
 
+class TestWrapperParsing:
+    """A wrapper parses the experiment's arguments with the experiment's
+    own subparser: every option of ``repro <experiment>`` is accepted,
+    any other is rejected."""
+
+    def test_metrics_takes_the_figures_fault_options(self, capsys):
+        assert main(["metrics", "fig9", "--sizes", "8", "--error-rate",
+                     "0.2", "--top", "0", "--no-cache"]) == 0
+        assert "faults.injected{" in capsys.readouterr().out
+
+    def test_trace_takes_the_figures_topology(self, tmp_path, capsys):
+        out = str(tmp_path / "t.json")
+        assert main(["trace", "fig9", "--sizes", "8", "--topology",
+                     "manna", "--out", out, "--no-cache"]) == 0
+        assert validate_trace_file(out) > 0
+        assert "xcvr.relay" in capsys.readouterr().out
+
+    def test_trace_rejects_an_option_the_figure_lacks(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fig9", "--sizes", "8", "--subintervals", "7"])
+        assert exc.value.code == 2
+        assert "--subintervals" in capsys.readouterr().err
+
+    def test_experiment_flags_join_the_wrapper_session(self, tmp_path,
+                                                       capsys):
+        timeline = str(tmp_path / "tl.json")
+        assert main(["metrics", "fig9", "--sizes", "8", "--timeline-out",
+                     timeline, "--no-cache"]) == 0
+        assert json.load(open(timeline))["series"]
+        assert "driver.sent{" in capsys.readouterr().out
+
+    def test_an_artifact_asked_for_twice_is_rejected(self, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "t.json")
+        assert main(["trace", "fig9", "--sizes", "8", "--out", out,
+                     "--trace", str(tmp_path / "other.json")]) == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestSamplingFlags:
     def test_fig9_timeline_out(self, tmp_path, capsys):
         out = str(tmp_path / "tl.json")
@@ -296,15 +336,18 @@ class TestObservedSessions:
         assert "Figure 9" not in captured.out
         assert "interrupted" in captured.err
 
-    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    @pytest.mark.parametrize("command", ["trace", "metrics", "report"])
     def test_trace_and_metrics_commands_flush_on_interrupt(
             self, monkeypatch, tmp_path, capsys, command):
-        """``repro trace`` and ``repro metrics`` open their own session;
-        an interrupt must still leave the observed part on disk."""
+        """``repro trace``, ``metrics`` and ``report`` open their own
+        session; an interrupt must still leave the observed part on disk
+        (``report``'s metrics dump here: its dashboard needs the whole
+        run)."""
         self._interrupt_after_work(monkeypatch, KeyboardInterrupt())
         out = str(tmp_path / "out.json")
+        flag = "--metrics-out" if command == "report" else "--out"
         assert main([command, "fig9", "--sizes", "8", "--no-cache",
-                     "--out", out]) == 130
+                     flag, out]) == 130
         payload = json.load(open(out))
         if command == "trace":
             assert validate_trace_file(out) > 0

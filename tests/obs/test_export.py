@@ -1,5 +1,7 @@
 """Tests for the trace-event and metrics exporters."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -144,3 +146,20 @@ class TestMetricsDumps:
         path = str(tmp_path / "m.json")
         write_metrics_json(path, self._registry())
         assert len(json.loads(open(path).read())) == 2
+
+    def test_json_round_trips_the_rows(self):
+        registry = self._registry()
+        assert json.loads(metrics_json(registry)) == registry.rows()
+
+    def test_csv_columns_are_the_sorted_union(self):
+        registry = self._registry()
+        reader = csv.DictReader(io.StringIO(metrics_csv(registry)))
+        assert len(list(reader)) == 2
+        assert reader.fieldnames == sorted(
+            {key for row in registry.rows() for key in row})
+        # A counter row has "value", a histogram row "count": both kept.
+        assert {"level", "value", "count", "p999"} <= set(reader.fieldnames)
+
+    def test_empty_csv_rejected(self):
+        with pytest.raises(ValueError):
+            metrics_csv(MetricsRegistry())
