@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.memory.address import is_power_of_two
-from repro.sim.stats import Counter
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class DramConfig:
         if self.access_ns <= 0 or self.bandwidth_mb_s <= 0:
             raise ValueError("DRAM timing parameters must be positive")
 
-    def transfer_ns(self, nbytes: int) -> float:
-        """Time the bank is busy streaming ``nbytes``."""
-        return nbytes * 1e3 / self.bandwidth_mb_s
-
-    def line_service_ns(self, line_bytes: int) -> float:
-        """Unloaded latency of one full line fetch."""
-        return self.access_ns + self.transfer_ns(line_bytes)
-
 
 class InterleavedDram:
     """Bank-level timing: per-bank next-free bookkeeping.
@@ -69,10 +60,8 @@ class InterleavedDram:
         # The config is frozen: read its timing once, not per fetch.
         self._access_ns = config.access_ns
         self._bandwidth_mb_s = config.bandwidth_mb_s
-        self.stats = Counter(name)
-
-    def bank_of(self, addr: int) -> int:
-        return (addr >> self._bank_shift) & self._bank_mask
+        self.requests = 0
+        self.bank_conflicts = 0
 
     def service(self, now: float, addr: int, nbytes: int) -> float:
         """Issue a fetch/writeback; returns its completion time (ns)."""
@@ -84,26 +73,19 @@ class InterleavedDram:
         queued = start > now
         if not queued:
             start = now
-        # ``DramConfig.transfer_ns``, inline: this runs once per miss.
         done = start + self._access_ns + nbytes * 1e3 / self._bandwidth_mb_s
         bank_free[bank] = done
-        stats = self.stats
-        stats.incr("requests")
+        self.requests += 1
         if queued:
-            stats.incr("bank_conflicts")
+            self.bank_conflicts += 1
         return done
-
-    def peek_service(self, now: float, addr: int, nbytes: int) -> float:
-        """Completion time a fetch *would* get, without issuing it."""
-        bank = self.bank_of(addr)
-        start = max(now, self._bank_free[bank])
-        return start + self.config.access_ns + self.config.transfer_ns(nbytes)
 
     def reset(self) -> None:
         self._bank_free = [0.0] * self.config.num_banks
-        self.stats.reset()
+        self.requests = 0
+        self.bank_conflicts = 0
 
     def conflict_rate(self) -> float:
-        if self.stats["requests"] == 0:
+        if self.requests == 0:
             return 0.0
-        return self.stats["bank_conflicts"] / self.stats["requests"]
+        return self.bank_conflicts / self.requests

@@ -39,6 +39,11 @@ from repro.obs import published
 from repro.sim.stats import Counter
 
 
+#: An Enum member lookup costs about 0.1 us; the miss path tests these
+#: once per access.
+_L2, _MEMORY = ServiceLevel.L2, ServiceLevel.MEMORY
+
+
 class FabricKind(enum.Enum):
     SWITCHED = "switched"
     SPLIT_BUS = "split_bus"
@@ -127,13 +132,19 @@ class MultiprocessorMemory:
         self.l1_hit_ns = config.l1_hit_ns
         self.l2_hit_ns = config.l2_hit_ns
         self.tlb_miss_ns = config.tlb_miss_ns
-        self._switched = fabric.kind == FabricKind.SWITCHED
+        # The fabric and the line are fixed: decide the route and time
+        # the one-line transfers once.
+        self._switched = fabric.kind is FabricKind.SWITCHED
+        self._split_bus = fabric.kind is FabricKind.SPLIT_BUS
+        self._line = line = config.l1.line_bytes
+        self._bus_ns = line * 1e3 / fabric.data_bus_mb_s
+        self._c2c_ns = (fabric.c2c_latency_ns
+                        + line * 1e3 / fabric.c2c_transfer_mb_s)
 
     # -- single access ---------------------------------------------------------
 
     def access(self, cpu: int, now_ns: float, addr: int,
                access: AccessType = AccessType.READ) -> MpAccessOutcome:
-        line = self.config.l1.line_bytes
         l1 = self.l1s[cpu]
         is_write = access == AccessType.WRITE
 
@@ -169,38 +180,54 @@ class MultiprocessorMemory:
             # Clean L2 hit.
             self.stats.incr("l2_hits")
             return MpAccessOutcome(latency + self.l2_hit_ns, ServiceLevel.L2)
+        if outcome.bus_op == BusOp.UPGRADE:
+            level = ServiceLevel.L2
+            self.stats.incr("upgrades")
+        elif outcome.supplied_by is not None:
+            level = ServiceLevel.REMOTE_CACHE
+            self.stats.incr("c2c_transfers")
+        else:
+            level = ServiceLevel.MEMORY
+            self.stats.incr("memory_accesses")
+        latency, queueing = self.serve_miss(now_ns, latency, addr, level,
+                                            outcome.writebacks)
+        if outcome.writebacks:
+            self.stats.incr("writebacks", len(outcome.writebacks))
+        return MpAccessOutcome(latency, level, queueing_ns=queueing)
 
-        # Any bus op serialises through the address-phase sequencer.
-        issue = now_ns + latency + self.l2_hit_ns
+    def serve_miss(self, now_ns: float, latency_ns: float, addr: int,
+                   level: ServiceLevel, writebacks: Sequence[int] = (),
+                   ) -> Tuple[float, float]:
+        """Time the bus transaction of an access that missed in L2.
+
+        The access issued at ``now_ns`` and spent ``latency_ns`` before
+        its L2 lookup.  Its address phase serialises through the
+        sequencer; ``level`` says what follows: nothing for an upgrade
+        (``L2``), a cache-to-cache intervention (``REMOTE_CACHE``) or a
+        line fetch from DRAM (``MEMORY``), after which the
+        ``writebacks`` drain.  Returns the access's ``(latency_ns,
+        queueing_ns)``.  Both replay engines serve every such access
+        here.
+        """
+        issue = now_ns + latency_ns + self.l2_hit_ns
         grant, phase_done = self.sequencer.occupy(issue)
         queueing = grant - issue
-        latency += self.l2_hit_ns + (phase_done - issue)
-
-        if outcome.bus_op == BusOp.UPGRADE:
-            self.stats.incr("upgrades")
-            return MpAccessOutcome(latency, ServiceLevel.L2, queueing_ns=queueing)
-
-        # Data phase: remote cache or DRAM.
-        if outcome.supplied_by is not None:
-            self.stats.incr("c2c_transfers")
-            transfer = line * 1e3 / self.fabric.c2c_transfer_mb_s
-            dur = self.fabric.c2c_latency_ns + transfer
-            start, done = self._occupy_data_path(phase_done, dur, dram_addr=None)
-            queueing += start - phase_done
-            latency += done - phase_done
-            level = ServiceLevel.REMOTE_CACHE
+        latency_ns += self.l2_hit_ns + (phase_done - issue)
+        if level is _MEMORY:
+            start, done = self._fetch(phase_done, addr)
+        elif level is _L2:
+            return latency_ns, queueing  # an upgrade: the phase is all
+        elif self._switched:
+            # Interventions, too, have their own point-to-point path.
+            start, done = phase_done, phase_done + self._c2c_ns
         else:
-            self.stats.incr("memory_accesses")
-            start, done = self._memory_fetch(phase_done, addr, line)
-            queueing += start - phase_done
-            latency += done - phase_done
-            level = ServiceLevel.MEMORY
-
-        for wb in outcome.writebacks:
+            start, done = self.data_bus.occupy(phase_done, self._c2c_ns)
+        queueing += start - phase_done
+        latency_ns += done - phase_done
+        for wb in writebacks:
             # Writebacks drain off the critical path but consume bandwidth.
-            self._memory_fetch(phase_done, wb, line)
-            self.stats.incr("writebacks")
-        return MpAccessOutcome(latency, level, queueing_ns=queueing)
+            self._fetch(phase_done, wb)
+        return latency_ns, queueing
 
     def _upgrade_hit(self, cpu: int, now_ns: float, addr: int) -> MpAccessOutcome:
         issue = now_ns + self.l1_hit_ns
@@ -223,29 +250,22 @@ class MultiprocessorMemory:
 
     # -- fabric-specific data-path timing -----------------------------------------
 
-    def _memory_fetch(self, ready_ns: float, addr: int, nbytes: int,
-                      ) -> Tuple[float, float]:
-        """Route a line fetch over the fabric; returns (start, done)."""
+    def _fetch(self, ready_ns: float, addr: int) -> Tuple[float, float]:
+        """Route one line fetch over the fabric; returns (start, done)."""
         if self._switched:
             # Point-to-point path; only DRAM banks are shared.
-            return ready_ns, self.dram.service(ready_ns, addr, nbytes)
-        transfer = nbytes * 1e3 / self.fabric.data_bus_mb_s
-        if self.fabric.kind == FabricKind.SPLIT_BUS:
+            return ready_ns, self.dram.service(ready_ns, addr, self._line)
+        transfer = self._bus_ns
+        if self._split_bus:
             # Bus occupied for the data packet only; DRAM latency overlaps.
-            done_mem = self.dram.service(ready_ns, addr, nbytes)
+            done_mem = self.dram.service(ready_ns, addr, self._line)
             start, done = self.data_bus.occupy(done_mem - transfer, transfer)
             return start, max(done, done_mem)
         # SHARED_BUS: the transaction holds the bus across DRAM access.
         access = self.config.dram.access_ns
         start, done = self.data_bus.occupy(ready_ns, access + transfer)
-        self.dram.service(start, addr, nbytes)
+        self.dram.service(start, addr, self._line)
         return start, done
-
-    def _occupy_data_path(self, ready_ns: float, duration_ns: float,
-                          dram_addr: Optional[int]) -> Tuple[float, float]:
-        if self.fabric.kind == FabricKind.SWITCHED:
-            return ready_ns, ready_ns + duration_ns
-        return self.data_bus.occupy(ready_ns, duration_ns)
 
     def reset(self) -> None:
         for cache in self.l1s + self.l2s:
@@ -255,6 +275,7 @@ class MultiprocessorMemory:
             tlb.flush()
             tlb.reset_stats()
         self.reset_timing()
+        self.domain.stats.reset()
         self.stats.reset()
 
     def reset_timing(self) -> None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.sim.clock import Clock
-from repro.sim.stats import Counter
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,9 @@ class AddressPhaseSequencer:
         self._phase_ns = config.phase_ns  # the config is frozen
         self._queue_depth = config.queue_depth
         self._next_free = 0.0
-        self.stats = Counter(name)
+        self.phases = 0
+        self.retries = 0
+        self.contended = 0
         self.total_wait_ns = 0.0
         self.busy_ns = 0.0
 
@@ -76,35 +77,32 @@ class AddressPhaseSequencer:
         wait time because grants are strictly serial.
         """
         phase_ns = self._phase_ns
-        stats = self.stats
         grant = self._next_free
         if grant > now_ns:
             # Beyond the hardware queue depth, the master must retry:
             # model the retry penalty as one extra phase time of delay.
             if (grant - now_ns) / phase_ns > self._queue_depth:
                 grant += phase_ns
-                stats.incr("retries")
+                self.retries += 1
         else:
             grant = now_ns
         done = grant + phase_ns
         self._next_free = done
-        stats.incr("phases")
+        self.phases += 1
         waited = grant - now_ns
         self.total_wait_ns += waited
         self.busy_ns += phase_ns
         if waited > 0:
-            stats.incr("contended")
+            self.contended += 1
         return grant, done
 
     def mean_wait_ns(self) -> float:
-        phases = self.stats["phases"]
-        return self.total_wait_ns / phases if phases else 0.0
-
-    def utilization(self, elapsed_ns: float) -> float:
-        return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
+        return self.total_wait_ns / self.phases if self.phases else 0.0
 
     def reset(self) -> None:
         self._next_free = 0.0
+        self.phases = 0
+        self.retries = 0
+        self.contended = 0
         self.total_wait_ns = 0.0
         self.busy_ns = 0.0
-        self.stats.reset()

@@ -56,10 +56,6 @@ class TlbConfig:
         page = max(min_page_bytes, self.page_bytes // factor)
         return TlbConfig(self.entries, page, self.miss_cycles)
 
-    @property
-    def reach_bytes(self) -> int:
-        return self.entries * self.page_bytes
-
 
 class Tlb:
     """Fully-associative LRU translation cache (presence only)."""
@@ -98,10 +94,6 @@ class Tlb:
 
     def flush(self) -> None:
         self._entries.clear()
-
-    def miss_rate(self) -> float:
-        total = self.stats["hits"] + self.stats["misses"]
-        return self.stats["misses"] / total if total else 0.0
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -61,9 +61,10 @@ a segment:
   adds.  Stall values of non-refill-miss accesses take one of four
   precomputed constants (TLB hit/miss x L1 hit/L2 refill); only refill
   *misses* — which serialize through the address-phase sequencer and the
-  DRAM banks — run scalar, calling the real sequencer/DRAM/data-bus
-  objects between the fast runs.  A long fast run is one cumsum; a
-  short one (``_SHORT_RUN``) the same adds in a plain float loop.
+  DRAM banks — run scalar between the fast runs, each served by the
+  reference's own ``MultiprocessorMemory.serve_miss``.  A long fast run
+  is one cumsum; a short one (``_SHORT_RUN``) the same adds in a plain
+  float loop.
 * **CPUs (one merge of the misses).**  When no line is in two CPUs'
   caches or traces, no access snoops another CPU's line, so each CPU's
   L1, TLB and L2 oracles run on its own segments unchanged.  Only the
@@ -112,6 +113,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.memory.cache import AccessType, MESIState
+from repro.memory.hierarchy import ServiceLevel
 
 #: Structured dtype of an array-native trace (see repro.memory.trace_gen).
 REF_DTYPE = np.dtype([("addr", np.int64), ("is_write", np.bool_)])
@@ -119,6 +121,7 @@ REF_DTYPE = np.dtype([("addr", np.int64), ("is_write", np.bool_)])
 _EXCLUSIVE = int(MESIState.EXCLUSIVE)
 _MODIFIED = int(MESIState.MODIFIED)
 _SHARED = int(MESIState.SHARED)
+_MEMORY = ServiceLevel.MEMORY  # every slow access is an L2 refill miss
 
 #: L1 lane length.  Shorter chunks mean fewer lockstep steps (more lanes
 #: in flight per step, amortising numpy dispatch) but more warmup
@@ -1052,9 +1055,8 @@ class _Clock:
     def __init__(self, plan: _Plan, delta: int, memory, compute_ns: float,
                  stall, state, buf: np.ndarray):
         # What a slow access goes through, as :meth:`run` reads it.
-        self.path = (memory.sequencer.occupy, memory._memory_fetch,
-                     memory.l1_hit_ns, memory.l2_hit_ns, memory.tlb_miss_ns,
-                     memory.config.l1.line_bytes)
+        self.path = (memory.serve_miss, memory.l1_hit_ns,
+                     memory.tlb_miss_ns)
         self.compute_ns = compute_ns
         self.stall = stall
         self.state = state
@@ -1110,7 +1112,7 @@ class _Clock:
         before ``limit`` (or at it, with ``ties``).  Returns the issue
         time of the first slow access left, ``None`` once every access
         is timed."""
-        occupy, fetch, l1_hit_ns, l2_hit_ns, tlb_miss_ns, line = self.path
+        serve_miss, l1_hit_ns, tlb_miss_ns = self.path
         stall = self.stall
         compute = self.compute_ns
         slow_pos, slow_addr = self.slow_pos, self.slow_addr
@@ -1127,16 +1129,10 @@ class _Clock:
             issue = local + compute
             if issue > limit or (issue == limit and not ties):
                 break
-            latency = (tlb_miss_ns if slow_tlb_miss[k] else 0.0) + l1_hit_ns
-            issue_bus = issue + latency + l2_hit_ns
-            grant, phase_done = occupy(issue_bus)
-            queueing = grant - issue_bus
-            latency += l2_hit_ns + (phase_done - issue_bus)
-            start, done = fetch(phase_done, slow_addr[k], line)
-            queueing += start - phase_done
-            latency += done - phase_done
-            if wb_addr[k] >= 0:
-                fetch(phase_done, wb_addr[k], line)
+            wb = wb_addr[k]
+            latency, queueing = serve_miss(
+                issue, (tlb_miss_ns if slow_tlb_miss[k] else 0.0) + l1_hit_ns,
+                slow_addr[k], _MEMORY, (wb,) if wb >= 0 else ())
             stall_ns = stall(latency, compute)
             stalls.append(stall_ns)
             local = issue + stall_ns

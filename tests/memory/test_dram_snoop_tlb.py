@@ -10,9 +10,10 @@ from repro.sim.clock import Clock
 
 class TestDramConfig:
     def test_line_service_time(self):
-        config = DramConfig(access_ns=60.0, bandwidth_mb_s=640.0)
+        dram = InterleavedDram(DramConfig(access_ns=60.0,
+                                          bandwidth_mb_s=640.0))
         # 64 bytes at 640 MB/s = 100 ns transfer.
-        assert config.line_service_ns(64) == pytest.approx(160.0)
+        assert dram.service(0.0, 0x0, 64) == pytest.approx(160.0)
 
     def test_bank_count_power_of_two(self):
         with pytest.raises(ValueError):
@@ -25,8 +26,13 @@ class TestDramConfig:
 
 class TestInterleavedDram:
     def test_bank_mapping_interleaves_lines(self):
-        dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64))
-        assert [dram.bank_of(i * 64) for i in range(6)] == [0, 1, 2, 3, 0, 1]
+        dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
+                                          access_ns=60.0, bandwidth_mb_s=640.0))
+        # Lines 0-3 take banks 0-3 in parallel; lines 4 and 5 queue
+        # behind banks 0 and 1.
+        done = [dram.service(0.0, i * 64, 64) for i in range(6)]
+        assert done == [160.0] * 4 + [320.0] * 2
+        assert dram.bank_conflicts == 2
 
     def test_different_banks_overlap(self):
         dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
@@ -42,27 +48,23 @@ class TestInterleavedDram:
         dram.service(0.0, 0x0, 64)
         done = dram.service(0.0, 0x100, 64)     # bank 0 again (4*64 later)
         assert done == pytest.approx(320.0)
-        assert dram.stats["bank_conflicts"] == 1
+        assert dram.bank_conflicts == 1
 
     def test_arrival_at_the_free_time_is_no_conflict(self):
         dram = InterleavedDram(DramConfig(num_banks=4, interleave_bytes=64,
                                           access_ns=60.0, bandwidth_mb_s=640.0))
         done = dram.service(0.0, 0x0, 64)
         assert dram.service(done, 0x100, 64) == done + 60.0 + 100.0
-        assert dram.stats.as_dict() == {"requests": 2}
-
-    def test_peek_does_not_commit(self):
-        dram = InterleavedDram(DramConfig())
-        peeked = dram.peek_service(0.0, 0x0, 64)
-        assert dram.peek_service(0.0, 0x0, 64) == peeked
+        assert (dram.requests, dram.bank_conflicts) == (2, 0)
 
     def test_reset_clears_banks(self):
         dram = InterleavedDram(DramConfig())
         dram.service(0.0, 0x0, 64)
+        dram.service(0.0, 0x0, 64)
         dram.reset()
+        assert (dram.requests, dram.bank_conflicts) == (0, 0)
         assert dram.conflict_rate() == 0.0
-        assert dram.service(0.0, 0x0, 64) == pytest.approx(
-            dram.config.line_service_ns(64))
+        assert dram.service(0.0, 0x0, 64) == pytest.approx(160.0)
 
     def test_nonpositive_transfer_rejected(self):
         dram = InterleavedDram(DramConfig())
@@ -87,19 +89,19 @@ class TestAddressPhaseSequencer:
         _, done_first = seq.occupy(0.0)
         grant, _ = seq.occupy(0.0)
         assert grant == pytest.approx(done_first)
-        assert seq.stats["contended"] == 1
+        assert seq.contended == 1
 
     def test_queue_overflow_penalises(self):
         seq = self.make(queue_depth=1)
         for _ in range(4):
             seq.occupy(0.0)
-        assert seq.stats["retries"] >= 1
+        assert seq.retries >= 1
 
     def test_arrival_at_the_free_time_waits_for_nothing(self):
         seq = self.make()
         _, done = seq.occupy(0.0)
         assert seq.occupy(done) == (done, done + seq._phase_ns)
-        assert seq.stats.as_dict() == {"phases": 2}
+        assert (seq.phases, seq.retries, seq.contended) == (2, 0, 0)
         assert seq.total_wait_ns == 0.0
 
     def test_retry_only_beyond_the_queue_depth(self):
@@ -109,22 +111,25 @@ class TestAddressPhaseSequencer:
         phase = seq._phase_ns
         for _ in range(3):
             seq.occupy(0.0)
-        assert "retries" not in seq.stats
+        assert seq.retries == 0
         grant, _ = seq.occupy(0.0)  # 3 phases queued ahead of it
         assert grant == 4 * phase
-        assert seq.stats["retries"] == 1
+        assert seq.retries == 1
 
     def test_mean_wait_and_utilization(self):
         seq = self.make()
         seq.occupy(0.0)
         seq.occupy(0.0)
         assert seq.mean_wait_ns() == pytest.approx(25.0)   # (0 + 50) / 2
-        assert seq.utilization(100.0) == pytest.approx(1.0)
+        assert seq.busy_ns / 100.0 == pytest.approx(1.0)  # busy throughout
 
     def test_reset(self):
         seq = self.make()
         seq.occupy(0.0)
+        seq.occupy(0.0)
         seq.reset()
+        assert (seq.phases, seq.retries, seq.contended) == (0, 0, 0)
+        assert seq.mean_wait_ns() == 0.0
         grant, _ = seq.occupy(0.0)
         assert grant == 0.0
 
@@ -163,7 +168,7 @@ class TestTlb:
         tlb.access(0x0)
         tlb.access(0x0)
         tlb.access(0x0)
-        assert tlb.miss_rate() == pytest.approx(0.25)
+        assert tlb.stats.ratio("misses", ["hits", "misses"]) == 0.25
 
     def test_flush(self):
         tlb = Tlb(TlbConfig())

@@ -111,6 +111,15 @@ class TestFabricContention:
         node = make_node()
         node.access(0, 0.0, 0x1000)
         node.reset()
+        counters = ([c.stats for c in node.l1s + node.l2s]
+                    + [t.stats for t in node.tlbs]
+                    + [node.domain.stats, node.stats])
+        assert all(not c.as_dict() for c in counters)
+        assert (node.dram.requests, node.dram.bank_conflicts) == (0, 0)
+        seq = node.sequencer
+        assert (seq.phases, seq.retries, seq.contended) == (0, 0, 0)
+        assert (seq.total_wait_ns, seq.busy_ns) == (0.0, 0.0)
+        assert (node.data_bus.grants, node.data_bus.busy_ns) == (0, 0.0)
         assert node.access(0, 0.0, 0x1000).level == ServiceLevel.MEMORY
         assert node.stats["memory_accesses"] == 1  # only the fresh miss
 

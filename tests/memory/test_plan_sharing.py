@@ -88,7 +88,7 @@ class TestSharedPlansMatchTheReference:
         assert len(passes) == sum(-(-len(t) // 97) for t in epochs)
         # The runs reached DRAM and contended there.
         assert snapshot(ref_dual)["memory"]["memory_accesses"] > 100
-        assert snapshot(ref_dual)["sequencer"][3]["contended"] > 0
+        assert snapshot(ref_dual)["sequencer"]["contended"] > 0
 
     def test_results_equal_separate_replays(self, monkeypatch):
         """Replayed together or one node at a time, the nodes end alike."""

@@ -94,6 +94,7 @@ def snapshot(memory):
     address-phase sequencer, the DRAM banks and the data bus.
     """
     seq = memory.sequencer
+    dram = memory.dram
     bus = memory.data_bus
     return {
         "l1": [l1.stats.as_dict() for l1 in memory.l1s],
@@ -106,21 +107,25 @@ def snapshot(memory):
         "l2_sets": [[list(s.items()) for s in l2._sets]
                     for l2 in memory.l2s],
         "tlb_entries": [list(tlb._entries) for tlb in memory.tlbs],
-        "sequencer": (seq._next_free, seq.total_wait_ns, seq.busy_ns,
-                      seq.stats.as_dict()),
-        "dram": (list(memory.dram._bank_free), memory.dram.stats.as_dict()),
+        "sequencer": {key: getattr(seq, key) for key in (
+            "_next_free", "total_wait_ns", "busy_ns", "phases", "retries",
+            "contended")},
+        "dram": {"bank_free": list(dram._bank_free),
+                 "requests": dram.requests,
+                 "bank_conflicts": dram.bank_conflicts},
         "data_bus": (bus._next_free, bus.busy_ns, bus.grants),
     }
 
 
-def replay_pair(replay, traces, compute_ns=5.0):
+def replay_pair(replay, traces, compute_ns=5.0, kind=FabricKind.SWITCHED):
     """Replay ``traces`` through ``replay`` and through the reference,
-    each on a fresh node; returns ``(results, memory)`` for both."""
+    each on a fresh ``kind`` node; returns ``(results, memory)`` for
+    both."""
     cpus = len(traces)
     stalls = [lambda latency, compute: latency] * cpus
-    got_mem = make_memory(cpus)
+    got_mem = make_memory(cpus, kind)
     got = replay(got_mem, [list(t) for t in traces], compute_ns, stalls)
-    ref_mem = make_memory(cpus)
+    ref_mem = make_memory(cpus, kind)
     ref = replay_reference(ref_mem, [list(t) for t in traces], compute_ns,
                            stalls)
     return (got, got_mem), (ref, ref_mem)
